@@ -11,7 +11,8 @@ Subcommands::
 Suites: generation, hyperelliptic-word, chain-relation, chrel2,
 q-consistency, all.  Exit codes: 0 pass, 1 verification failure, 2 input
 error, 3 suite/operation inapplicable, 4 resource cap exhausted.  The
-environment variable SPINCYCLES_CAP overrides the default closure cap.
+environment variable SPINCYCLES_CAP overrides the default closure cap;
+a cap or ``--parts`` below 1 is an input error.
 Output is human-readable by default; ``--json`` switches to the JSON
 schemas, and ``--out`` always writes the JSON transcript.  Transcripts are
 byte-identical across runs and across ``--parts`` settings.
@@ -47,6 +48,7 @@ from .symplectic import (
     MAX_FULL_GROUP_GENUS,
     CapExceededError,
     resolve_cap,
+    resolve_parts,
     verify_transvection_generation,
 )
 
@@ -240,7 +242,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--arf", type=int, choices=(0, 1), help="Arf invariant")
     sp.add_argument("--cap", type=int, default=None, help="closure element budget")
     sp.add_argument(
-        "--parts", type=int, default=1, help="internal BFS partitioning (1, 4, 8, ...)"
+        "--parts", type=int, default=1, help="frontier chunks per BFS level, run on threads"
     )
     common(sp)
     return ap
@@ -262,8 +264,8 @@ def main(argv: list[str] | None = None) -> int:
             _emit(report, args.json, args.out)
             return EXIT_OK
         if args.command == "verify":
-            if args.cap is None:
-                args.cap = resolve_cap(None)
+            args.cap = resolve_cap(args.cap)
+            args.parts = resolve_parts(args.parts)
             transcript, code = run_verify(args)
             _emit(transcript, args.json, args.out)
             return code

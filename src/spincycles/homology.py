@@ -154,17 +154,20 @@ def pairing_f2(x: CycleClassF2, y: CycleClassF2) -> int:
     return pairing_f2_bits(x.bits, y.bits)
 
 
-_MA = int("55" * 64, 16)  # 0101...01 mask of a-positions, 512 bits
+def a_mask(genus: int) -> int:
+    """Mask of the a-positions (bits 0, 2, ..., 2g-2) of a packed class."""
+    return ((1 << (2 * genus)) - 1) // 3
+
+
+def swap_pairs(bits: int) -> int:
+    """Exchange the two bits of every (a_i, b_i) pair of a packed mask."""
+    ma = a_mask((bits.bit_length() + 1) // 2)
+    return ((bits & ma) << 1) | ((bits >> 1) & ma)
 
 
 def pairing_f2_bits(x: int, y: int) -> int:
     """Pairing of two packed bit masks (lengths need not be checked)."""
-    ma = _MA
-    nb = max(x.bit_length(), y.bit_length())
-    if nb > 512:
-        ma = int("55" * ((nb + 7) // 8), 16)
-    swapped = ((x & ma) << 1) | ((x >> 1) & ma)
-    return (swapped & y).bit_count() & 1
+    return (swap_pairs(x) & y).bit_count() & 1
 
 
 def pairing_z(x: CycleClassZ, y: CycleClassZ) -> int:

@@ -300,6 +300,20 @@ class InteriorData:
             raise RegimeError("interior hull is not a segment")
         return integer_length(*self.hull_vertices)
 
+    def is_even(self, pt: Point) -> bool:
+        """Parity of an arbitrary lattice point relative to the interior hull.
+
+        Defined only when the interior hull is two-dimensional with even
+        root order; the reference vertex is immaterial because all hull
+        vertices then share one parity class.
+        """
+        if self.dimension != 2 or self.root_order % 2 != 0:
+            raise RegimeError(
+                "evenness undefined: interior hull must be 2-dimensional with even root order"
+            )
+        v0 = self.hull_vertices[0]
+        return (pt[0] - v0[0]) % 2 == 0 and (pt[1] - v0[1]) % 2 == 0
+
 
 def interior_data(p: LatticePolygon) -> InteriorData:
     """Interior points, their hull, genus and root order.
@@ -325,19 +339,8 @@ def interior_data(p: LatticePolygon) -> InteriorData:
 
 
 def is_even_point(p: LatticePolygon, pt: Point) -> bool:
-    """Parity of an arbitrary lattice point relative to the interior hull.
-
-    Defined only when the interior hull is two-dimensional with even root
-    order; the reference vertex is immaterial because all hull vertices
-    then share one parity class.
-    """
-    d = interior_data(p)
-    if d.dimension != 2 or d.root_order % 2 != 0:
-        raise RegimeError(
-            "evenness undefined: interior hull must be 2-dimensional with even root order"
-        )
-    v0 = d.hull_vertices[0]
-    return (pt[0] - v0[0]) % 2 == 0 and (pt[1] - v0[1]) % 2 == 0
+    """Parity of a lattice point of ``p``; see :meth:`InteriorData.is_even`."""
+    return interior_data(p).is_even(pt)
 
 
 def even_points(p: LatticePolygon) -> dict[Point, bool]:
@@ -347,15 +350,7 @@ def even_points(p: LatticePolygon) -> dict[Point, bool]:
     :class:`RegimeError` otherwise ("evenness undefined").
     """
     d = interior_data(p)
-    if d.dimension != 2 or d.root_order % 2 != 0:
-        raise RegimeError(
-            "evenness undefined: interior hull must be 2-dimensional with even root order"
-        )
-    v0 = d.hull_vertices[0]
-    return {
-        pt: (pt[0] - v0[0]) % 2 == 0 and (pt[1] - v0[1]) % 2 == 0
-        for pt in d.interior_points
-    }
+    return {pt: d.is_even(pt) for pt in d.interior_points}
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ to the symplectic group action, and q has 2^(2g-1) + 2^(g-1) admissible
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 import numpy as np
@@ -23,10 +24,10 @@ import numpy as np
 from .homology import (
     CycleClassF2,
     SurfaceModel,
+    a_mask,
     build_model,
     default_forest,
     pairing_f2,
-    pairing_f2_bits,
     vertex_forest,
 )
 from .polygon import (
@@ -42,7 +43,6 @@ from .polygon import (
     enumerate_segments,
     even_points,
     interior_data,
-    is_even_point,
     segment_on_boundary,
 )
 
@@ -69,8 +69,9 @@ class QuadraticForm:
     def genus(self) -> int:
         return len(self.q_a)
 
-    @property
+    @cached_property
     def qmask(self) -> int:
+        """Basis values packed like a class: bits 2i, 2i+1 hold q(a_i+1), q(b_i+1)."""
         mask = 0
         for i in range(self.genus):
             mask |= self.q_a[i] << (2 * i)
@@ -78,35 +79,28 @@ class QuadraticForm:
         return mask
 
     def eval(self, x: CycleClassF2) -> int:
-        """q(x) by iterated polarization over the set bits of x."""
+        """q(x) in the closed polarization form of :meth:`eval_bits`."""
         if x.genus != self.genus:
             raise ValueError("genus mismatch")
         return self.eval_bits(x.bits)
 
     def eval_bits(self, bits: int) -> int:
-        qmask = self.qmask
-        acc = 0
-        partial = 0
-        rest = bits
-        while rest:
-            k = (rest & -rest).bit_length() - 1
-            acc ^= (qmask >> k) & 1
-            acc ^= pairing_f2_bits(partial, 1 << k)
-            partial |= 1 << k
-            rest &= rest - 1
-        return acc
+        """q(x) = |x & qmask| + #{i : both bits of pair i set}  (mod 2).
+
+        Polarizing over the set bits of x gives the basis values of those
+        bits plus one pairing term per (a_i, b_i) pair that x contains.
+        """
+        both = bits & (bits >> 1) & a_mask(self.genus)
+        return ((bits & self.qmask).bit_count() + both.bit_count()) & 1
 
     def values_table(self) -> np.ndarray:
-        """q over all 2^(2g) packed classes (uint8), closed polarization form.
-
-        q(x) = |x & qmask| + #{i : both bits of pair i set}  (mod 2);
-        agreement with :meth:`eval` is exercised by the test suite.
-        """
+        """q over all 2^(2g) packed classes (uint8), the closed form of
+        :meth:`eval_bits` applied to every class at once."""
         n = 2 * self.genus
         if 1 << n > CENSUS_LIMIT:
             raise ValueError("values_table only supports 2^(2g) <= CENSUS_LIMIT")
         x = np.arange(1 << n, dtype=np.uint64)
-        ma = np.uint64(sum(1 << (2 * i) for i in range(self.genus)))
+        ma = np.uint64(a_mask(self.genus))
         lin = np.bitwise_count(x & np.uint64(self.qmask))
         quad = np.bitwise_count(x & (x >> np.uint64(1)) & ma)
         return ((lin + quad) & np.uint64(1)).astype(np.uint8)
@@ -326,7 +320,7 @@ def verify_q_consistency(p: LatticePolygon) -> dict:
         if segment_on_boundary(p, a, b):
             continue
         parity_checked += 1
-        expected = is_even_point(p, a) != is_even_point(p, b)
+        expected = d.is_even(a) != d.is_even(b)
         if q.eval(m.segment_class(seg)) != (1 if expected else 0):
             parity_rule = False
     hull_vertices = set(hull.vertices)

@@ -6,14 +6,17 @@ x.  A whole 2g x 2g matrix packs into a single integer (column j occupies
 bits [2g*j, 2g*(j+1))), which is the canonical encoding used for hashing,
 ordering and membership.
 
-Group enumeration is a level-synchronous BFS under left multiplication by
-the generators.  When the packed matrix fits in 64 bits (2g <= 8) the BFS
-runs on numpy uint64 arrays: each generator G is tabulated as the map
-x -> G x over all 2^(2g) vectors, and G * (a frontier of packed matrices)
-is computed lane by lane with fancy indexing.  Larger dimensions fall back
-to a plain Python set BFS.  Either way the result is a sorted array of
-canonical encodings, so closure sets, orders and transcripts do not depend
-on generator order, chunking (``parts``) or thread scheduling.
+Group closures, orbits on vectors and orbits on quadratic forms all run
+one level-synchronous BFS over numpy uint64 keys (``_bfs``).  For a
+closure the keys are packed matrices under left multiplication by the
+generators: each generator G is tabulated as the map x -> G x over all
+2^(2g) vectors, and G * (a frontier of packed matrices) is computed lane
+by lane with fancy indexing.  This needs the packed matrix to fit in 64
+bits (2g <= 8); larger dimensions fall back to a plain Python set BFS.
+Each BFS level splits its frontier into ``parts`` chunks that run on
+threads (at most one per CPU).  Either way the result is a sorted array of
+keys, so closure sets, orders, orbits and transcripts do not depend on
+generator order, ``parts`` or thread scheduling.
 
 Integral transvections use the right-handed convention
 x -> x + <x, c> c; the opposite sign is the inverse twist, and every
@@ -23,15 +26,19 @@ relation-level verdict in this package is checked under both signs.
 from __future__ import annotations
 
 import os
+from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from .homology import (
     CycleClassF2,
     CycleClassZ,
+    a_mask,
     pairing_f2_bits,
+    swap_pairs,
 )
 from .spin import QuadraticForm
 
@@ -44,7 +51,7 @@ MAX_FULL_GROUP_GENUS = 3
 #: orbit computations on vectors stay below 2^16 vectors
 MAX_ORBIT_GENUS = 8
 
-_GEN_BATCH = 16  # generators per unique() batch, caps peak memory
+_GEN_BATCH = 16  # generators deduplicated together, caps peak memory
 
 
 class NotSymplecticError(ValueError):
@@ -56,21 +63,23 @@ class CapExceededError(RuntimeError):
 
 
 def resolve_cap(cap: int | None = None) -> int:
-    if cap is not None:
-        return cap
-    env = os.environ.get("SPINCYCLES_CAP")
-    if not env:
-        return DEFAULT_CAP
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"SPINCYCLES_CAP must be an integer, got {env!r}") from None
+    """The closure element budget: ``cap``, else SPINCYCLES_CAP, else the default."""
+    if cap is None:
+        env = os.environ.get("SPINCYCLES_CAP")
+        try:
+            cap = int(env) if env else DEFAULT_CAP
+        except ValueError:
+            raise ValueError(f"SPINCYCLES_CAP must be an integer, got {env!r}") from None
+    if cap <= 0:
+        raise ValueError(f"cap must be a positive element count, got {cap}")
+    return cap
 
 
-def _swap_pairs(bits: int) -> int:
-    """Exchange the two bits of every (a_i, b_i) pair."""
-    ma = int("55" * max(1, (bits.bit_length() + 7) // 8), 16)
-    return ((bits & ma) << 1) | ((bits >> 1) & ma)
+def resolve_parts(parts: int) -> int:
+    """The number of frontier chunks per BFS level; at least 1."""
+    if parts < 1:
+        raise ValueError(f"parts must be at least 1, got {parts}")
+    return parts
 
 
 @dataclass(frozen=True)
@@ -139,7 +148,7 @@ class MatF2:
 def transvection_f2(c: CycleClassF2) -> MatF2:
     """x -> x + <c, x> c over F2; an involution, identity iff c = 0."""
     n = 2 * c.genus
-    pairing_row = _swap_pairs(c.bits)  # bit j = <c, e_j>
+    pairing_row = swap_pairs(c.bits)  # bit j = <c, e_j>
     cols = tuple(
         (1 << j) ^ (c.bits if (pairing_row >> j) & 1 else 0) for j in range(n)
     )
@@ -158,17 +167,15 @@ def transvection_z(c: CycleClassZ, sign: int = 1) -> np.ndarray:
     """Integral transvection x -> x + sign * <x, c> c.
 
     ``sign=+1`` is the right-handed twist convention; ``sign=-1`` is its
-    inverse.  Since the rank-one part squares to zero, integer powers are
-    I + e * sign * outer(c, Jc).
+    inverse.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    v = np.array(c.coords, dtype=np.int64)
-    jc = symplectic_form_z(c.genus) @ v
-    return np.eye(2 * c.genus, dtype=np.int64) + sign * np.outer(v, jc)
+    return transvection_z_power(c, 1, sign)
 
 
 def transvection_z_power(c: CycleClassZ, exponent: int, sign: int = 1) -> np.ndarray:
+    """transvection_z(c, sign) ** exponent = I + exponent * sign * outer(c, Jc)."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
     v = np.array(c.coords, dtype=np.int64)
     jc = symplectic_form_z(c.genus) @ v
     return np.eye(2 * c.genus, dtype=np.int64) + (exponent * sign) * np.outer(v, jc)
@@ -234,6 +241,14 @@ def _apply_table_mats(packed: np.ndarray, table: np.ndarray, n: int) -> np.ndarr
     return out
 
 
+def _unique_sorted(a: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a uint64 array; sorts ``a`` in place."""
+    a.sort()
+    if a.size:
+        a = a[np.concatenate(([True], a[1:] != a[:-1]))]
+    return a
+
+
 def _setdiff_sorted(cand: np.ndarray, visited: np.ndarray) -> np.ndarray:
     """cand \\ visited for sorted unique uint64 arrays."""
     if cand.size == 0 or visited.size == 0:
@@ -244,40 +259,57 @@ def _setdiff_sorted(cand: np.ndarray, visited: np.ndarray) -> np.ndarray:
     return cand[~old]
 
 
-def _chunk_candidates(
-    chunk: np.ndarray, tables: list[np.ndarray], n: int
-) -> np.ndarray:
-    out: np.ndarray | None = None
-    for k in range(0, len(tables), _GEN_BATCH):
-        batch = [_apply_table_mats(chunk, t, n) for t in tables[k : k + _GEN_BATCH]]
-        u = np.unique(np.concatenate(batch))
-        out = u if out is None else np.union1d(out, u)
-    return out if out is not None else np.empty(0, dtype=np.uint64)
+def _worker_count(parts: int, chunks: int) -> int:
+    """Threads for one BFS level: never more than chunks or CPUs."""
+    return min(parts, chunks, os.cpu_count() or 1)
+
+
+def _bfs(
+    start: np.ndarray,
+    step: Callable[[np.ndarray], Iterable[np.ndarray]],
+    parts: int,
+    cap: int | None = None,
+) -> tuple[np.ndarray, bool]:
+    """Level-synchronous BFS over uint64 keys.
+
+    ``start`` is a sorted array of distinct keys and ``step(chunk)`` yields
+    one candidate array per generator.  Each level's frontier is split into
+    ``parts`` chunks run on threads; candidates are deduplicated
+    ``_GEN_BATCH`` generators at a time to bound peak memory.  Returns the
+    sorted visited keys and whether the search finished before
+    ``len(visited)`` exceeded ``cap``.
+    """
+    resolve_parts(parts)
+    visited = frontier = start
+
+    def expand(chunk: np.ndarray) -> list[np.ndarray]:
+        gens = iter(step(chunk))
+        out = []
+        while batch := list(islice(gens, _GEN_BATCH)):
+            out.append(_setdiff_sorted(_unique_sorted(np.concatenate(batch)), visited))
+        return out
+
+    while frontier.size:
+        chunks = np.array_split(frontier, min(parts, frontier.size))
+        with ThreadPoolExecutor(_worker_count(parts, len(chunks))) as pool:
+            results = list(pool.map(expand, chunks))
+        new = [u for r in results for u in r]
+        frontier = _unique_sorted(np.concatenate(new)) if new else frontier[:0]
+        # visited and frontier are disjoint and sorted: insert, no re-sort
+        visited = np.insert(visited, np.searchsorted(visited, frontier), frontier)
+        if cap is not None and visited.size > cap:
+            return visited, False
+    return visited, True
 
 
 def _closure_np(
     n: int, generators: list[MatF2], cap: int, parts: int
 ) -> tuple[np.ndarray, bool]:
     tables = [_vector_table(g) for g in generators]
-    ident = np.uint64(MatF2.identity(n // 2).packed())
-    visited = np.array([ident], dtype=np.uint64)
-    frontier = visited
-    completed = True
-    while frontier.size:
-        chunks = [c for c in np.array_split(frontier, max(1, parts)) if c.size]
-        if parts > 1 and len(chunks) > 1:
-            with ThreadPoolExecutor(max_workers=parts) as pool:
-                results = list(pool.map(lambda c: _chunk_candidates(c, tables, n), chunks))
-        else:
-            results = [_chunk_candidates(c, tables, n) for c in chunks]
-        cand = np.unique(np.concatenate(results)) if results else np.empty(0, np.uint64)
-        frontier = _setdiff_sorted(cand, visited)
-        if frontier.size:
-            visited = np.union1d(visited, frontier)
-        if visited.size > cap:
-            completed = False
-            break
-    return visited, completed
+    ident = np.array([MatF2.identity(n // 2).packed()], dtype=np.uint64)
+    return _bfs(
+        ident, lambda chunk: (_apply_table_mats(chunk, t, n) for t in tables), parts, cap
+    )
 
 
 def _closure_py(n: int, generators: list[MatF2], cap: int) -> tuple[list[int], bool]:
@@ -425,21 +457,16 @@ def full_symplectic_closure(
     return result
 
 
-def _q_basis_values(q: QuadraticForm) -> np.ndarray:
-    qmask = q.qmask
-    return np.array([(qmask >> k) & 1 for k in range(2 * q.genus)], dtype=np.uint8)
-
-
 def _filter_preserves_q(packed: np.ndarray, q: QuadraticForm) -> np.ndarray:
     """Vectorized stabilizer filter over packed symplectic matrices."""
     n = 2 * q.genus
     table = q.values_table()
-    expect = _q_basis_values(q)
+    qmask = q.qmask
     mask = np.uint64((1 << n) - 1)
     keep = np.ones(packed.size, dtype=bool)
     for k in range(n):
         lane = (packed >> np.uint64(n * k)) & mask
-        keep &= table[lane] == expect[k]
+        keep &= table[lane] == (qmask >> k) & 1
     return packed[keep]
 
 
@@ -500,25 +527,10 @@ def orbit(
         raise ValueError(f"orbit computations support genus <= {MAX_ORBIT_GENUS}")
     if any(g.genus != x.genus for g in generators):
         raise ValueError("genus mismatch")
-    packed = _orbit_packed(x.bits, [_vector_table(g) for g in generators], parts)
+    tables = [_vector_table(g) for g in generators]
+    start = np.array([x.bits], dtype=np.uint64)
+    packed, _ = _bfs(start, lambda chunk: (t[chunk] for t in tables), parts)
     return {CycleClassF2(x.genus, int(v)) for v in packed}
-
-
-def _orbit_packed(
-    start_bits: int, tables: list[np.ndarray], parts: int
-) -> np.ndarray:
-    visited = np.array([start_bits], dtype=np.uint64)
-    frontier = visited
-    while frontier.size:
-        chunks = [c for c in np.array_split(frontier, max(1, parts)) if c.size]
-        cands = []
-        for chunk in chunks:
-            cands.extend(t[chunk] for t in tables)
-        cand = np.unique(np.concatenate(cands)) if cands else np.empty(0, np.uint64)
-        frontier = _setdiff_sorted(cand, visited)
-        if frontier.size:
-            visited = np.union1d(visited, frontier)
-    return visited
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +538,7 @@ def _orbit_packed(
 
 
 def _arf_of_form_masks(masks: np.ndarray, genus: int) -> np.ndarray:
-    ma = np.uint64(sum(1 << (2 * i) for i in range(genus)))
+    ma = np.uint64(a_mask(genus))
     return (np.bitwise_count(masks & (masks >> np.uint64(1)) & ma) & np.uint64(1)).astype(
         np.uint8
     )
@@ -543,39 +555,24 @@ def verify_arf_classification(genus: int, parts: int = 1) -> dict:
     """
     if genus > MAX_FULL_GROUP_GENUS:
         raise ValueError(f"supported for genus <= {MAX_FULL_GROUP_GENUS}")
-    n = 2 * genus
-    total = 1 << n
-    ma = np.uint64(sum(1 << (2 * i) for i in range(genus)))
+    total = 1 << (2 * genus)
+    ma = a_mask(genus)
     one = np.uint64(1)
 
     cs = list(range(1, total))
-    flips = [np.uint64(_swap_pairs(c)) for c in cs]
-    quads = [
-        np.uint64(bin(c & (c >> 1) & int(ma)).count("1") & 1) for c in cs
-    ]
+    flips = [np.uint64(swap_pairs(c)) for c in cs]
+    quads = [np.uint64((c & (c >> 1) & ma).bit_count() & 1) for c in cs]
 
-    def step(front: np.ndarray) -> list[np.ndarray]:
-        out = []
+    def step(front: np.ndarray):
         for c, flip, quad in zip(cs, flips, quads):
             qc = (np.bitwise_count(front & np.uint64(c)) + quad) & one
-            out.append(np.where(qc == one, front, front ^ flip))
-        return out
+            yield np.where(qc == one, front, front ^ flip)
 
     remaining = np.ones(total, dtype=bool)
     orbits = []
     while remaining.any():
-        start = int(np.flatnonzero(remaining)[0])
-        visited = np.array([start], dtype=np.uint64)
-        frontier = visited
-        while frontier.size:
-            chunks = [c for c in np.array_split(frontier, max(1, parts)) if c.size]
-            cands = []
-            for chunk in chunks:
-                cands.extend(step(chunk))
-            cand = np.unique(np.concatenate(cands))
-            frontier = _setdiff_sorted(cand, visited)
-            if frontier.size:
-                visited = np.union1d(visited, frontier)
+        start = np.flatnonzero(remaining)[:1].astype(np.uint64)
+        visited, _ = _bfs(start, step, parts)
         arfs = _arf_of_form_masks(visited, genus)
         orbits.append(
             {

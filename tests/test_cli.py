@@ -140,6 +140,23 @@ class TestVerify:
         monkeypatch.setenv("SPINCYCLES_CAP", "10")
         assert main(["verify", "generation", "--genus", "2", "--arf", "1"]) == 4
 
+    def test_nonpositive_cap_exit_2(self, capsys, monkeypatch):
+        args = ["verify", "generation", "--genus", "2", "--arf", "1"]
+        for cap in ("0", "-1"):
+            assert main([*args, "--cap", cap]) == 2
+            assert f"got {cap}" in capsys.readouterr().err
+        monkeypatch.setenv("SPINCYCLES_CAP", "-5")
+        assert main(args) == 2
+        assert "got -5" in capsys.readouterr().err
+
+    def test_nonpositive_parts_exit_2(self, capsys):
+        for parts in ("0", "-1"):
+            code = main(
+                ["verify", "generation", "--genus", "2", "--arf", "1", "--parts", parts]
+            )
+            assert code == 2
+            assert f"got {parts}" in capsys.readouterr().err
+
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "transcript.json"
         code = main(

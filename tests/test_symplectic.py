@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import random
 
 import numpy as np
@@ -12,6 +13,7 @@ from spincycles.symplectic import (
     NotSymplecticError,
     _closure_np,
     _closure_py,
+    _worker_count,
     admissible_transvections,
     all_transvections,
     closure,
@@ -118,6 +120,10 @@ class TestTransvectionZ:
             assert np.array_equal(transvection_z_power(c, 3), t @ t @ t)
             assert np.array_equal(transvection_z_power(c, -2), tinv @ tinv)
 
+    def test_power_rejects_bad_sign(self):
+        with pytest.raises(ValueError):
+            transvection_z_power(CycleClassZ.basis_a(1, 1), 2, sign=2)
+
 
 class TestPreservesQ:
     def test_identity(self):
@@ -190,6 +196,17 @@ class TestClosure:
                 np.asarray(alt.packed, dtype=np.uint64),
                 np.asarray(ref.packed, dtype=np.uint64),
             )
+
+    def test_parts_bounds(self, monkeypatch):
+        with pytest.raises(ValueError):
+            closure(all_transvections(1), parts=0)
+        # one thread per chunk at most, and never more threads than CPUs
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert _worker_count(100_000, 100_000) == 2
+        assert _worker_count(4, 1) == 1
+        assert _worker_count(1, 8) == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _worker_count(8, 8) == 1
 
     def test_engines_agree(self):
         # numpy fast path vs plain-python fallback on the same generators
@@ -345,9 +362,9 @@ class TestOrbit:
         ones = {CycleClassF2(2, b) for b in range(1, 16) if table[b] == 1}
         zeros = {CycleClassF2(2, b) for b in range(1, 16) if table[b] == 0}
         x1 = min(ones, key=lambda c: c.bits)
-        assert orbit(x1, gens) == ones
+        assert orbit(x1, gens) == ones == orbit(x1, gens, parts=4)
         x0 = min(zeros, key=lambda c: c.bits)
-        assert orbit(x0, gens) == zeros
+        assert orbit(x0, gens) == zeros == orbit(x0, gens, parts=4)
 
     def test_admissible_closure_can_be_proper_at_g2(self):
         # genus 2, Arf 0: the admissible transvections generate an index-2
