@@ -23,6 +23,7 @@ keep a plain coordinate tuple.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .polygon import (
@@ -170,6 +171,20 @@ def pairing_f2_bits(x: int, y: int) -> int:
     return (swap_pairs(x) & y).bit_count() & 1
 
 
+def is_symplectic_bits(vectors: Sequence[int]) -> bool:
+    """Packed vectors pair as a symplectic basis.
+
+    <v_2i, v_2i+1> = 1 for every pair and all other pairings vanish.
+    """
+    n = len(vectors)
+    for k in range(n):
+        for l in range(k + 1, n):
+            expected = 1 if (k % 2 == 0 and l == k + 1) else 0
+            if pairing_f2_bits(vectors[k], vectors[l]) != expected:
+                return False
+    return True
+
+
 def pairing_z(x: CycleClassZ, y: CycleClassZ) -> int:
     """Integral symplectic form with <a_i, b_i> = +1; antisymmetric."""
     if x.genus != y.genus:
@@ -234,9 +249,39 @@ class SurfaceModel:
         return total
 
 
+_AXIS_STEPS: tuple[Point, ...] = ((-1, 0), (0, -1), (1, 0), (0, 1))
+
+
+def _axis_bfs(
+    sources: list[Point], allowed: set[Point], step_order: tuple[Point, ...]
+) -> dict[Point, Point]:
+    """Parent map of a multi-source BFS over axis steps inside ``allowed``."""
+    parent: dict[Point, Point] = {}
+    queue = deque(sources)
+    seen = set(queue)
+    while queue:
+        cur = queue.popleft()
+        for dx, dy in step_order:
+            nxt = (cur[0] + dx, cur[1] + dy)
+            if nxt in allowed and nxt not in seen:
+                parent[nxt] = cur
+                seen.add(nxt)
+                queue.append(nxt)
+    return parent
+
+
+def _path(parent: dict[Point, Point], v: Point) -> tuple[PathSeg, ...]:
+    """Segments of the parent walk from ``v`` up to its root."""
+    path: list[PathSeg] = []
+    while v in parent:
+        path.append((v, parent[v]))
+        v = parent[v]
+    return tuple(path)
+
+
 def default_forest(
     p: LatticePolygon,
-    step_order: tuple[Point, ...] = ((-1, 0), (0, -1), (1, 0), (0, 1)),
+    step_order: tuple[Point, ...] = _AXIS_STEPS,
     source_reverse: bool = False,
 ) -> Forest:
     """Spanning forest of unit-step paths from interior points to the boundary.
@@ -248,51 +293,27 @@ def default_forest(
     """
     d = interior_data(p)
     inside = p.lattice_points()
-    inside_set = set(inside)
     interior = set(d.interior_points)
-    parent: dict[Point, Point] = {}
-    sources = sorted((q for q in inside if q not in interior), reverse=source_reverse)
-    queue = deque(sources)
-    seen = set(queue)
-    while queue:
-        cur = queue.popleft()
-        for dx, dy in step_order:
-            nxt = (cur[0] + dx, cur[1] + dy)
-            if nxt in inside_set and nxt not in seen:
-                parent[nxt] = cur
-                seen.add(nxt)
-                queue.append(nxt)
-    missing = interior - seen
-    if missing:
-        # exotic shapes where axis steps do not reach: fall back to a
-        # subdivided straight segment to the nearest boundary point
-        boundary = [q for q in inside if q not in interior]
-        for v in sorted(missing):
-            if v in seen:
-                continue
-            best = min(
-                boundary,
-                key=lambda q: ((q[0] - v[0]) ** 2 + (q[1] - v[1]) ** 2, q),
-            )
-            steps = integer_length(v, best)
-            sx = (best[0] - v[0]) // steps
-            sy = (best[1] - v[1]) // steps
-            chain = [(v[0] + k * sx, v[1] + k * sy) for k in range(steps + 1)]
-            for a, b in zip(chain, chain[1:]):
-                parent[a] = b
-                seen.add(a)
-                if b in seen:
-                    break
-    forest: Forest = {}
-    for v in d.interior_points:
-        path: list[PathSeg] = []
-        cur = v
-        while cur in interior:
-            nxt = parent[cur]
-            path.append((cur, nxt))
-            cur = nxt
-        forest[v] = tuple(path)
-    return forest
+    boundary = [q for q in inside if q not in interior]
+    parent = _axis_bfs(sorted(boundary, reverse=source_reverse), set(inside), step_order)
+    # exotic shapes where axis steps do not reach: fall back to a
+    # subdivided straight segment to the nearest boundary point
+    for v in sorted(interior - parent.keys()):
+        if v in parent:
+            continue
+        best = min(
+            boundary,
+            key=lambda q: ((q[0] - v[0]) ** 2 + (q[1] - v[1]) ** 2, q),
+        )
+        steps = integer_length(v, best)
+        sx = (best[0] - v[0]) // steps
+        sy = (best[1] - v[1]) // steps
+        chain = [(v[0] + k * sx, v[1] + k * sy) for k in range(steps + 1)]
+        for a, b in zip(chain, chain[1:]):
+            parent[a] = b
+            if b in parent:
+                break
+    return {v: _path(parent, v) for v in d.interior_points}
 
 
 def vertex_forest(p: LatticePolygon, kappa: Point | None = None) -> Forest:
@@ -314,36 +335,17 @@ def vertex_forest(p: LatticePolygon, kappa: Point | None = None) -> Forest:
         (w for w in lattice - interior if integer_length(kappa, w) == 1),
         key=lambda w: (abs(w[0] - kappa[0]) + abs(w[1] - kappa[1]) != 1, w),
     )
-    fallback = default_forest(p)
     if not exits:
         # no one-step exit from kappa (does not happen for smooth inputs):
         # routing through kappa could repeat segments, so keep the default
-        return fallback
+        return default_forest(p)
     tail: tuple[PathSeg, ...] = ((kappa, exits[0]),)
-    parent: dict[Point, Point] = {}
-    queue = deque([kappa])
-    seen = {kappa}
-    while queue:
-        cur = queue.popleft()
-        for dx, dy in ((-1, 0), (0, -1), (1, 0), (0, 1)):
-            nxt = (cur[0] + dx, cur[1] + dy)
-            if nxt in interior and nxt not in seen:
-                parent[nxt] = cur
-                seen.add(nxt)
-                queue.append(nxt)
-    forest: Forest = {}
-    for v in d.interior_points:
-        if v not in seen:
-            forest[v] = fallback[v]
-            continue
-        path: list[PathSeg] = []
-        cur = v
-        while cur != kappa:
-            nxt = parent[cur]
-            path.append((cur, nxt))
-            cur = nxt
-        forest[v] = tuple(path) + tail
-    return forest
+    parent = _axis_bfs([kappa], interior, _AXIS_STEPS)
+    fallback = default_forest(p) if len(parent) + 1 < len(interior) else {}
+    return {
+        v: _path(parent, v) + tail if v == kappa or v in parent else fallback[v]
+        for v in d.interior_points
+    }
 
 
 def validate_forest(p: LatticePolygon, forest: Forest) -> None:

@@ -1,9 +1,11 @@
 """Twist-word calculus with homological evaluation.
 
 Words are sequences of (curve name, exponent) letters standing for
-compositions of Dehn twists; the leftmost letter acts last, so evaluating
-a word multiplies the transvection matrices in letter order.  Rewrite
-rules operate on letter positions and are all reversible:
+compositions of Dehn twists; the leftmost letter acts last.  A letter
+c^e acts on integral homology as the transvection I + e*outer(c, Jc), so
+``evaluate_word_z`` builds the product letter by letter as rank-1 updates
+of the running matrix, O(n^2) per letter.  Rewrite rules operate on
+letter positions and are all reversible:
 
 * ``commute`` swaps adjacent letters whose curves have geometric
   intersection number 0;
@@ -16,7 +18,10 @@ The machine-checked derivations below replay the standard manipulation of
 the three-chain relation (t_a t_b t_c)^4 = t_alpha t_beta into
 (t_b^2 t_a t_b^2 t_c)^2 = t_alpha t_beta, and the palindromic chain word
 of a width-2 strip polygon, which must act as -identity on integral
-homology.
+homology.  The first derivation is one table, ``CHREL2_DERIVATION``, of
+(line rule, moves, expected line): one loop applies its moves (the four
+rules plus the substitution of the chain relation) and records the
+transcript, and one loop undoes them in reverse order.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .polygon import (
 )
 from .symplectic import (
     mat_f2_from_z,
-    transvection_z_power,
+    symplectic_form_z,
 )
 
 
@@ -184,7 +189,14 @@ def evaluate_word_z(
     sign: int = 1,
     genus: int | None = None,
 ) -> np.ndarray:
-    """Ordered product of integral transvections; leftmost letter acts last."""
+    """Ordered product of integral transvections; leftmost letter acts last.
+
+    A letter c^e is I + e*sign*outer(c, Jc), so right-multiplying the
+    running product by it is the rank-1 update  out += e*sign*outer(out c, Jc);
+    no dense transvection matrix is built.
+    """
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
     for name, _ in word.letters:
         if name not in classes:
             raise ValueError(f"no homology class assigned to curve {name!r}")
@@ -196,9 +208,11 @@ def evaluate_word_z(
             break
     if genus is None:
         raise ValueError("cannot infer genus from an empty word and no classes")
+    j = symplectic_form_z(genus)
     out = np.eye(2 * genus, dtype=np.int64)
     for name, exp in word.letters:
-        out = out @ transvection_z_power(classes[name], exp, sign)
+        v = np.array(classes[name].coords, dtype=np.int64)
+        out += (exp * sign) * np.outer(out @ v, j @ v)
     return out
 
 
@@ -278,24 +292,74 @@ def verify_chain_relation_homology(genus_ambient: int = 2) -> dict:
 # ---------------------------------------------------------------------------
 # the five-line rewriting of the chain relation
 
+_SUBSTITUTE = "substitute(chain-relation)"
+_CHAIN_SIDES = (
+    TwistWord.from_names(["alpha", "beta"]).letters,
+    TwistWord.from_names(["a", "b", "c"] * 4).letters,
+)
 
-def _primitive(system, word, rule, position, **kw):
-    before = str(word)
-    new = rewrite_step(system, word, rule, position, **kw)
-    record = {
-        "rule": rule,
-        "position": position,
-        **({"curve": kw["curve"]} if "curve" in kw else {}),
-        "word_before": before,
-        "word_after": str(new),
-    }
-    return new, record
+# (line rule, moves, expected line); a move is (rule, position) or, for an
+# insertion, (rule, position, curve, exponent)
+CHREL2_DERIVATION = (
+    (
+        "conjugate-and-substitute",
+        (("conjugate_insert", 0, "b", 1), ("commute", 1), ("commute", 2),
+         (_SUBSTITUTE, 1)),
+        "b a b c a b c a b c a b c b^-1",
+    ),
+    (
+        "split-square",
+        (("conjugate_insert", 7, "b", -1),),
+        "b a b c a b c b^-1 b a b c a b c b^-1",
+    ),
+    (
+        "commute",
+        (("commute", 3), ("commute", 11)),
+        "b a b a c b c b^-1 b a b a c b c b^-1",
+    ),
+    (
+        "braid",
+        (("braid", 1), ("braid", 4), ("braid", 9), ("braid", 12)),
+        "b b a b b c b b^-1 b b a b b c b b^-1",
+    ),
+    ("cancel", (("cancel", 6), ("cancel", 12)), "b b a b b c b b a b b c"),
+)
+
+
+def _substitute(word: TwistWord, position: int, old, new) -> TwistWord:
+    end = position + len(old)
+    if word.letters[position:end] != old:
+        raise RuleError(f"substitution target {TwistWord(old)} not in place")
+    return TwistWord(word.letters[:position] + new + word.letters[end:])
+
+
+def _undo(
+    system: CurveSystem, word: TwistWord, history: list, start: TwistWord
+) -> bool:
+    """Undo the recorded (move, word before) history in reverse order.
+
+    Each undo must give back the word its move was applied to and the last
+    one the start word; an undo that does not apply raises ``RuleError``.
+    """
+    for (rule, position, *_), before in reversed(history):
+        if rule == _SUBSTITUTE:
+            word = _substitute(word, position, *reversed(_CHAIN_SIDES))
+        elif rule == "conjugate_insert":
+            word = rewrite_step(system, word, "cancel", position)
+        elif rule == "cancel":
+            letter = before.letters[position]
+            word = rewrite_step(system, word, "conjugate_insert", position, *letter)
+        else:  # commute and braid undo themselves
+            word = rewrite_step(system, word, rule, position)
+        if word != before:
+            return False
+    return word == start
 
 
 def verify_chrel2_derivation(system: CurveSystem | None = None) -> dict:
     """Replay the rewriting of the chain relation into its squared form.
 
-    Five machine-checked steps transform  alpha beta  into
+    The lines of ``CHREL2_DERIVATION`` transform  alpha beta  into
     (b^2 a b^2 c)^2, mirroring the displayed derivation line by line:
 
     1. conjugate by b (insert b b^-1, commute b^-1 past alpha and beta)
@@ -308,167 +372,65 @@ def verify_chrel2_derivation(system: CurveSystem | None = None) -> dict:
     Every primitive move is validated against the intersection table, each
     line is compared with the expected word, and when homology classes
     are assigned every line is evaluated over Z and compared with the
-    value of the starting word (rewriting soundness).
+    value of the starting word (rewriting soundness).  Finally the moves
+    are undone in reverse order, and each undo must give back the word
+    the move was applied to.
     """
     if system is None:
         system = chrel2_system()
-    steps = []
-    word = TwistWord.from_names(["alpha", "beta"])
-    start_word = word
+    start = TwistWord.from_names(["alpha", "beta"])
     sound_values = system.classes is not None
-    base_value = (
-        evaluate_word_z(start_word, system.classes) if sound_values else None
-    )
-
-    def push_line(step_no, rule_label, primitives, new_word, expected):
+    base_value = evaluate_word_z(start, system.classes) if sound_values else None
+    word = start
+    history = []
+    steps = []
+    for step_no, (label, moves, expected) in enumerate(CHREL2_DERIVATION, 1):
+        primitives = []
+        for move in moves:
+            before = word
+            rule, position, *insert = move
+            if rule == _SUBSTITUTE:
+                word = _substitute(word, position, *_CHAIN_SIDES)
+            else:
+                word = rewrite_step(system, word, rule, position, *insert)
+            history.append((move, before))
+            primitives.append(
+                {
+                    "rule": rule,
+                    "position": position,
+                    **({"curve": insert[0]} if insert else {}),
+                    "word_before": str(before),
+                    "word_after": str(word),
+                }
+            )
         entry = {
             "step": step_no,
-            "rule": rule_label,
-            "position": primitives[0]["position"] if primitives else None,
-            "word_before": primitives[0]["word_before"] if primitives else str(new_word),
-            "word_after": str(new_word),
-            "matches_expected_line": str(new_word) == expected,
+            "rule": label,
+            "position": moves[0][1],
+            "word_before": primitives[0]["word_before"],
+            "word_after": str(word),
+            "matches_expected_line": str(word) == expected,
             "primitives": primitives,
         }
         if sound_values:
-            value = evaluate_word_z(new_word, system.classes)
+            value = evaluate_word_z(word, system.classes)
             entry["sound"] = bool(np.array_equal(value, base_value))
         steps.append(entry)
-        return entry
 
-    abc4 = ["a", "b", "c"] * 4
-
-    # step 1: alpha beta -> b (a b c)^4 b^-1
-    prims = []
-    word, rec = _primitive(system, word, "conjugate_insert", 0, curve="b")
-    prims.append(rec)
-    word, rec = _primitive(system, word, "commute", 1)
-    prims.append(rec)
-    word, rec = _primitive(system, word, "commute", 2)
-    prims.append(rec)
-    # substitute the chain relation for the sub-word alpha beta (positions 1-2)
-    before = str(word)
-    expected_sub = (("alpha", 1), ("beta", 1))
-    if word.letters[1:3] != expected_sub:
-        raise RuleError("substitution target alpha beta not in place")
-    word = TwistWord(
-        word.letters[:1] + tuple((n, 1) for n in abc4) + word.letters[3:]
-    )
-    prims.append(
-        {
-            "rule": "substitute(chain-relation)",
-            "position": 1,
-            "word_before": before,
-            "word_after": str(word),
-        }
-    )
-    expected1 = " ".join(["b"] + abc4 + ["b^-1"])
-    push_line(1, "conjugate-and-substitute", prims, word, expected1)
-
-    # step 2: split the 4th power into a square of b (abc)^2 b^-1 blocks
-    prims = []
-    word, rec = _primitive(system, word, "conjugate_insert", 7, curve="b", exponent=-1)
-    prims.append(rec)
-    half = ["b"] + ["a", "b", "c"] * 2 + ["b^-1"]
-    expected2 = " ".join(half + half)
-    push_line(2, "split-square", prims, word, expected2)
-
-    # step 3: commute c a -> a c in each half
-    prims = []
-    word, rec = _primitive(system, word, "commute", 3)
-    prims.append(rec)
-    word, rec = _primitive(system, word, "commute", 11)
-    prims.append(rec)
-    half = "b a b a c b c b^-1"
-    expected3 = f"{half} {half}"
-    push_line(3, "commute", prims, word, expected3)
-
-    # step 4: braid a b a -> b a b and c b c -> b c b in each half
-    prims = []
-    for pos in (1, 4, 9, 12):
-        word, rec = _primitive(system, word, "braid", pos)
-        prims.append(rec)
-    half = "b b a b b c b b^-1"
-    expected4 = f"{half} {half}"
-    push_line(4, "braid", prims, word, expected4)
-
-    # step 5: cancel the b b^-1 pair at the end of each half
-    prims = []
-    word, rec = _primitive(system, word, "cancel", 6)
-    prims.append(rec)
-    word, rec = _primitive(system, word, "cancel", 12)
-    prims.append(rec)
-    half = "b b a b b c"
-    expected5 = f"{half} {half}"
-    push_line(5, "cancel", prims, word, expected5)
-
+    reversed_ok = _undo(system, word, history, start)
     final_ok = str(word.normalized()) == "b^2 a b^2 c b^2 a b^2 c"
-    reversed_ok = _replay_reversed(system, steps, start_word)
-    report = {
+    lines_ok = all(s["matches_expected_line"] for s in steps)
+    sound = all(s.get("sound", True) for s in steps)
+    return {
         "suite": "chrel2",
         "steps": steps,
         "final_word": str(word.normalized()),
         "final_matches_target": final_ok,
-        "all_lines_match": all(s["matches_expected_line"] for s in steps),
-        "sound": all(s.get("sound", True) for s in steps),
+        "all_lines_match": lines_ok,
+        "sound": sound,
         "reversible": reversed_ok,
-        "pass": final_ok
-        and all(s["matches_expected_line"] for s in steps)
-        and all(s.get("sound", True) for s in steps)
-        and reversed_ok,
+        "pass": final_ok and lines_ok and sound and reversed_ok,
     }
-    return report
-
-
-def _parse_word(text: str) -> TwistWord:
-    letters = []
-    for token in text.split():
-        if "^" in token:
-            name, exp = token.split("^")
-            letters.append((name, int(exp)))
-        else:
-            letters.append((token, 1))
-    return TwistWord(tuple(letters))
-
-
-_INVERSE_RULE = {
-    "commute": "commute",
-    "braid": "braid",
-    "conjugate_insert": "cancel",
-    "cancel": "conjugate_insert",
-}
-
-
-def _replay_reversed(system, steps, start_word) -> bool:
-    """Undo every primitive in reverse order; must recover the start word."""
-    word = _parse_word(steps[-1]["word_after"])
-    for step in reversed(steps):
-        for prim in reversed(step["primitives"]):
-            rule = prim["rule"]
-            pos = prim["position"]
-            if rule.startswith("substitute"):
-                # substitute back: 12 letters at pos become alpha beta
-                target = tuple((n, 1) for n in ["a", "b", "c"] * 4)
-                if word.letters[pos : pos + 12] != target:
-                    return False
-                word = TwistWord(
-                    word.letters[:pos]
-                    + (("alpha", 1), ("beta", 1))
-                    + word.letters[pos + 12 :]
-                )
-                continue
-            inv = _INVERSE_RULE[rule]
-            kw = {}
-            if inv == "conjugate_insert":
-                # re-insert exactly the cancelled pair
-                removed = _parse_word(prim["word_before"]).letters[pos]
-                kw = {"curve": removed[0], "exponent": removed[1]}
-            elif inv == "braid":
-                pass
-            word = rewrite_step(system, word, inv, pos, **kw)
-            if str(word) != prim["word_before"]:
-                return False
-    return word.letters == start_word.letters
 
 
 # ---------------------------------------------------------------------------

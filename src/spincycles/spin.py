@@ -27,6 +27,7 @@ from .homology import (
     a_mask,
     build_model,
     default_forest,
+    is_symplectic_bits,
     pairing_f2,
     vertex_forest,
 )
@@ -169,15 +170,10 @@ def standard_basis(genus: int) -> list[CycleClassF2]:
 
 def is_symplectic_basis(basis: list[CycleClassF2]) -> bool:
     """Pairs (basis[2i], basis[2i+1]) pair to 1; all other pairings vanish."""
-    n = len(basis)
-    if n % 2 != 0 or n != 2 * basis[0].genus:
+    g = basis[0].genus
+    if len(basis) != 2 * g or any(b.genus != g for b in basis):
         return False
-    for k in range(n):
-        for l in range(k + 1, n):
-            expected = 1 if (k % 2 == 0 and l == k + 1) else 0
-            if pairing_f2(basis[k], basis[l]) != expected:
-                return False
-    return True
+    return is_symplectic_bits([b.bits for b in basis])
 
 
 def basis_types(q: QuadraticForm, basis: list[CycleClassF2]) -> tuple[int, ...]:

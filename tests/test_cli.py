@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
+
+import pytest
 
 from spincycles import corpus
 from spincycles.cli import main
@@ -187,3 +190,24 @@ class TestDeterminism:
             assert code == 0
             blobs.append(capsys.readouterr().out)
         assert blobs[0] == blobs[1] == blobs[2]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestGoldenTranscripts:
+    """Transcripts pinned byte for byte against files in tests/golden."""
+
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (["verify", "chrel2"], "chrel2.json"),
+            (["verify", "chain-relation", "--genus", "3"], "chain_relation_g3.json"),
+        ],
+    )
+    def test_matches_golden(self, tmp_path, capsys, argv, golden):
+        out = tmp_path / golden
+        assert main(argv + ["--json", "--out", str(out)]) == 0
+        expected = (GOLDEN / golden).read_bytes()
+        assert out.read_bytes() == expected
+        assert capsys.readouterr().out.encode() == expected

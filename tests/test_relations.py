@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+import time
+
 import numpy as np
 import pytest
 
@@ -18,7 +21,7 @@ from spincycles.relations import (
     verify_hyperelliptic_word,
 )
 from spincycles.spin import canonical_q
-from spincycles.symplectic import mat_f2_from_z, transvection_z
+from spincycles.symplectic import mat_f2_from_z, transvection_z, transvection_z_power
 
 from conftest import polygon_from
 
@@ -129,6 +132,37 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate_word_z(TwistWord.from_names(["x"]), {})
 
+    def test_matches_dense_product(self):
+        # rank-1 updates against the left-to-right product of dense powers
+        rng = random.Random(11)
+        for g in (2, 3, 4):
+            cls = {
+                f"c{k}": CycleClassZ(g, tuple(rng.randint(-2, 2) for _ in range(2 * g)))
+                for k in range(4)
+            }
+            for _ in range(10):
+                word = TwistWord(
+                    tuple(
+                        (rng.choice(list(cls)), rng.choice((-3, -2, -1, 1, 2, 3)))
+                        for _ in range(rng.randrange(1, 12))
+                    )
+                )
+                for sign in (1, -1):
+                    dense = np.eye(2 * g, dtype=np.int64)
+                    for name, exp in word.letters:
+                        dense = dense @ transvection_z_power(cls[name], exp, sign)
+                    assert np.array_equal(evaluate_word_z(word, cls, sign), dense)
+
+    def test_empty_word_needs_genus(self):
+        with pytest.raises(ValueError):
+            evaluate_word_z(TwistWord(()), {})
+
+    def test_bad_sign(self):
+        cls = {"a": CycleClassZ.basis_a(1, 1)}
+        for sign in (0, 2, -2):
+            with pytest.raises(ValueError):
+                evaluate_word_z(TwistWord.from_names(["a"]), cls, sign)
+
 
 class TestChainRelation:
     def test_g2_and_g3(self):
@@ -211,9 +245,15 @@ class TestHyperellipticWord:
         with pytest.raises(RegimeError):
             verify_hyperelliptic_word(d5)
 
-    def test_random_strip_polygons(self):
-        import random
+    def test_genus_100_strip_is_fast(self):
+        p = polygon_from([(0, 0), (101, 0), (101, 2), (0, 2)])
+        start = time.perf_counter()
+        r = verify_hyperelliptic_word(p)
+        elapsed = time.perf_counter() - start
+        assert r["genus"] == 100 and r["pass"], r
+        assert elapsed < 2.0, elapsed
 
+    def test_random_strip_polygons(self):
         from spincycles.polygon import classify_regime
 
         from conftest import random_smooth_polygon

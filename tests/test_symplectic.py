@@ -373,6 +373,12 @@ class TestOrbit:
         assert r["verdict"] == "proper_subgroup"
         assert (r["closure_order"], r["stabilizer_order"]) == (36, 72)
 
+    def test_genus_above_table_budget_rejected(self):
+        # raised before any 2^(2g) table is built
+        x = CycleClassF2.basis_a(7, 1)
+        with pytest.raises(ValueError):
+            orbit(x, [transvection_f2(x)])
+
     def test_orbit_partition_reports(self):
         for g in (1, 2):
             for arf in (0, 1):
