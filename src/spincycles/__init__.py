@@ -9,6 +9,7 @@ from .polygon import (
     LatticePolygon,
     NotSmoothError,
     PolygonError,
+    PolygonTooLargeError,
     RegimeError,
     Segment,
     classify_onedim,
@@ -50,6 +51,7 @@ from .symplectic import (
     NotSymplecticError,
     admissible_transvections,
     all_transvections,
+    chain_transvections,
     closure,
     full_symplectic_closure,
     membership,

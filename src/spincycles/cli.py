@@ -10,9 +10,11 @@ Subcommands::
 
 Suites: generation, hyperelliptic-word, chain-relation, chrel2,
 q-consistency, all.  Exit codes: 0 pass, 1 verification failure, 2 input
-error, 3 suite/operation inapplicable, 4 resource cap exhausted.  The
-environment variable SPINCYCLES_CAP overrides the default closure cap;
-a cap or ``--parts`` below 1 is an input error.
+error, 3 suite/operation inapplicable, 4 resource cap exhausted (a closure
+over its element cap, or a polygon whose bounding box exceeds
+``polygon.MAX_BOX_POINTS``).  The environment variable SPINCYCLES_CAP
+overrides the default closure cap; a cap or ``--parts`` below 1 is an
+input error.
 Output is human-readable by default; ``--json`` switches to the JSON
 schemas, and ``--out`` always writes the JSON transcript.  Transcripts are
 byte-identical across runs and across ``--parts`` settings.
@@ -30,6 +32,7 @@ from .polygon import (
     REGIME_HYPERELLIPTIC,
     LatticePolygon,
     PolygonError,
+    PolygonTooLargeError,
     RegimeError,
     classify_onedim,
     classify_regime,
@@ -275,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
     except RegimeError as exc:
         print(f"inapplicable: {exc}", file=sys.stderr)
         return EXIT_INAPPLICABLE
-    except CapExceededError as exc:
+    except (CapExceededError, PolygonTooLargeError) as exc:
         print(f"cap exhausted: {exc}", file=sys.stderr)
         return EXIT_CAP
     except ValueError as exc:

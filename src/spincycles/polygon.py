@@ -4,7 +4,9 @@ A polygon is stored as a tuple of integer vertex pairs, counterclockwise,
 starting at the lexicographically smallest vertex, with no repeated or
 collinear-consecutive vertices.  All predicates use integer (or Fraction)
 arithmetic only; polygons are desk-scale, so lattice points are enumerated
-by bounding-box scan with half-plane tests.
+by bounding-box scan with half-plane tests.  A polygon whose bounding box
+holds more than ``MAX_BOX_POINTS`` lattice points is refused with
+:class:`PolygonTooLargeError` before any scan starts.
 
 Terminology used throughout the package:
 
@@ -43,6 +45,10 @@ REGIME_HIGHER_ROOT_ODD = "higher_root_odd"
 #: regimes in which the canonical spin quadratic form is defined
 SPIN_REGIMES = (REGIME_SPIN, REGIME_ALGEBRAIC_EVEN)
 
+#: lattice points a bounding-box scan may visit; the check costs O(#vertices)
+#: and one scan of a box this size takes about a second in pure Python
+MAX_BOX_POINTS = 250_000
+
 
 class PolygonError(ValueError):
     """Invalid polygon input.  ``code`` distinguishes the failure mode."""
@@ -69,6 +75,10 @@ class NotSmoothError(PolygonError):
 
 class RegimeError(ValueError):
     """Operation not applicable to this polygon's obstruction regime."""
+
+
+class PolygonTooLargeError(RuntimeError):
+    """The bounding box holds more than ``MAX_BOX_POINTS`` lattice points."""
 
 
 def _cross(o: Point, a: Point, b: Point) -> int:
@@ -137,23 +147,34 @@ class LatticePolygon:
     def on_boundary(self, p: Point) -> bool:
         return self.contains(p) and not self.strictly_contains(p)
 
-    def lattice_points(self) -> list[Point]:
-        """All lattice points of the closed polygon, lexicographic order."""
+    def _scan_box(self) -> tuple[int, int, int, int]:
+        """Bounding box (x0, x1, y0, y1), refused above ``MAX_BOX_POINTS``."""
         xs = [v[0] for v in self.vertices]
         ys = [v[1] for v in self.vertices]
+        x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+        points = (x1 - x0 + 1) * (y1 - y0 + 1)
+        if points > MAX_BOX_POINTS:
+            raise PolygonTooLargeError(
+                f"bounding box holds {points} lattice points, over the scan "
+                f"budget MAX_BOX_POINTS = {MAX_BOX_POINTS}"
+            )
+        return x0, x1, y0, y1
+
+    def lattice_points(self) -> list[Point]:
+        """All lattice points of the closed polygon, lexicographic order."""
+        x0, x1, y0, y1 = self._scan_box()
         out = []
-        for x in range(min(xs), max(xs) + 1):
-            for y in range(min(ys), max(ys) + 1):
+        for x in range(x0, x1 + 1):
+            for y in range(y0, y1 + 1):
                 if self.contains((x, y)):
                     out.append((x, y))
         return out
 
     def interior_lattice_points(self) -> list[Point]:
-        xs = [v[0] for v in self.vertices]
-        ys = [v[1] for v in self.vertices]
+        x0, x1, y0, y1 = self._scan_box()
         out = []
-        for x in range(min(xs) + 1, max(xs)):
-            for y in range(min(ys) + 1, max(ys)):
+        for x in range(x0 + 1, x1):
+            for y in range(y0 + 1, y1):
                 if self.strictly_contains((x, y)):
                     out.append((x, y))
         return out

@@ -170,6 +170,8 @@ def standard_basis(genus: int) -> list[CycleClassF2]:
 
 def is_symplectic_basis(basis: list[CycleClassF2]) -> bool:
     """Pairs (basis[2i], basis[2i+1]) pair to 1; all other pairings vanish."""
+    if not basis:
+        return False
     g = basis[0].genus
     if len(basis) != 2 * g or any(b.genus != g for b in basis):
         return False

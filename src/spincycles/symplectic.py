@@ -18,6 +18,13 @@ threads (at most one per CPU).  Either way the result is a sorted array of
 keys, so closure sets, orders, orbits and transcripts do not depend on
 generator order, ``parts`` or thread scheduling.
 
+The whole group Sp(2g, F2) (genus <= 3) is the closure of the 3g - 1
+chain transvections along a_i, b_i and a_i + a_{i+1}, the mod-2 classes of
+a Humphries-type chain of twist curves.  Every completed enumeration is
+checked against the order formula |Sp(2g, 2)| = 2^(g^2) prod (4^i - 1);
+since the generators are symplectic, equal order proves the closure is the
+whole group.
+
 Integral transvections use the right-handed convention
 x -> x + <x, c> c; the opposite sign is the inverse twist, and every
 relation-level verdict in this package is checked under both signs.
@@ -417,6 +424,25 @@ def all_transvections(genus: int) -> list[MatF2]:
     ]
 
 
+def chain_transvections(genus: int) -> list[MatF2]:
+    """Transvections along a_i, b_i and a_i + a_{i+1}: 3g - 1 generators.
+
+    These are the mod-2 classes of a Humphries-type chain of twist curves,
+    which generate the mapping class group and so map onto Sp(2g, F2).
+    """
+    classes = [1 << k for k in range(2 * genus)]
+    classes += [(1 << 2 * i) | (1 << (2 * i + 2)) for i in range(genus - 1)]
+    return [transvection_f2(CycleClassF2(genus, bits)) for bits in classes]
+
+
+def sp_order(genus: int) -> int:
+    """|Sp(2g, 2)| = 2^(g^2) * prod_{i=1..g} (4^i - 1)."""
+    order = 1 << (genus * genus)
+    for i in range(1, genus + 1):
+        order *= (1 << (2 * i)) - 1
+    return order
+
+
 def admissible_transvections(q: QuadraticForm) -> list[MatF2]:
     """Transvections along every class with q = 1."""
     out = []
@@ -426,16 +452,18 @@ def admissible_transvections(q: QuadraticForm) -> list[MatF2]:
     return out
 
 
-_FULL_GROUP_CACHE: dict[int, np.ndarray] = {}
+_FULL_GROUP_CACHE: dict[int, tuple[np.ndarray, tuple[MatF2, ...]]] = {}
 
 
 def full_symplectic_closure(
     genus: int, cap: int | None = None, parts: int = 1
 ) -> GroupClosure:
-    """The whole symplectic group over F2, as the closure of all transvections.
+    """The whole symplectic group over F2, as the closure of the chain transvections.
 
-    Completed enumerations are cached per genus; the cached array is
-    returned read-only, so repeat verifications skip the BFS.
+    A completed closure whose order is not |Sp(2g, 2)| raises
+    ``RuntimeError``.  Completed enumerations are cached per genus with
+    their generators; the cached array is returned read-only, so repeat
+    verifications skip the BFS.
     """
     if genus > MAX_FULL_GROUP_GENUS:
         raise ValueError(
@@ -443,13 +471,18 @@ def full_symplectic_closure(
         )
     cap = resolve_cap(cap)
     cached = _FULL_GROUP_CACHE.get(genus)
-    if cached is not None and cached.size <= cap:
-        return GroupClosure(genus, cached, all_transvections(genus), True, cap)
-    result = closure(all_transvections(genus), cap, parts)
+    if cached is not None and cached[0].size <= cap:
+        return GroupClosure(genus, cached[0], list(cached[1]), True, cap)
+    result = closure(chain_transvections(genus), cap, parts)
     if result.completed:
+        if result.order != sp_order(genus):
+            raise RuntimeError(
+                f"closure of {len(result.generators)} generators has order "
+                f"{result.order}, not |Sp({2 * genus}, 2)| = {sp_order(genus)}"
+            )
         arr = np.asarray(result.packed, dtype=np.uint64)
         arr.setflags(write=False)
-        _FULL_GROUP_CACHE[genus] = arr
+        _FULL_GROUP_CACHE[genus] = (arr, tuple(result.generators))
     return result
 
 

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import spincycles
 from spincycles import corpus
 from spincycles.cli import main
 
@@ -45,6 +50,21 @@ class TestClassify:
         path = tmp_path / "junk.json"
         path.write_text("{not json")
         assert main(["classify", str(path)]) == 2
+
+    def test_huge_polygon_exit_4_fast(self, tmp_path):
+        # a bounding-box scan over ~10^16 points would never finish
+        path = tmp_path / "huge.json"
+        path.write_text('{"vertices": [[0,0],[100000000,0],[0,100000000]]}')
+        env = {**os.environ, "PYTHONPATH": str(Path(spincycles.__file__).parents[1])}
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "spincycles.cli", "classify", str(path)],
+            capture_output=True, text=True, timeout=30, env=env,
+        )
+        assert proc.returncode == 4
+        assert time.perf_counter() - start < 2
+        assert proc.stdout == ""
+        assert "MAX_BOX_POINTS = 250000" in proc.stderr
 
     def test_human_output(self, tmp_path, capsys):
         assert main(["classify", corpus_file(tmp_path, "quintic")]) == 0
@@ -203,6 +223,14 @@ class TestGoldenTranscripts:
         [
             (["verify", "chrel2"], "chrel2.json"),
             (["verify", "chain-relation", "--genus", "3"], "chain_relation_g3.json"),
+            *(
+                (
+                    ["verify", "generation", "--genus", "3", "--arf", arf, "--parts", parts],
+                    f"generation_g3_arf{arf}.json",
+                )
+                for arf in ("0", "1")
+                for parts in ("1", "4")
+            ),
         ],
     )
     def test_matches_golden(self, tmp_path, capsys, argv, golden):

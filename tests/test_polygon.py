@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from spincycles import polygon
 from spincycles.polygon import (
     CASE_ISOMORPHISM,
     CASE_ONE_BLOWUP,
@@ -14,6 +15,7 @@ from spincycles.polygon import (
     GenusZeroError,
     NotSmoothError,
     PolygonError,
+    PolygonTooLargeError,
     RegimeError,
     classify_onedim,
     classify_regime,
@@ -151,6 +153,20 @@ class TestInteriorData:
                 continue
             count += 1
             assert interior_data(p).genus == pick_genus(p)
+
+
+class TestScanBudget:
+    def test_huge_triangle_refused_before_scanning(self):
+        p = parse_polygon({"vertices": [[0, 0], [10**8, 0], [0, 10**8]]})
+        for scan in (p.lattice_points, p.interior_lattice_points, lambda: interior_data(p)):
+            with pytest.raises(PolygonTooLargeError, match="MAX_BOX_POINTS"):
+                scan()
+
+    def test_budget_is_on_box_points(self, monkeypatch):
+        monkeypatch.setattr(polygon, "MAX_BOX_POINTS", 16)
+        assert interior_data(polygon_from([(0, 0), (3, 0), (3, 3), (0, 3)])).genus == 4
+        with pytest.raises(PolygonTooLargeError, match="holds 20 lattice points"):
+            interior_data(polygon_from([(0, 0), (4, 0), (4, 3), (0, 3)]))
 
 
 class TestEvenPoints:

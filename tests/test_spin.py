@@ -198,6 +198,13 @@ class TestQSymplecticBasis:
                     va, vb = q.eval(basis[2 * i]), q.eval(basis[2 * i + 1])
                     assert (va, vb) == ((1, 1) if t else (0, 1))
 
+    def test_rejects_empty_and_malformed(self):
+        assert not is_symplectic_basis([])
+        a1, b1 = CycleClassF2.basis_a(1, 1), CycleClassF2.basis_b(1, 1)
+        assert not is_symplectic_basis([a1])  # too short
+        assert not is_symplectic_basis([b1, b1])  # does not pair to 1
+        assert not is_symplectic_basis([a1, CycleClassF2.basis_b(2, 1)])  # mixed genera
+
 
 class TestRetype:
     def test_flip_both_ways(self):

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from spincycles import symplectic
 from spincycles.homology import CycleClassF2, CycleClassZ, pairing_z
 from spincycles.spin import standard_form
 from spincycles.symplectic import (
@@ -16,6 +17,7 @@ from spincycles.symplectic import (
     _worker_count,
     admissible_transvections,
     all_transvections,
+    chain_transvections,
     closure,
     full_symplectic_closure,
     is_symplectic_z,
@@ -246,6 +248,50 @@ class TestClosure:
         assert membership(MatF2.identity(5), c)
         capped = closure(gens, cap=2)
         assert not capped.completed
+
+
+class TestFullGroup:
+    def test_chain_set(self):
+        for g in (1, 2, 3):
+            gens = chain_transvections(g)
+            assert len(gens) == 3 * g - 1
+            assert all(t.is_symplectic() for t in gens)
+
+    def test_chain_closure_equals_all_transvections(self):
+        for g in (1, 2):
+            chain = closure(chain_transvections(g))
+            full = closure(all_transvections(g))
+            assert chain.completed and full.completed
+            assert np.array_equal(chain.packed, full.packed)
+
+    def test_g3_is_sp6(self):
+        # order formula plus every transvection inside: the closure is
+        # Sp(6, F2), without the all-transvection BFS
+        full = full_symplectic_closure(3)
+        assert full.completed and full.order == sp_order(3) == 1_451_520
+        assert all(membership(t, full) for t in all_transvections(3))
+
+    def test_cached_generators(self, monkeypatch):
+        monkeypatch.setattr(symplectic, "_FULL_GROUP_CACHE", {})
+        cold = full_symplectic_closure(2)
+        warm = full_symplectic_closure(2)
+        assert cold.generators == warm.generators == chain_transvections(2)
+        assert np.array_equal(cold.packed, warm.packed)
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_order_check_rejects_proper_subgroup(self, monkeypatch, g):
+        # without b_g every generator fixes a_g: a proper subgroup
+        def without_b_g(genus):
+            gens = chain_transvections(genus)
+            b_g = transvection_f2(CycleClassF2.basis_b(genus, genus))
+            return [t for t in gens if t != b_g]
+
+        assert len(without_b_g(g)) == 3 * g - 2
+        monkeypatch.setattr(symplectic, "_FULL_GROUP_CACHE", {})
+        monkeypatch.setattr(symplectic, "chain_transvections", without_b_g)
+        with pytest.raises(RuntimeError, match="order"):
+            full_symplectic_closure(g)
+        assert symplectic._FULL_GROUP_CACHE == {}
 
 
 class TestStabilizer:
