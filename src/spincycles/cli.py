@@ -11,10 +11,9 @@ Subcommands::
 Suites: generation, hyperelliptic-word, chain-relation, chrel2,
 q-consistency, all.  Exit codes: 0 pass, 1 verification failure, 2 input
 error, 3 suite/operation inapplicable, 4 resource cap exhausted (a closure
-over its element cap, or a polygon whose bounding box exceeds
-``polygon.MAX_BOX_POINTS``).  The environment variable SPINCYCLES_CAP
-overrides the default closure cap; a cap or ``--parts`` below 1 is an
-input error.
+over its element cap, or an input over a ``polygon`` budget: box points,
+segment pairs, or model or ``--genus`` genus).  SPINCYCLES_CAP overrides
+the default closure cap; a cap or ``--parts`` below 1 is an input error.
 Output is human-readable by default; ``--json`` switches to the JSON
 schemas, and ``--out`` always writes the JSON transcript.  Transcripts are
 byte-identical across runs and across ``--parts`` settings.
@@ -158,7 +157,7 @@ def run_suite(
             raise RegimeError("hyperelliptic-word needs a polygon file")
         return verify_hyperelliptic_word(p)
     if suite == "chain-relation":
-        return verify_chain_relation_homology(genus if genus else 2)
+        return verify_chain_relation_homology(2 if genus is None else genus)
     if suite == "chrel2":
         return verify_chrel2_derivation()
     if suite == "q-consistency":

@@ -31,6 +31,7 @@ from .polygon import (
     Point,
     RegimeError,
     Segment,
+    check_model_genus,
     integer_length,
     interior_data,
 )
@@ -289,8 +290,10 @@ def default_forest(
     Multi-source BFS from the boundary lattice points over axis steps,
     deterministic for a fixed ``step_order`` and source order.  Varying
     either gives other valid forests, which the q-independence tests
-    exploit.
+    exploit.  Forests are model parts: a genus over ``MAX_MODEL_GENUS``
+    raises :class:`PolygonTooLargeError` before any scan.
     """
+    check_model_genus(p.pick_counts()[0])
     d = interior_data(p)
     inside = p.lattice_points()
     interior = set(d.interior_points)
@@ -322,8 +325,10 @@ def vertex_forest(p: LatticePolygon, kappa: Point | None = None) -> Forest:
     Unit steps inside the interior-point set lead to ``kappa`` (default:
     the lexicographically smallest hull vertex), followed by one primitive
     step out to the polygon boundary.  Interior points the inner walk
-    cannot reach fall back to their boundary-rooted default path.
+    cannot reach fall back to their boundary-rooted default path.  Budgeted
+    like :func:`default_forest`.
     """
+    check_model_genus(p.pick_counts()[0])
     d = interior_data(p)
     interior = set(d.interior_points)
     if kappa is None:
@@ -379,8 +384,10 @@ def build_model(p: LatticePolygon, forest: Forest | None = None) -> SurfaceModel
 
     The default forest walks each interior point to the smallest hull
     vertex and exits over one primitive step; any forest accepted by
-    :func:`validate_forest` may be supplied instead.
+    :func:`validate_forest` may be supplied instead.  A genus over
+    ``MAX_MODEL_GENUS`` raises :class:`PolygonTooLargeError` before any scan.
     """
+    check_model_genus(p.pick_counts()[0])
     d = interior_data(p)  # raises GenusZeroError
     if forest is None:
         forest = vertex_forest(p)

@@ -3,10 +3,11 @@
 A polygon is stored as a tuple of integer vertex pairs, counterclockwise,
 starting at the lexicographically smallest vertex, with no repeated or
 collinear-consecutive vertices.  All predicates use integer (or Fraction)
-arithmetic only; polygons are desk-scale, so lattice points are enumerated
-by bounding-box scan with half-plane tests.  A polygon whose bounding box
-holds more than ``MAX_BOX_POINTS`` lattice points is refused with
-:class:`PolygonTooLargeError` before any scan starts.
+arithmetic only; lattice points are enumerated column by column over the
+bounding box.  Work is budgeted from the vertices alone (Pick's theorem),
+before any scan: a box over ``MAX_BOX_POINTS`` lattice points, segment
+enumeration over ``MAX_SEGMENT_PAIRS`` point pairs, or a homology model
+over genus ``MAX_MODEL_GENUS`` raises :class:`PolygonTooLargeError`.
 
 Terminology used throughout the package:
 
@@ -46,8 +47,16 @@ REGIME_HIGHER_ROOT_ODD = "higher_root_odd"
 SPIN_REGIMES = (REGIME_SPIN, REGIME_ALGEBRAIC_EVEN)
 
 #: lattice points a bounding-box scan may visit; the check costs O(#vertices)
-#: and one scan of a box this size takes about a second in pure Python
 MAX_BOX_POINTS = 250_000
+
+#: lattice-point pairs enumerate_segments may test, N(N - 1)/2 for N points;
+#: ``spincycles segments --json`` at this size takes about 4 s (2-core Xeon)
+MAX_SEGMENT_PAIRS = 250_000
+
+#: interior points of a homology model, also the largest abstract genus a
+#: relation check accepts; ``verify hyperelliptic-word`` (cubic in the
+#: genus) on a genus-300 strip takes about 5 s (2-core Xeon)
+MAX_MODEL_GENUS = 300
 
 
 class PolygonError(ValueError):
@@ -78,7 +87,15 @@ class RegimeError(ValueError):
 
 
 class PolygonTooLargeError(RuntimeError):
-    """The bounding box holds more than ``MAX_BOX_POINTS`` lattice points."""
+    """An input over a work budget: box points, segment pairs or model genus."""
+
+
+def check_model_genus(genus: int) -> None:
+    """Refuse a homology model (or abstract genus) over ``MAX_MODEL_GENUS``."""
+    if genus > MAX_MODEL_GENUS:
+        raise PolygonTooLargeError(
+            f"genus {genus} is over the model budget MAX_MODEL_GENUS = {MAX_MODEL_GENUS}"
+        )
 
 
 def _cross(o: Point, a: Point, b: Point) -> int:
@@ -160,27 +177,39 @@ class LatticePolygon:
             )
         return x0, x1, y0, y1
 
-    def lattice_points(self) -> list[Point]:
-        """All lattice points of the closed polygon, lexicographic order."""
+    def pick_counts(self) -> tuple[int, int]:
+        """(interior, boundary) lattice point counts by Pick's theorem."""
+        edges = self.edges()
+        twice_area = sum(a[0] * b[1] - b[0] * a[1] for a, b in edges)
+        boundary = sum(integer_length(a, b) for a, b in edges)
+        return (twice_area - boundary + 2) // 2, boundary
+
+    def _scan(self, strict: bool) -> list[Point]:
+        """Lattice points, lexicographic; per column x each edge (a, b) keeps
+        the y with (b - a) x (p - a) >= strict (1 drops the boundary)."""
         x0, x1, y0, y1 = self._scan_box()
+        edges = [(a, b[0] - a[0], b[1] - a[1]) for a, b in self.edges()]
         out = []
         for x in range(x0, x1 + 1):
-            for y in range(y0, y1 + 1):
-                if self.contains((x, y)):
-                    out.append((x, y))
+            lo, hi = y0, y1
+            for a, dx, dy in edges:
+                r = dy * (x - a[0]) + strict  # need dx * (y - a_y) >= r
+                if dx > 0:
+                    lo = max(lo, a[1] - (-r // dx))
+                elif dx < 0:
+                    hi = min(hi, a[1] + r // dx)
+                elif r > 0:
+                    hi = lo - 1
+            out.extend((x, y) for y in range(lo, hi + 1))
         return out
+
+    def lattice_points(self) -> list[Point]:
+        """All lattice points of the closed polygon, lexicographic order."""
+        return self._scan(False)
 
     def interior_lattice_points(self) -> list[Point]:
-        x0, x1, y0, y1 = self._scan_box()
-        out = []
-        for x in range(x0 + 1, x1):
-            for y in range(y0 + 1, y1):
-                if self.strictly_contains((x, y)):
-                    out.append((x, y))
-        return out
-
-    def boundary_lattice_points(self) -> list[Point]:
-        return [p for p in self.lattice_points() if not self.strictly_contains(p)]
+        """Lattice points of the open polygon, lexicographic order."""
+        return self._scan(True)
 
     def to_json_dict(self) -> dict:
         return {"vertices": [list(v) for v in self.vertices]}
@@ -341,16 +370,16 @@ def interior_data(p: LatticePolygon) -> InteriorData:
 
     Raises :class:`GenusZeroError` when there are no interior points.
     """
-    pts = p.interior_lattice_points()
+    pts = p.interior_lattice_points()  # lexicographic
     if not pts:
         raise GenusZeroError("polygon has no interior lattice points")
-    pts = sorted(pts)
     if len(pts) == 1:
         return InteriorData(tuple(pts), (pts[0],), 0, 1, None)
-    d0 = _primitive(_sub(pts[1], pts[0]))
     if all(_cross(pts[0], pts[1], q) == 0 for q in pts):
         return InteriorData(tuple(pts), (pts[0], pts[-1]), 1, len(pts), None)
-    hull = _hull_ccw(pts)
+    # every point lies between the ends of its column, so their hull is the hull
+    ends = [q for a, b in zip(pts, pts[1:]) if a[0] != b[0] for q in (a, b)]
+    hull = _hull_ccw([pts[0], pts[-1], *ends])
     k = len(hull)
     lengths = [integer_length(hull[i], hull[(i + 1) % k]) for i in range(k)]
     root = 0
@@ -426,8 +455,17 @@ def enumerate_segments(p: LatticePolygon) -> list[Segment]:
 
     A bridge joins a boundary lattice point of the polygon to a boundary
     lattice point of the interior hull and avoids the hull's open interior
-    (touching the hull boundary is allowed).  Requires genus >= 1.
+    (touching the hull boundary is allowed).  Requires genus >= 1; more
+    than ``MAX_SEGMENT_PAIRS`` lattice-point pairs raise
+    :class:`PolygonTooLargeError` before any scan.
     """
+    points = sum(p.pick_counts())
+    pairs = points * (points - 1) // 2
+    if pairs > MAX_SEGMENT_PAIRS:
+        raise PolygonTooLargeError(
+            f"{points} lattice points make {pairs} pairs, over the segment "
+            f"budget MAX_SEGMENT_PAIRS = {MAX_SEGMENT_PAIRS}"
+        )
     d = interior_data(p)  # raises on genus 0
     interior = set(d.interior_points)
     all_pts = p.lattice_points()

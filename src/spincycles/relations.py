@@ -39,6 +39,7 @@ from .polygon import (
     REGIME_HYPERELLIPTIC,
     LatticePolygon,
     RegimeError,
+    check_model_genus,
     classify_regime,
 )
 from .symplectic import (
@@ -259,10 +260,12 @@ def verify_chain_relation_homology(genus_ambient: int = 2) -> dict:
     Uses the three-chain instance above; also records the mod-2
     consistency of both sides, invariance under the global twist-sign
     flip, and the bounding-pair shadow (twists along equal classes give
-    the identity word t_alpha t_beta^-1 -> I).
+    the identity word t_alpha t_beta^-1 -> I).  An ambient genus over
+    ``MAX_MODEL_GENUS`` raises :class:`PolygonTooLargeError`.
     """
     if genus_ambient < 2:
         raise ValueError("need ambient genus >= 2")
+    check_model_genus(genus_ambient)
     cls = chain_instance(genus_ambient)
     results = {}
     for sign in (1, -1):

@@ -12,11 +12,12 @@ closure the keys are packed matrices under left multiplication by the
 generators: each generator G is tabulated as the map x -> G x over all
 2^(2g) vectors, and G * (a frontier of packed matrices) is computed lane
 by lane with fancy indexing.  This needs the packed matrix to fit in 64
-bits (2g <= 8); larger dimensions fall back to a plain Python set BFS.
-Each BFS level splits its frontier into ``parts`` chunks that run on
-threads (at most one per CPU).  Either way the result is a sorted array of
-keys, so closure sets, orders, orbits and transcripts do not depend on
-generator order, ``parts`` or thread scheduling.
+bits, so closures are limited to genus <= ``MAX_CLOSURE_GENUS`` = 4 (2g <= 8)
+and larger generators are refused before any table is built.  Each BFS
+level splits its frontier into ``parts`` chunks that run on threads (at
+most one per CPU).  The result is a sorted array of keys, so closure sets,
+orders, orbits and transcripts do not depend on generator order, ``parts``
+or thread scheduling.
 
 The whole group Sp(2g, F2) (genus <= 3) is the closure of the 3g - 1
 chain transvections along a_i, b_i and a_i + a_{i+1}, the mod-2 classes of
@@ -54,6 +55,9 @@ DEFAULT_CAP = 2_000_000
 
 #: full-group enumeration and stabilizer filtering are desk-scale only
 MAX_FULL_GROUP_GENUS = 3
+
+#: closures key packed 2g x 2g matrices as uint64: (2g)^2 <= 64 bits
+MAX_CLOSURE_GENUS = 4
 
 #: orbits tabulate each generator on all 2^(2g) vectors (8 B each): at genus 6
 #: all 4,095 transvections take 128 MiB, at genus 7 they would take 2 GiB
@@ -305,59 +309,12 @@ def _bfs(
     return visited, True
 
 
-def _closure_np(
-    n: int, generators: list[MatF2], cap: int, parts: int
-) -> tuple[np.ndarray, bool]:
-    tables = [_vector_table(g) for g in generators]
-    ident = np.array([MatF2.identity(n // 2).packed()], dtype=np.uint64)
-    return _bfs(
-        ident, lambda chunk: (_apply_table_mats(chunk, t, n) for t in tables), parts, cap
-    )
-
-
-def _closure_py(n: int, generators: list[MatF2], cap: int) -> tuple[list[int], bool]:
-    gens = [g.cols for g in generators]
-
-    def mul(gcols: tuple[int, ...], mcols: tuple[int, ...]) -> tuple[int, ...]:
-        out = []
-        for col in mcols:
-            acc = 0
-            rest = col
-            while rest:
-                j = (rest & -rest).bit_length() - 1
-                acc ^= gcols[j]
-                rest &= rest - 1
-            out.append(acc)
-        return tuple(out)
-
-    ident = tuple(1 << j for j in range(n))
-    visited = {ident}
-    frontier = [ident]
-    completed = True
-    while frontier:
-        new = set()
-        for mcols in frontier:
-            for gcols in gens:
-                prod = mul(gcols, mcols)
-                if prod not in visited:
-                    new.add(prod)
-        visited |= new
-        frontier = sorted(new)
-        if len(visited) > cap:
-            completed = False
-            break
-    packed = sorted(
-        sum(c << (n * j) for j, c in enumerate(cols)) for cols in visited
-    )
-    return packed, completed
-
-
 @dataclass
 class GroupClosure:
     """Deterministic closure result: sorted canonical encodings."""
 
     genus: int
-    packed: np.ndarray | list[int] = field(repr=False)
+    packed: np.ndarray = field(repr=False)  # sorted distinct uint64 keys
     generators: list[MatF2] = field(repr=False)
     completed: bool = True
     cap: int = DEFAULT_CAP
@@ -367,14 +324,8 @@ class GroupClosure:
         return len(self.packed)
 
     def contains_packed(self, key: int) -> bool:
-        arr = self.packed
-        if isinstance(arr, np.ndarray):
-            pos = int(np.searchsorted(arr, np.uint64(key)))
-            return pos < arr.size and int(arr[pos]) == key
-        import bisect
-
-        pos = bisect.bisect_left(arr, key)
-        return pos < len(arr) and arr[pos] == key
+        pos = int(np.searchsorted(self.packed, np.uint64(key)))
+        return pos < self.order and int(self.packed[pos]) == key
 
     def matrices(self):
         n = 2 * self.genus
@@ -389,21 +340,27 @@ def closure(
 
     Stops (``completed=False``) once the element budget is exceeded; the
     element count at the stop is still deterministic because levels are
-    processed synchronously.
+    processed synchronously.  Generators above genus ``MAX_CLOSURE_GENUS``
+    raise ``ValueError``.
     """
     if not generators:
         raise ValueError("need at least one generator")
     n = generators[0].n
     if any(g.n != n for g in generators):
         raise ValueError("generators must share one genus")
-    for g in generators:
-        if not g.is_symplectic():
-            raise NotSymplecticError("generator does not preserve the form")
+    if n // 2 > MAX_CLOSURE_GENUS:
+        raise ValueError(
+            f"closure supports genus <= MAX_CLOSURE_GENUS = {MAX_CLOSURE_GENUS} "
+            f"(packed keys must fit in 64 bits), got genus {n // 2}"
+        )
+    if not all(g.is_symplectic() for g in generators):
+        raise NotSymplecticError("generator does not preserve the form")
     cap = resolve_cap(cap)
-    if n * n <= 64:
-        packed, completed = _closure_np(n, generators, cap, parts)
-    else:
-        packed, completed = _closure_py(n, generators, cap)
+    tables = [_vector_table(g) for g in generators]
+    ident = np.array([MatF2.identity(n // 2).packed()], dtype=np.uint64)
+    packed, completed = _bfs(
+        ident, lambda chunk: (_apply_table_mats(chunk, t, n) for t in tables), parts, cap
+    )
     return GroupClosure(n // 2, packed, list(generators), completed, cap)
 
 
@@ -480,9 +437,8 @@ def full_symplectic_closure(
                 f"closure of {len(result.generators)} generators has order "
                 f"{result.order}, not |Sp({2 * genus}, 2)| = {sp_order(genus)}"
             )
-        arr = np.asarray(result.packed, dtype=np.uint64)
-        arr.setflags(write=False)
-        _FULL_GROUP_CACHE[genus] = (arr, tuple(result.generators))
+        result.packed.setflags(write=False)
+        _FULL_GROUP_CACHE[genus] = (result.packed, tuple(result.generators))
     return result
 
 
@@ -512,7 +468,7 @@ def q_stabilizer_bruteforce(
         raise CapExceededError(
             f"full group exceeded the cap of {full.cap} elements"
         )
-    stab = _filter_preserves_q(np.asarray(full.packed, dtype=np.uint64), q)
+    stab = _filter_preserves_q(full.packed, q)
     return GroupClosure(q.genus, stab, [], True, full.cap)
 
 
@@ -530,17 +486,16 @@ def verify_transvection_generation(
     full = full_symplectic_closure(q.genus, cap, parts)
     if not full.completed:
         raise CapExceededError(f"full group exceeded the cap of {full.cap}")
-    stab = _filter_preserves_q(np.asarray(full.packed, dtype=np.uint64), q)
+    stab = _filter_preserves_q(full.packed, q)
     adm = closure(admissible_transvections(q), cap, parts)
     if not adm.completed:
         raise CapExceededError(f"admissible closure exceeded the cap of {adm.cap}")
-    adm_arr = np.asarray(adm.packed, dtype=np.uint64)
-    equal = adm_arr.size == stab.size and bool(np.array_equal(adm_arr, stab))
-    subset = bool(np.all(np.isin(adm_arr, stab, assume_unique=True)))
+    equal = adm.order == stab.size and bool(np.array_equal(adm.packed, stab))
+    subset = bool(np.all(np.isin(adm.packed, stab, assume_unique=True)))
     return {
         "genus": q.genus,
         "arf": q.arf(),
-        "closure_order": int(adm_arr.size),
+        "closure_order": adm.order,
         "stabilizer_order": int(stab.size),
         "full_group_order": int(full.order),
         "closure_is_subset": subset,
@@ -631,37 +586,33 @@ def q_orbit_partition(q: QuadraticForm, cap: int | None = None, parts: int = 1) 
     and whether the expectation holds.
     """
     stab = q_stabilizer_bruteforce(q, cap, parts)
-    arr = np.asarray(stab.packed, dtype=np.uint64)
     n = 2 * q.genus
     mask = np.uint64((1 << n) - 1)
-    reps = np.zeros(1 << n, dtype=np.uint64)
-    for x in range(1 << n):
-        images = np.zeros(arr.size, dtype=np.uint64)
-        rest = x
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            images ^= (arr >> np.uint64(n * j)) & mask
-            rest &= rest - 1
-        reps[x] = images.min() if arr.size else np.uint64(x)
     table = q.values_table()
-    orbit_ids = sorted(set(int(r) for r in reps))
+    # the smallest class not yet placed is the smallest member of its orbit,
+    # so orbits come out ordered by their smallest member
+    remaining = np.ones(1 << n, dtype=bool)
     orbits = []
-    for rep in orbit_ids:
-        members = np.flatnonzero(reps == np.uint64(rep))
-        qvals = set(int(table[m]) for m in members)
+    while remaining.any():
+        x = int(np.flatnonzero(remaining)[0])
+        images = np.zeros(stab.order, dtype=np.uint64)
+        for j in range(n):
+            if (x >> j) & 1:
+                images ^= (stab.packed >> np.uint64(n * j)) & mask
+        members = _unique_sorted(images).astype(np.intp)
         orbits.append(
             {
-                "q_value": sorted(qvals),
+                "q_value": sorted({int(v) for v in table[members]}),
                 "size": int(members.size),
-                "contains_zero": bool(0 in members),
+                "contains_zero": bool(members[0] == 0),
             }
         )
+        remaining[members] = False
     # expected orbits: {0}, the whole of q^-1(1), and q^-1(0) minus zero
     # (the last is empty for genus 1 with Arf 1)
     ones = int(table.sum())
     zeros_nonzero = (1 << n) - ones - 1
-    expected = {(1, True, 0)}
-    expected.add((ones, False, 1))
+    expected = {(1, True, 0), (ones, False, 1)}
     if zeros_nonzero:
         expected.add((zeros_nonzero, False, 0))
     actual = {

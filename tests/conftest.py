@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's own code paths:
 genus is recounted with Pick's theorem, symplectic group orders come from
-the classical order formula, and quadratic-form values are recomputed
-from the defining identity.
+the classical order formula, quadratic-form values are recomputed from
+the defining identity, and closures are re-enumerated by a set BFS over
+``MatF2`` products instead of the numpy engine.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import pytest
 
 from spincycles import corpus
 from spincycles.polygon import LatticePolygon, parse_polygon
+from spincycles.symplectic import MatF2
 
 
 @pytest.fixture(scope="session")
@@ -66,6 +68,21 @@ def sp_order(genus: int) -> int:
     for i in range(1, genus + 1):
         order *= (4**i) - 1
     return order
+
+
+def closure_reference(generators: list[MatF2]) -> list[int]:
+    """Sorted packed keys of the group the generators span, by a set BFS.
+
+    Products come from ``MatF2.__matmul__``, never from the vector tables
+    or the level BFS of the closure engine.
+    """
+    seen = {MatF2.identity(generators[0].genus)}
+    frontier = list(seen)
+    while frontier:
+        new = {g @ m for m in frontier for g in generators} - seen
+        seen |= new
+        frontier = list(new)
+    return sorted(m.packed() for m in seen)
 
 
 def pick_genus(p: LatticePolygon) -> int:

@@ -66,6 +66,30 @@ class TestClassify:
         assert proc.stdout == ""
         assert "MAX_BOX_POINTS = 250000" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "command, vertices, budget",
+        [
+            # 90,601-point box, 45,451 lattice points: ~10^9 pairs
+            ("segments", [[0, 0], [300, 0], [0, 300]], "MAX_SEGMENT_PAIRS = 250000"),
+            # 249,001-point box, genus 247,009 in the algebraic_even regime
+            ("classify", [[0, 0], [498, 0], [498, 498], [0, 498]], "MAX_MODEL_GENUS = 300"),
+        ],
+    )
+    def test_over_work_budget_exit_4_fast(self, tmp_path, command, vertices, budget):
+        # both fit the box budget; unbudgeted they ran for minutes
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"vertices": vertices}))
+        env = {**os.environ, "PYTHONPATH": str(Path(spincycles.__file__).parents[1])}
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "spincycles.cli", command, str(path)],
+            capture_output=True, text=True, timeout=30, env=env,
+        )
+        assert proc.returncode == 4
+        assert time.perf_counter() - start < 2
+        assert proc.stdout == ""
+        assert budget in proc.stderr
+
     def test_human_output(self, tmp_path, capsys):
         assert main(["classify", corpus_file(tmp_path, "quintic")]) == 0
         out = capsys.readouterr().out
@@ -138,6 +162,17 @@ class TestVerify:
 
     def test_chain_relation(self, capsys):
         assert main(["verify", "chain-relation", "--genus", "3"]) == 0
+
+    @pytest.mark.parametrize("suite", ["chain-relation", "all"])
+    def test_chain_relation_genus_0_exit_2(self, capsys, suite):
+        # genus 0 is an input error like genus 1, not the default genus 2
+        assert main(["verify", suite, "--genus", "0"]) == 2
+        assert "need ambient genus >= 2" in capsys.readouterr().err
+
+    def test_chain_relation_genus_over_budget_exit_4(self, capsys):
+        # a 60,000 x 60,000 int64 matrix would not fit in memory
+        assert main(["verify", "chain-relation", "--genus", "30000"]) == 4
+        assert "MAX_MODEL_GENUS = 300" in capsys.readouterr().err
 
     def test_q_consistency(self, tmp_path, capsys):
         assert main(["verify", "q-consistency", corpus_file(tmp_path, "d7")]) == 0

@@ -29,6 +29,9 @@ from spincycles.polygon import (
     segment_on_boundary,
 )
 
+from spincycles.homology import build_model, default_forest, vertex_forest
+from spincycles.relations import verify_chain_relation_homology
+
 from conftest import pick_genus, polygon_from, random_smooth_polygon
 
 
@@ -162,11 +165,94 @@ class TestScanBudget:
             with pytest.raises(PolygonTooLargeError, match="MAX_BOX_POINTS"):
                 scan()
 
+    def test_column_scan_matches_point_tests(self):
+        # reference: every box point through the per-point half-plane tests
+        rng = random.Random(31)
+        count = 0
+        while count < 300:
+            pts = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(rng.randint(3, 8))]
+            hull = polygon._hull_ccw(pts)
+            if len(hull) < 3:
+                continue
+            count += 1
+            p = polygon_from(hull)
+            xs, ys = [v[0] for v in hull], [v[1] for v in hull]
+            box = [
+                (x, y)
+                for x in range(min(xs), max(xs) + 1)
+                for y in range(min(ys), max(ys) + 1)
+            ]
+            assert p.lattice_points() == [q for q in box if p.contains(q)]
+            interior = [q for q in box if p.strictly_contains(q)]
+            assert p.interior_lattice_points() == interior
+            if interior and interior_data(p).dimension == 2:
+                assert interior_data(p).hull_vertices == tuple(polygon._hull_ccw(interior))
+
     def test_budget_is_on_box_points(self, monkeypatch):
         monkeypatch.setattr(polygon, "MAX_BOX_POINTS", 16)
         assert interior_data(polygon_from([(0, 0), (3, 0), (3, 3), (0, 3)])).genus == 4
         with pytest.raises(PolygonTooLargeError, match="holds 20 lattice points"):
             interior_data(polygon_from([(0, 0), (4, 0), (4, 3), (0, 3)]))
+
+
+class TestWorkBudgets:
+    def test_pick_counts_match_scans(self):
+        rng = random.Random(23)
+        count = 0
+        while count < 60:
+            p = random_smooth_polygon(rng)
+            if p is None:
+                continue
+            count += 1
+            interior, boundary = p.pick_counts()
+            assert interior == pick_genus(p) == len(p.interior_lattice_points())
+            assert interior + boundary == len(p.lattice_points())
+
+    def test_largest_served_sizes_admitted(self):
+        # the benchmark deck's 16 x 14 rectangle (255 points, genus 195) and
+        # degree-21 triangle, and the genus-100 strip of the relation tests
+        for verts, points, genus in (
+            ([(0, 0), (16, 0), (16, 14), (0, 14)], 255, 195),
+            ([(0, 0), (21, 0), (0, 21)], 253, 190),
+            ([(0, 0), (101, 0), (101, 2), (0, 2)], 306, 100),
+        ):
+            interior, boundary = polygon_from(verts).pick_counts()
+            assert (interior + boundary, interior) == (points, genus)
+            assert points * (points - 1) // 2 <= polygon.MAX_SEGMENT_PAIRS
+            assert genus <= polygon.MAX_MODEL_GENUS
+
+    def test_refused_before_any_scan(self, monkeypatch):
+        def no_scan(self, strict):
+            raise AssertionError("scanned")
+
+        monkeypatch.setattr(polygon.LatticePolygon, "_scan", no_scan)
+        tri = polygon_from([(0, 0), (300, 0), (0, 300)])  # 45,451 points
+        with pytest.raises(PolygonTooLargeError, match="MAX_SEGMENT_PAIRS = 250000"):
+            enumerate_segments(tri)
+        square = polygon_from([(0, 0), (498, 0), (498, 498), (0, 498)])  # genus 497^2
+        for build in (build_model, default_forest, vertex_forest):
+            with pytest.raises(PolygonTooLargeError, match="MAX_MODEL_GENUS = 300"):
+                build(square)
+
+    def test_segment_budget_boundary(self, monkeypatch):
+        square = polygon_from([(0, 0), (3, 0), (3, 3), (0, 3)])  # 16 points
+        monkeypatch.setattr(polygon, "MAX_SEGMENT_PAIRS", 120)
+        assert len(enumerate_segments(square)) > 0
+        monkeypatch.setattr(polygon, "MAX_SEGMENT_PAIRS", 119)
+        with pytest.raises(PolygonTooLargeError, match="16 lattice points make 120 pairs"):
+            enumerate_segments(square)
+
+    def test_model_budget_boundary(self, monkeypatch):
+        square = polygon_from([(0, 0), (3, 0), (3, 3), (0, 3)])  # genus 4
+        monkeypatch.setattr(polygon, "MAX_MODEL_GENUS", 4)
+        assert build_model(square).genus == 4
+        assert verify_chain_relation_homology(4)["pass"]
+        monkeypatch.setattr(polygon, "MAX_MODEL_GENUS", 3)
+        for build in (build_model, default_forest, vertex_forest):
+            with pytest.raises(PolygonTooLargeError, match="genus 4 is over"):
+                build(square)
+        with pytest.raises(PolygonTooLargeError, match="MAX_MODEL_GENUS = 3"):
+            verify_chain_relation_homology(4)
 
 
 class TestEvenPoints:

@@ -12,8 +12,6 @@ from spincycles.spin import standard_form
 from spincycles.symplectic import (
     MatF2,
     NotSymplecticError,
-    _closure_np,
-    _closure_py,
     _worker_count,
     admissible_transvections,
     all_transvections,
@@ -35,7 +33,7 @@ from spincycles.symplectic import (
     verify_transvection_generation,
 )
 
-from conftest import sp_order
+from conftest import closure_reference, sp_order
 
 
 def rand_class_f2(rng, g):
@@ -152,6 +150,12 @@ class TestPreservesQ:
             preserves_q(MatF2.identity(2), standard_form(3, 0))
 
 
+# transvections along a_4, b_4 and a_3 + a_4: packed keys reach bit 63
+GENUS4_TOP_LANE = [
+    transvection_f2(CycleClassF2(4, bits)) for bits in (1 << 6, 1 << 7, (1 << 4) | (1 << 6))
+]
+
+
 class TestClosure:
     def test_identity_generator(self):
         c = closure([MatF2.identity(2)])
@@ -178,10 +182,7 @@ class TestClosure:
             rng.shuffle(shuffled)
             alt = closure(shuffled)
             assert alt.order == ref.order
-            assert np.array_equal(
-                np.asarray(alt.packed, dtype=np.uint64),
-                np.asarray(ref.packed, dtype=np.uint64),
-            )
+            assert np.array_equal(alt.packed, ref.packed)
 
     def test_cap_semantics(self):
         gens = all_transvections(2)
@@ -194,10 +195,7 @@ class TestClosure:
         ref = closure(gens, parts=1)
         for parts in (4, 8):
             alt = closure(gens, parts=parts)
-            assert np.array_equal(
-                np.asarray(alt.packed, dtype=np.uint64),
-                np.asarray(ref.packed, dtype=np.uint64),
-            )
+            assert np.array_equal(alt.packed, ref.packed)
 
     def test_parts_bounds(self, monkeypatch):
         with pytest.raises(ValueError):
@@ -211,16 +209,23 @@ class TestClosure:
         assert _worker_count(8, 8) == 1
 
     def test_engines_agree(self):
-        # numpy fast path vs plain-python fallback on the same generators
-        for g, gens in (
-            (1, all_transvections(1)),
-            (2, all_transvections(2)[:5]),
-        ):
-            n = 2 * g
-            fast, done_fast = _closure_np(n, gens, 10**6, 1)
-            slow, done_slow = _closure_py(n, gens, 10**6)
-            assert done_fast and done_slow
-            assert [int(v) for v in fast] == list(slow)
+        # numpy closure vs the plain set BFS over MatF2 products in conftest
+        for gens in (all_transvections(1), all_transvections(2)[:5], GENUS4_TOP_LANE):
+            c = closure(gens)
+            assert c.completed
+            assert c.packed.dtype == np.uint64
+            assert [int(v) for v in c.packed] == closure_reference(gens)
+
+    def test_genus4_top_lane(self):
+        # the widest key the engine serves: column b_4 fills bits 56..63
+        c = closure(GENUS4_TOP_LANE)
+        assert c.completed and c.order == 24
+        assert int(c.packed[-1]) >> 63 == 1
+        assert all(membership(t, c) for t in GENUS4_TOP_LANE)
+        assert membership(MatF2.identity(4), c)
+        assert not membership(transvection_f2(CycleClassF2.basis_a(4, 1)), c)
+        capped = closure(chain_transvections(4), cap=1000)
+        assert not capped.completed
 
     def test_rejects_non_symplectic_generator(self):
         with pytest.raises(NotSymplecticError):
@@ -237,17 +242,19 @@ class TestClosure:
             for g in gens:
                 assert c.contains_packed((g @ m).packed())
 
-    def test_python_fallback_path_g5(self):
-        # 2g = 10 exceeds one machine word, exercising the plain-int engine
+    def test_rejects_genus_above_key_width(self, monkeypatch):
+        # 2g = 10 does not fit a 64-bit key: refused before any table
         gens = [
             transvection_f2(CycleClassF2.basis_a(5, 1)),
             transvection_f2(CycleClassF2.basis_b(5, 1)),
         ]
-        c = closure(gens)
-        assert c.completed and c.order == 6  # acts only on the first pair
-        assert membership(MatF2.identity(5), c)
-        capped = closure(gens, cap=2)
-        assert not capped.completed
+
+        def no_tables(m):
+            raise AssertionError("table built")
+
+        monkeypatch.setattr(symplectic, "_vector_table", no_tables)
+        with pytest.raises(ValueError, match="MAX_CLOSURE_GENUS = 4"):
+            closure(gens)
 
 
 class TestFullGroup:
@@ -428,8 +435,11 @@ class TestOrbit:
     def test_orbit_partition_reports(self):
         for g in (1, 2):
             for arf in (0, 1):
-                r = q_orbit_partition(standard_form(g, arf))
+                q = standard_form(g, arf)
+                r = q_orbit_partition(q)
                 assert r["matches_expected_partition"], r
+                # ordered by smallest member: {0}, then the orbit of a_1 = 1
+                assert [o["q_value"] for o in r["orbits"][:2]] == [[0], [q.eval_bits(1)]]
 
 
 class TestArfClassification:
