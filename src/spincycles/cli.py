@@ -40,19 +40,7 @@ from .polygon import (
     interior_data,
     parse_polygon,
 )
-from .relations import (
-    verify_chain_relation_homology,
-    verify_chrel2_derivation,
-    verify_hyperelliptic_word,
-)
 from .spin import canonical_q, standard_form, verify_q_consistency
-from .symplectic import (
-    MAX_FULL_GROUP_GENUS,
-    CapExceededError,
-    resolve_cap,
-    resolve_parts,
-    verify_transvection_generation,
-)
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -124,6 +112,8 @@ def build_segments_report(p: LatticePolygon, bridges_only: bool) -> dict:
 
 
 def _generation_transcript(genus: int, arf: int, cap, parts) -> dict:
+    from .symplectic import MAX_FULL_GROUP_GENUS, verify_transvection_generation
+
     if genus > MAX_FULL_GROUP_GENUS:
         raise RegimeError(
             f"generation suite enumerates full groups only for genus <= "
@@ -148,6 +138,12 @@ def run_suite(
     cap: int | None,
     parts: int,
 ) -> dict:
+    from .relations import (
+        verify_chain_relation_homology,
+        verify_chrel2_derivation,
+        verify_hyperelliptic_word,
+    )
+
     if suite == "generation":
         if genus is None or arf is None:
             raise RegimeError("generation needs --genus and --arf")
@@ -266,6 +262,8 @@ def main(argv: list[str] | None = None) -> int:
             _emit(report, args.json, args.out)
             return EXIT_OK
         if args.command == "verify":
+            from .symplectic import resolve_cap, resolve_parts
+
             args.cap = resolve_cap(args.cap)
             args.parts = resolve_parts(args.parts)
             transcript, code = run_verify(args)
@@ -277,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
     except RegimeError as exc:
         print(f"inapplicable: {exc}", file=sys.stderr)
         return EXIT_INAPPLICABLE
-    except (CapExceededError, PolygonTooLargeError) as exc:
+    except PolygonTooLargeError as exc:  # symplectic.CapExceededError included
         print(f"cap exhausted: {exc}", file=sys.stderr)
         return EXIT_CAP
     except ValueError as exc:

@@ -223,12 +223,6 @@ class SurfaceModel:
     def b_class(self, v: Point) -> CycleClassF2:
         return CycleClassF2.basis_b(self.genus, self.rank(v))
 
-    def a_class_z(self, v: Point) -> CycleClassZ:
-        return CycleClassZ.basis_a(self.genus, self.rank(v))
-
-    def b_class_z(self, v: Point) -> CycleClassZ:
-        return CycleClassZ.basis_b(self.genus, self.rank(v))
-
     def segment_class(self, s: Segment | PathSeg) -> CycleClassF2:
         """beta(u) + beta(w): boundary endpoints contribute zero."""
         u, w = s.endpoints if isinstance(s, Segment) else s

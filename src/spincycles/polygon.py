@@ -87,7 +87,7 @@ class RegimeError(ValueError):
 
 
 class PolygonTooLargeError(RuntimeError):
-    """An input over a work budget: box points, segment pairs or model genus."""
+    """An input over a work budget."""
 
 
 def check_model_genus(genus: int) -> None:
@@ -145,10 +145,6 @@ class LatticePolygon:
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(map(tuple, self.vertices)))
         _validate(self.vertices)
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
 
     def edges(self) -> list[tuple[Point, Point]]:
         v = self.vertices

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-import numpy as np
-
 from .homology import (
     CycleClassF2,
     SurfaceModel,
@@ -46,11 +44,6 @@ from .polygon import (
     interior_data,
     segment_on_boundary,
 )
-
-#: largest class count 2^(2g) enumerated exactly by the admissibility census;
-#: beyond it the Arf closed form (cross-checked against the census for small
-#: genus) supplies the count
-CENSUS_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -94,18 +87,6 @@ class QuadraticForm:
         both = bits & (bits >> 1) & a_mask(self.genus)
         return ((bits & self.qmask).bit_count() + both.bit_count()) & 1
 
-    def values_table(self) -> np.ndarray:
-        """q over all 2^(2g) packed classes (uint8), the closed form of
-        :meth:`eval_bits` applied to every class at once."""
-        n = 2 * self.genus
-        if 1 << n > CENSUS_LIMIT:
-            raise ValueError("values_table only supports 2^(2g) <= CENSUS_LIMIT")
-        x = np.arange(1 << n, dtype=np.uint64)
-        ma = np.uint64(a_mask(self.genus))
-        lin = np.bitwise_count(x & np.uint64(self.qmask))
-        quad = np.bitwise_count(x & (x >> np.uint64(1)) & ma)
-        return ((lin + quad) & np.uint64(1)).astype(np.uint8)
-
     def arf(self) -> int:
         return sum(a * b for a, b in zip(self.q_a, self.q_b)) & 1
 
@@ -116,13 +97,9 @@ class QuadraticForm:
         return bool(x.bits) and self.eval(x) == 1
 
     def count_admissible(self) -> int:
-        """|{x != 0 : q(x) = 1}|, by census when feasible."""
-        g = self.genus
-        if 1 << (2 * g) <= CENSUS_LIMIT:
-            table = self.values_table()
-            return int(table.sum())  # q(0) = 0, so zero never counts
-        half = 1 << (2 * g - 1)
-        corr = 1 << (g - 1)
+        """|{x != 0 : q(x) = 1}|, by the Arf closed form in the module docstring."""
+        half = 1 << (2 * self.genus - 1)
+        corr = 1 << (self.genus - 1)
         return half + corr if self.arf() else half - corr
 
     def to_json_dict(self) -> dict:

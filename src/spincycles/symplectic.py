@@ -48,6 +48,7 @@ from .homology import (
     is_symplectic_bits,
     swap_pairs,
 )
+from .polygon import PolygonTooLargeError
 from .spin import QuadraticForm
 
 #: default element budget for closures (override per call or via SPINCYCLES_CAP)
@@ -70,7 +71,7 @@ class NotSymplecticError(ValueError):
     """A matrix expected to preserve the intersection form does not."""
 
 
-class CapExceededError(RuntimeError):
+class CapExceededError(PolygonTooLargeError):
     """A verification needed a complete closure but the cap cut it short."""
 
 
@@ -442,10 +443,19 @@ def full_symplectic_closure(
     return result
 
 
+def q_values_table(q: QuadraticForm) -> np.ndarray:
+    """q over all 2^(2g) packed classes (uint8), the closed form of
+    :meth:`QuadraticForm.eval_bits` applied to every class at once."""
+    x = np.arange(1 << (2 * q.genus), dtype=np.uint64)
+    lin = np.bitwise_count(x & np.uint64(q.qmask))
+    quad = np.bitwise_count(x & (x >> np.uint64(1)) & np.uint64(a_mask(q.genus)))
+    return ((lin + quad) & np.uint64(1)).astype(np.uint8)
+
+
 def _filter_preserves_q(packed: np.ndarray, q: QuadraticForm) -> np.ndarray:
     """Vectorized stabilizer filter over packed symplectic matrices."""
     n = 2 * q.genus
-    table = q.values_table()
+    table = q_values_table(q)
     qmask = q.qmask
     mask = np.uint64((1 << n) - 1)
     keep = np.ones(packed.size, dtype=bool)
@@ -459,15 +469,9 @@ def q_stabilizer_bruteforce(
     q: QuadraticForm, cap: int | None = None, parts: int = 1
 ) -> GroupClosure:
     """Filter the full symplectic group by q-preservation (genus <= 3)."""
-    if q.genus > MAX_FULL_GROUP_GENUS:
-        raise ValueError(
-            f"brute-force stabilizer supports genus <= {MAX_FULL_GROUP_GENUS}"
-        )
     full = full_symplectic_closure(q.genus, cap, parts)
     if not full.completed:
-        raise CapExceededError(
-            f"full group exceeded the cap of {full.cap} elements"
-        )
+        raise CapExceededError(f"full group exceeded the cap of {full.cap}")
     stab = _filter_preserves_q(full.packed, q)
     return GroupClosure(q.genus, stab, [], True, full.cap)
 
@@ -481,12 +485,7 @@ def verify_transvection_generation(
     (``equal`` or ``proper_subgroup``).  For genus 3 equality is the
     expected outcome; for smaller genus the verdict is recorded as found.
     """
-    if q.genus > MAX_FULL_GROUP_GENUS:
-        raise ValueError(f"supported for genus <= {MAX_FULL_GROUP_GENUS}")
-    full = full_symplectic_closure(q.genus, cap, parts)
-    if not full.completed:
-        raise CapExceededError(f"full group exceeded the cap of {full.cap}")
-    stab = _filter_preserves_q(full.packed, q)
+    stab = q_stabilizer_bruteforce(q, cap, parts).packed
     adm = closure(admissible_transvections(q), cap, parts)
     if not adm.completed:
         raise CapExceededError(f"admissible closure exceeded the cap of {adm.cap}")
@@ -497,7 +496,8 @@ def verify_transvection_generation(
         "arf": q.arf(),
         "closure_order": adm.order,
         "stabilizer_order": int(stab.size),
-        "full_group_order": int(full.order),
+        # a completed full closure is proved equal to Sp(2g, 2)
+        "full_group_order": sp_order(q.genus),
         "closure_is_subset": subset,
         "verdict": "equal" if equal else "proper_subgroup",
     }
@@ -588,7 +588,7 @@ def q_orbit_partition(q: QuadraticForm, cap: int | None = None, parts: int = 1) 
     stab = q_stabilizer_bruteforce(q, cap, parts)
     n = 2 * q.genus
     mask = np.uint64((1 << n) - 1)
-    table = q.values_table()
+    table = q_values_table(q)
     # the smallest class not yet placed is the smallest member of its orbit,
     # so orbits come out ordered by their smallest member
     remaining = np.ones(1 << n, dtype=bool)

@@ -224,6 +224,28 @@ class TestVerify:
         assert json.loads(out.read_text())["pass"] is True
 
 
+class TestNumpyBoundary:
+    def test_polygon_commands_run_without_numpy(self, tmp_path):
+        # only the verify path (symplectic, relations) may load numpy
+        path = corpus_file(tmp_path, "quintic")
+        script = (
+            "import sys\n"
+            "from spincycles.cli import main\n"
+            f"path = {path!r}\n"
+            "for argv in (['classify', path], ['qtable', path], ['segments', path]):\n"
+            "    assert main(argv) == 0, argv\n"
+            "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+            "assert main(['verify', 'all', path]) == 0\n"
+            "assert 'numpy' in sys.modules\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(spincycles.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestDeterminism:
     def test_reports_byte_identical(self, tmp_path, capsys):
         path = corpus_file(tmp_path, "quintic")

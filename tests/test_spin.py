@@ -19,6 +19,7 @@ from spincycles.spin import (
     vanishing_cycle_report,
     verify_q_consistency,
 )
+from spincycles.symplectic import q_values_table
 
 from conftest import brute_q, polygon_from
 
@@ -70,14 +71,14 @@ class TestEval:
 
     def test_values_table_matches_eval(self, d5):
         q = canonical_q(build_model(d5))
-        table = q.values_table()
+        table = q_values_table(q)
         rng = random.Random(3)
         for _ in range(2000):
             bits = rng.randrange(1 << 12)
             assert table[bits] == q.eval_bits(bits)
         for g in (1, 2, 3):
             q = standard_form(g, 1)
-            table = q.values_table()
+            table = q_values_table(q)
             assert all(
                 table[b] == q.eval_bits(b) for b in range(1 << (2 * g))
             )
@@ -86,7 +87,7 @@ class TestEval:
         # q(x+y) = q(x) + q(y) + <x,y> over all pairs, g <= 3 (vectorized)
         for g in (1, 2, 3):
             q = standard_form(g, g % 2)
-            table = q.values_table().astype(np.uint8)
+            table = q_values_table(q).astype(np.uint8)
             n = 1 << (2 * g)
             xs = np.arange(n, dtype=np.uint64)
             ma = np.uint64(sum(1 << (2 * i) for i in range(g)))
@@ -159,13 +160,24 @@ class TestArf:
             assert q.count_admissible() == brute == expected
 
     def test_count_closed_form(self):
-        # census agrees with the Arf closed form up to genus 8
-        for g in range(1, 9):
-            for arf in (0, 1):
-                q = standard_form(g, arf)
-                half, corr = 1 << (2 * g - 1), 1 << (g - 1)
-                expected = half + corr if arf else half - corr
-                assert q.count_admissible() == expected
+        # the closed form against a numpy census over all 2^(2g) classes,
+        # tabulated by polarization: q(x + e_j) = q(x) + q(e_j) + <x, e_j>
+        # for x < 2^j, where only e_j = b_i pairs (with a_i, bit j - 1)
+        rng = random.Random(23)
+        for g in range(1, 11):
+            forms = [standard_form(g, arf) for arf in (0, 1)]
+            forms.append(QuadraticForm(
+                tuple(rng.randint(0, 1) for _ in range(g)),
+                tuple(rng.randint(0, 1) for _ in range(g)),
+            ))
+            for q in forms:
+                table = np.zeros(1 << (2 * g), dtype=np.uint8)
+                for j in range(2 * g):
+                    low = table[: 1 << j]
+                    qe = q.q_b[j // 2] if j % 2 else q.q_a[j // 2]
+                    pair = (np.arange(1 << j) >> (j - 1)) & 1 if j % 2 else 0
+                    table[1 << j : 1 << (j + 1)] = low ^ qe ^ pair
+                assert q.count_admissible() == int(table.sum()), (g, q)
 
 
 class TestAdmissible:

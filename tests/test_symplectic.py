@@ -25,6 +25,7 @@ from spincycles.symplectic import (
     preserves_q,
     q_orbit_partition,
     q_stabilizer_bruteforce,
+    q_values_table,
     symplectic_form_z,
     transvection_f2,
     transvection_z,
@@ -411,7 +412,7 @@ class TestOrbit:
         q = standard_form(2, 1)
         assert verify_transvection_generation(q)["verdict"] == "equal"
         gens = admissible_transvections(q)
-        table = q.values_table()
+        table = q_values_table(q)
         ones = {CycleClassF2(2, b) for b in range(1, 16) if table[b] == 1}
         zeros = {CycleClassF2(2, b) for b in range(1, 16) if table[b] == 0}
         x1 = min(ones, key=lambda c: c.bits)
