@@ -26,6 +26,12 @@ checked against the order formula |Sp(2g, 2)| = 2^(g^2) prod (4^i - 1);
 since the generators are symplectic, equal order proves the closure is the
 whole group.
 
+The q-stabilizer O(q) is brute-force for the first form of each Arf,
+conjugated and certified for the rest: the cached group is filtered by
+q-preservation once per (genus, Arf), and any other form of that Arf
+gets the cached stabilizer conjugated by a transvection, checked to be
+distinct, symplectic and q-preserving before it is returned.
+
 Integral transvections use the right-handed convention
 x -> x + <x, c> c; the opposite sign is the inverse twist, and every
 relation-level verdict in this package is checked under both signs.
@@ -410,7 +416,11 @@ def admissible_transvections(q: QuadraticForm) -> list[MatF2]:
     return out
 
 
-_FULL_GROUP_CACHE: dict[int, tuple[np.ndarray, tuple[MatF2, ...]]] = {}
+#: per genus: the read-only Sp(2g, F2), its generators, and per Arf value
+#: (qmask, O(q)) for the first form whose stabilizer was filtered from it
+_FULL_GROUP_CACHE: dict[
+    int, tuple[np.ndarray, tuple[MatF2, ...], dict[int, tuple[int, np.ndarray]]]
+] = {}
 
 
 def full_symplectic_closure(
@@ -439,7 +449,7 @@ def full_symplectic_closure(
                 f"{result.order}, not |Sp({2 * genus}, 2)| = {sp_order(genus)}"
             )
         result.packed.setflags(write=False)
-        _FULL_GROUP_CACHE[genus] = (result.packed, tuple(result.generators))
+        _FULL_GROUP_CACHE[genus] = (result.packed, tuple(result.generators), {})
     return result
 
 
@@ -465,14 +475,60 @@ def _filter_preserves_q(packed: np.ndarray, q: QuadraticForm) -> np.ndarray:
     return packed[keep]
 
 
+def _conjugate_by_transvection(packed: np.ndarray, v: int, n: int) -> np.ndarray:
+    """Sorted T_v M T_v for every packed matrix M."""
+    t_v = transvection_f2(CycleClassF2(n // 2, v))
+    out = _apply_table_mats(packed, _vector_table(t_v), n)
+    # (A T_v) e_j = A e_j + <v, e_j> A v: XOR A v into column j where <v, e_j> = 1
+    mask = np.uint64((1 << n) - 1)
+    av = np.zeros_like(out)
+    for k in range(n):
+        if (v >> k) & 1:
+            av ^= (out >> np.uint64(n * k)) & mask
+    pairing_row = swap_pairs(v)
+    for j in range(n):
+        if (pairing_row >> j) & 1:
+            out ^= av << np.uint64(n * j)
+    out.sort()
+    return out
+
+
 def q_stabilizer_bruteforce(
     q: QuadraticForm, cap: int | None = None, parts: int = 1
 ) -> GroupClosure:
-    """Filter the full symplectic group by q-preservation (genus <= 3)."""
+    """The q-stabilizer O(q) inside the full symplectic group (genus <= 3).
+
+    Brute force for the first form of each Arf: the cached Sp(2g, F2) is
+    filtered by q-preservation, and the read-only result is cached with
+    that form's qmask.  Conjugated and certified for the rest: a form q of
+    the same Arf as the cached q0 is q0 + <v, .> with q0(v) = 0, so
+    q = q0 o T_v and O(q) = T_v O(q0) T_v (Johnson 1980).  The conjugated
+    array must be distinct, inside Sp(2g, F2) and q-preserving, or
+    ``RuntimeError`` is raised; a subset of O(q) with |O(q0)| = |O(q)|
+    elements is O(q).
+    """
     full = full_symplectic_closure(q.genus, cap, parts)
     if not full.completed:
         raise CapExceededError(f"full group exceeded the cap of {full.cap}")
-    stab = _filter_preserves_q(full.packed, q)
+    stabilizers = _FULL_GROUP_CACHE[q.genus][2]
+    arf = q.arf()
+    if arf not in stabilizers:
+        stab = _filter_preserves_q(full.packed, q)
+        stab.setflags(write=False)
+        stabilizers[arf] = (q.qmask, stab)
+        return GroupClosure(q.genus, stab, [], True, full.cap)
+    qmask0, stab = stabilizers[arf]
+    if qmask0 != q.qmask:
+        v = swap_pairs(q.qmask ^ qmask0)
+        stab = _conjugate_by_transvection(stab, v, 2 * q.genus)
+        checks = {
+            "distinct": bool(np.all(stab[1:] > stab[:-1])),
+            "inside Sp": _setdiff_sorted(stab, full.packed).size == 0,
+            "q-preserving": _filter_preserves_q(stab, q).size == stab.size,
+        }
+        if not all(checks.values()):
+            failed = ", not ".join(name for name, ok in checks.items() if not ok)
+            raise RuntimeError(f"conjugated stabilizer of qmask {q.qmask:#x} is not {failed}")
     return GroupClosure(q.genus, stab, [], True, full.cap)
 
 
@@ -579,7 +635,10 @@ def verify_arf_classification(genus: int, parts: int = 1) -> dict:
 
 
 def q_orbit_partition(q: QuadraticForm, cap: int | None = None, parts: int = 1) -> dict:
-    """Orbits of the brute-force q-stabilizer on nonzero mod-2 classes.
+    """Orbits of the q-stabilizer on nonzero mod-2 classes.
+
+    The stabilizer comes from :func:`q_stabilizer_bruteforce`: brute-force
+    for the first form of each Arf, conjugated and certified for the rest.
 
     Expected partition: {q = 1} and {q = 0} minus zero (zero is a fixed
     point).  The transcript records the orbit sizes with their q values

@@ -1,17 +1,21 @@
 from __future__ import annotations
 
+import itertools
 import os
 import random
+import time
 
 import numpy as np
 import pytest
 
 from spincycles import symplectic
-from spincycles.homology import CycleClassF2, CycleClassZ, pairing_z
-from spincycles.spin import standard_form
+from spincycles.homology import CycleClassF2, CycleClassZ, pairing_z, swap_pairs
+from spincycles.spin import QuadraticForm, standard_form
 from spincycles.symplectic import (
+    CapExceededError,
     MatF2,
     NotSymplecticError,
+    _filter_preserves_q,
     _worker_count,
     admissible_transvections,
     all_transvections,
@@ -302,6 +306,34 @@ class TestFullGroup:
         assert symplectic._FULL_GROUP_CACHE == {}
 
 
+def all_forms(g):
+    """Every quadratic form refining the genus-g pairing, in bit order."""
+    for bits in itertools.product((0, 1), repeat=2 * g):
+        yield QuadraticForm(bits[:g], bits[g:])
+
+
+def sample_forms(rng, g, arf, count):
+    """``count`` distinct forms of the given Arf, drawn with ``rng``."""
+    return rng.sample([q for q in all_forms(g) if q.arf() == arf], count)
+
+
+@pytest.fixture
+def no_stabilizers(monkeypatch):
+    """The cached groups of genus 1-3 with no stabilizer cached yet, so the
+    first form of each Arf is the brute-forced base."""
+    groups = {g: full_symplectic_closure(g) for g in (1, 2, 3)}
+    monkeypatch.setattr(
+        symplectic,
+        "_FULL_GROUP_CACHE",
+        {g: (c.packed, tuple(c.generators), {}) for g, c in groups.items()},
+    )
+    return groups
+
+
+def cached_bases(g):
+    return symplectic._FULL_GROUP_CACHE[g][2]
+
+
 class TestStabilizer:
     def test_orders_small(self):
         # genus 1, Arf 1: q = 1 on all three nonzero classes, so the whole
@@ -337,6 +369,119 @@ class TestStabilizer:
                 assert not preserves_q(m, q)
                 moved += 1
         assert moved == full.order - stab.order
+
+    def test_warm_matches_filter_oracle(self, no_stabilizers, monkeypatch):
+        # every form at genus 1 and 2 and 8 per Arf at genus 3, against the
+        # brute-force filter of the whole group; the first form of each Arf
+        # is the base, every other one goes through the conjugation
+        conjugated = []
+        conjugate = symplectic._conjugate_by_transvection
+
+        def spy(packed, v, n):
+            conjugated.append(v)
+            return conjugate(packed, v, n)
+
+        monkeypatch.setattr(symplectic, "_conjugate_by_transvection", spy)
+        rng = random.Random(71)
+        forms = [*all_forms(1), *all_forms(2)]
+        forms += sample_forms(rng, 3, 0, 8) + sample_forms(rng, 3, 1, 8)
+        bases = {}
+        for q in forms:
+            bases.setdefault((q.genus, q.arf()), q.qmask)
+            stab = q_stabilizer_bruteforce(q).packed
+            oracle = _filter_preserves_q(no_stabilizers[q.genus].packed, q)
+            assert np.array_equal(stab, oracle), q
+        for (g, arf), qmask in bases.items():
+            assert cached_bases(g)[arf][0] == qmask
+        # genus 1 Arf 1 has one form; every other form is conjugated
+        assert len(conjugated) == len(forms) - len(bases) == 4 + 16 + 16 - 6
+
+    @pytest.mark.parametrize(
+        "mutation,failure",
+        [
+            ("unconjugated", "q-preserving"),
+            ("wrong_v", "q-preserving"),
+            ("duplicate", "distinct"),
+            ("outside_sp", "inside Sp"),
+        ],
+    )
+    def test_certification_rejects_bad_conjugate(
+        self, no_stabilizers, monkeypatch, mutation, failure
+    ):
+        q0 = standard_form(3, 0)
+        # q differs from q0 on b_1, so v = a_1 and q0(v) = 0
+        q = QuadraticForm((0, 0, 0), (0, 1, 1))
+        assert q.arf() == q0.arf() and swap_pairs(q.qmask ^ q0.qmask) == 0b1
+        base = q_stabilizer_bruteforce(q0).packed
+        kept = base.copy()
+        conjugate = symplectic._conjugate_by_transvection
+
+        def bad(packed, v, n):
+            if mutation == "unconjugated":
+                return np.sort(packed)
+            if mutation == "wrong_v":
+                # q0(b_1) = 1: T_b1 lies in O(q0), so this gives O(q0) back
+                return conjugate(packed, 0b10, n)
+            good = conjugate(packed, v, n)
+            if mutation == "duplicate":
+                return np.sort(np.concatenate([good[:-1], good[:1]]))
+            # the identity with column a_1 zeroed keeps q on the basis
+            # (q(0) = q(a_1) = 0) but is singular, so it is not in Sp
+            singular = np.uint64(MatF2.identity(3).packed() ^ 1)
+            return np.sort(np.concatenate([good[:-1], [singular]]))
+
+        monkeypatch.setattr(symplectic, "_conjugate_by_transvection", bad)
+        with pytest.raises(RuntimeError, match=f"qmask {q.qmask:#x} is not {failure}$"):
+            q_stabilizer_bruteforce(q)
+        qmask, cached = cached_bases(3)[0]
+        assert qmask == q0.qmask and cached is base
+        assert np.array_equal(cached, kept) and not cached.flags.writeable
+
+    def test_cap_checked_before_cached_stabilizer(self, no_stabilizers, monkeypatch):
+        q0 = standard_form(3, 1)
+        q_stabilizer_bruteforce(q0)
+        q = QuadraticForm((1, 1, 0), (1, 0, 0))
+        assert q.arf() == 1 and q.qmask != q0.qmask
+
+        def fail(*_args):
+            raise AssertionError("cached stabilizer read past the cap")
+
+        monkeypatch.setattr(symplectic, "_conjugate_by_transvection", fail)
+        for form in (q0, q):
+            with pytest.raises(CapExceededError, match="full group exceeded the cap of 100$"):
+                q_stabilizer_bruteforce(form, cap=100)
+
+    @pytest.mark.parametrize("g,per_arf", [(2, 2), (3, 1)])
+    def test_warm_transcripts_equal_cold(self, no_stabilizers, g, per_arf):
+        # cold: no stabilizer cached, so q itself is brute-forced; warm:
+        # the standard form is the base and q is conjugated from it
+        rng = random.Random(72 + g)
+        for arf in (0, 1):
+            base = standard_form(g, arf)
+            others = [q for q in all_forms(g) if q.arf() == arf and q != base]
+            for q in rng.sample(others, per_arf):
+                for fn in (verify_transvection_generation, q_orbit_partition):
+                    for parts in (1, 4):
+                        cached_bases(g).clear()
+                        cold = fn(q, parts=parts)
+                        cached_bases(g).clear()
+                        q_stabilizer_bruteforce(base)
+                        assert fn(q, parts=parts) == cold
+
+    def test_warm_g3_orbit_partitions_fast(self, no_stabilizers):
+        # regression gate: 20 warm calls on distinct non-base forms took
+        # about 1.2 s when each call filtered all of Sp(6, F2)
+        bases = [standard_form(3, arf) for arf in (0, 1)]
+        for q in bases:
+            q_stabilizer_bruteforce(q)
+        rng = random.Random(73)
+        others = [q for q in all_forms(3) if q not in bases]
+        forms = rng.sample(others, 20)
+        start = time.perf_counter()
+        results = [q_orbit_partition(q) for q in forms]
+        elapsed = time.perf_counter() - start
+        assert all(r["matches_expected_partition"] for r in results)
+        assert elapsed < 1.0, f"20 warm genus-3 orbit partitions took {elapsed:.2f} s"
 
 
 class TestGeneration:
