@@ -30,7 +30,12 @@ The q-stabilizer O(q) is brute-force for the first form of each Arf,
 conjugated and certified for the rest: the cached group is filtered by
 q-preservation once per (genus, Arf), and any other form of that Arf
 gets the cached stabilizer conjugated by a transvection, checked to be
-distinct, symplectic and q-preserving before it is returned.
+distinct, symplectic and q-preserving before it is returned.  The
+admissible closure <adm(q)> is likewise a BFS for the base form of each
+Arf, conjugated and certified for the rest: a form q = q0 + <v, .> of the
+base's Arf is q0 o T_v, so T_v maps the admissible classes of q0 onto
+those of q, T_v adm(q0) T_v = adm(q) and <adm(q)> = T_v <adm(q0)> T_v
+(Johnson 1980).
 
 Integral transvections use the right-handed convention
 x -> x + <x, c> c; the opposite sign is the inverse twist, and every
@@ -417,9 +422,16 @@ def admissible_transvections(q: QuadraticForm) -> list[MatF2]:
 
 
 #: per genus: the read-only Sp(2g, F2), its generators, and per Arf value
-#: (qmask, O(q)) for the first form whose stabilizer was filtered from it
+#: (qmask0, O(q0), A0) for the base form q0 whose stabilizer was filtered
+#: from it, where A0 = <adm(q0)> is None until the first generation check
+#: of that Arf and is the O(q0) array itself when the two are equal
 _FULL_GROUP_CACHE: dict[
-    int, tuple[np.ndarray, tuple[MatF2, ...], dict[int, tuple[int, np.ndarray]]]
+    int,
+    tuple[
+        np.ndarray,
+        tuple[MatF2, ...],
+        dict[int, tuple[int, np.ndarray, np.ndarray | None]],
+    ],
 ] = {}
 
 
@@ -515,9 +527,9 @@ def q_stabilizer_bruteforce(
     if arf not in stabilizers:
         stab = _filter_preserves_q(full.packed, q)
         stab.setflags(write=False)
-        stabilizers[arf] = (q.qmask, stab)
+        stabilizers[arf] = (q.qmask, stab, None)
         return GroupClosure(q.genus, stab, [], True, full.cap)
-    qmask0, stab = stabilizers[arf]
+    qmask0, stab, _ = stabilizers[arf]
     if qmask0 != q.qmask:
         v = swap_pairs(q.qmask ^ qmask0)
         stab = _conjugate_by_transvection(stab, v, 2 * q.genus)
@@ -532,6 +544,66 @@ def q_stabilizer_bruteforce(
     return GroupClosure(q.genus, stab, [], True, full.cap)
 
 
+def _form_of_qmask(genus: int, qmask: int) -> QuadraticForm:
+    """The quadratic form with the basis values packed in ``qmask``."""
+    return QuadraticForm(
+        tuple((qmask >> (2 * i)) & 1 for i in range(genus)),
+        tuple((qmask >> (2 * i + 1)) & 1 for i in range(genus)),
+    )
+
+
+def _admissible_closure(
+    q: QuadraticForm, stab: np.ndarray, cap: int | None, parts: int
+) -> np.ndarray:
+    """<adm(q)> as sorted keys, given O(q) from :func:`q_stabilizer_bruteforce`.
+
+    The first call for an Arf value closes adm(q0) by BFS for the cached
+    base form q0, whatever q is, and caches it as A0.  Any other form q is
+    q0 o T_v, so <adm(q)> = T_v A0 T_v; when A0 is O(q0) that conjugate is
+    the O(q) already certified.  The transported array A is certified, or
+    ``RuntimeError`` names every failed check: adm(q) is T_v adm(q0) T_v
+    (generators, in pure Python), A is distinct, inside O(q), contains
+    adm(q) and, when smaller than O(q), closed under left multiplication by
+    adm(q).  A is then a group containing adm(q) with |A| = |A0| =
+    |<adm(q)>|, so A = <adm(q)>.
+    """
+    stabilizers = _FULL_GROUP_CACHE[q.genus][2]
+    arf = q.arf()
+    qmask0, stab0, adm0 = stabilizers[arf]
+    q0 = q if q.qmask == qmask0 else _form_of_qmask(q.genus, qmask0)
+    if adm0 is None:
+        result = closure(admissible_transvections(q0), cap, parts)
+        if not result.completed:
+            raise CapExceededError(f"admissible closure exceeded the cap of {result.cap}")
+        adm0 = stab0 if np.array_equal(result.packed, stab0) else result.packed
+        adm0.setflags(write=False)
+        stabilizers[arf] = (qmask0, stab0, adm0)
+    if q is q0:
+        return adm0
+    n = 2 * q.genus
+    v = swap_pairs(q.qmask ^ qmask0)
+    adm = stab if adm0 is stab0 else _conjugate_by_transvection(adm0, v, n)
+    gens = admissible_transvections(q)
+    keys = np.array(sorted(g.packed() for g in gens), dtype=np.uint64)
+    t_v = transvection_f2(CycleClassF2(q.genus, v))
+    moved = sorted((t_v @ c @ t_v).packed() for c in admissible_transvections(q0))
+    checks = {
+        "generators": keys.tolist() == moved,
+        "distinct": bool(np.all(adm[1:] > adm[:-1])),
+        "inside O(q)": adm is stab or _setdiff_sorted(adm, stab).size == 0,
+        "contains generators": _setdiff_sorted(keys, adm).size == 0,
+        "closed": adm.size == stab.size
+        or all(
+            _setdiff_sorted(_apply_table_mats(adm, _vector_table(g), n), adm).size == 0
+            for g in gens
+        ),
+    }
+    if not all(checks.values()):
+        failed = ", not ".join(name for name, ok in checks.items() if not ok)
+        raise RuntimeError(f"admissible closure of qmask {q.qmask:#x} is not {failed}")
+    return adm
+
+
 def verify_transvection_generation(
     q: QuadraticForm, cap: int | None = None, parts: int = 1
 ) -> dict:
@@ -540,17 +612,22 @@ def verify_transvection_generation(
     Returns a transcript dict with both orders and a verdict
     (``equal`` or ``proper_subgroup``).  For genus 3 equality is the
     expected outcome; for smaller genus the verdict is recorded as found.
+
+    The admissible closure is BFS for the base form of each Arf,
+    conjugated and certified for the rest, like the stabilizer: q = q0 +
+    <v, .> is q0 o T_v, so T_v maps adm(q0) onto adm(q) and <adm(q)> =
+    T_v <adm(q0)> T_v (Johnson 1980).  The conjugate is certified to be a
+    group that contains adm(q) and has |<adm(q0)>| elements, hence to be
+    <adm(q)>.  The cap is checked first, by :func:`q_stabilizer_bruteforce`.
     """
     stab = q_stabilizer_bruteforce(q, cap, parts).packed
-    adm = closure(admissible_transvections(q), cap, parts)
-    if not adm.completed:
-        raise CapExceededError(f"admissible closure exceeded the cap of {adm.cap}")
-    equal = adm.order == stab.size and bool(np.array_equal(adm.packed, stab))
-    subset = bool(np.all(np.isin(adm.packed, stab, assume_unique=True)))
+    adm = _admissible_closure(q, stab, cap, parts)
+    equal = bool(np.array_equal(adm, stab))
+    subset = equal or _setdiff_sorted(adm, stab).size == 0
     return {
         "genus": q.genus,
         "arf": q.arf(),
-        "closure_order": adm.order,
+        "closure_order": int(adm.size),
         "stabilizer_order": int(stab.size),
         # a completed full closure is proved equal to Sp(2g, 2)
         "full_group_order": sp_order(q.genus),

@@ -319,8 +319,9 @@ def sample_forms(rng, g, arf, count):
 
 @pytest.fixture
 def no_stabilizers(monkeypatch):
-    """The cached groups of genus 1-3 with no stabilizer cached yet, so the
-    first form of each Arf is the brute-forced base."""
+    """The cached groups of genus 1-3 with no stabilizer or admissible
+    closure cached yet, so the first form of each Arf is the brute-forced
+    base."""
     groups = {g: full_symplectic_closure(g) for g in (1, 2, 3)}
     monkeypatch.setattr(
         symplectic,
@@ -332,6 +333,19 @@ def no_stabilizers(monkeypatch):
 
 def cached_bases(g):
     return symplectic._FULL_GROUP_CACHE[g][2]
+
+
+def generation_oracle(q, adm, stab):
+    """The generation transcript built from an admissible closure and O(q)."""
+    return {
+        "genus": q.genus,
+        "arf": q.arf(),
+        "closure_order": int(adm.size),
+        "stabilizer_order": int(stab.size),
+        "full_group_order": sp_order(q.genus),
+        "closure_is_subset": bool(np.isin(adm, stab).all()),
+        "verdict": "equal" if np.array_equal(adm, stab) else "proper_subgroup",
+    }
 
 
 class TestStabilizer:
@@ -433,7 +447,7 @@ class TestStabilizer:
         monkeypatch.setattr(symplectic, "_conjugate_by_transvection", bad)
         with pytest.raises(RuntimeError, match=f"qmask {q.qmask:#x} is not {failure}$"):
             q_stabilizer_bruteforce(q)
-        qmask, cached = cached_bases(3)[0]
+        qmask, cached = cached_bases(3)[0][:2]
         assert qmask == q0.qmask and cached is base
         assert np.array_equal(cached, kept) and not cached.flags.writeable
 
@@ -453,8 +467,10 @@ class TestStabilizer:
 
     @pytest.mark.parametrize("g,per_arf", [(2, 2), (3, 1)])
     def test_warm_transcripts_equal_cold(self, no_stabilizers, g, per_arf):
-        # cold: no stabilizer cached, so q itself is brute-forced; warm:
-        # the standard form is the base and q is conjugated from it
+        # cold: nothing cached, so q itself is brute-forced and its own
+        # admissible transvections are closed; warm: the standard form is
+        # the base, with its stabilizer and then also its admissible
+        # closure cached, and q is conjugated from it
         rng = random.Random(72 + g)
         for arf in (0, 1):
             base = standard_form(g, arf)
@@ -464,9 +480,12 @@ class TestStabilizer:
                     for parts in (1, 4):
                         cached_bases(g).clear()
                         cold = fn(q, parts=parts)
-                        cached_bases(g).clear()
-                        q_stabilizer_bruteforce(base)
-                        assert fn(q, parts=parts) == cold
+                        for warm_up in (q_stabilizer_bruteforce, verify_transvection_generation):
+                            cached_bases(g).clear()
+                            warm_up(base)
+                            adm_cached = cached_bases(g)[arf][2] is not None
+                            assert adm_cached == (warm_up is verify_transvection_generation)
+                            assert fn(q, parts=parts) == cold
 
     def test_warm_g3_orbit_partitions_fast(self, no_stabilizers):
         # regression gate: 20 warm calls on distinct non-base forms took
@@ -482,6 +501,148 @@ class TestStabilizer:
         elapsed = time.perf_counter() - start
         assert all(r["matches_expected_partition"] for r in results)
         assert elapsed < 1.0, f"20 warm genus-3 orbit partitions took {elapsed:.2f} s"
+
+    def test_warm_admissible_matches_closure_oracle(self, no_stabilizers, monkeypatch):
+        # every form at genus 1 and 2 and 8 per Arf at genus 3, against a
+        # fresh closure of the form's own admissible transvections; the spy
+        # on closure shows one admissible BFS per (genus, Arf), of the base
+        bfs = []
+        real_closure = symplectic.closure
+
+        def spy_closure(generators, cap=None, parts=1):
+            bfs.append(sorted(m.packed() for m in generators))
+            return real_closure(generators, cap, parts)
+
+        used = []
+        real_admissible = symplectic._admissible_closure
+
+        def spy_admissible(*args):
+            used.append(real_admissible(*args))
+            return used[-1]
+
+        monkeypatch.setattr(symplectic, "closure", spy_closure)
+        monkeypatch.setattr(symplectic, "_admissible_closure", spy_admissible)
+        # mixed order at genus 3: q_orbit_partition makes the standard forms
+        # the bases, then the first generation check of each Arf is on a
+        # non-base form
+        bases = {(3, arf): standard_form(3, arf) for arf in (0, 1)}
+        for q0 in bases.values():
+            q_orbit_partition(q0)
+        rng = random.Random(74)
+        others = [q for q in all_forms(3) if q not in bases.values()]
+        forms = [*all_forms(1), *all_forms(2)]
+        for arf in (0, 1):
+            forms += rng.sample([q for q in others if q.arf() == arf], 8)
+        for q in forms:
+            bases.setdefault((q.genus, q.arf()), q)
+            result = verify_transvection_generation(q)
+            oracle = closure(admissible_transvections(q)).packed
+            assert np.array_equal(used[-1], oracle), q
+            stab = _filter_preserves_q(no_stabilizers[q.genus].packed, q)
+            assert result == generation_oracle(q, oracle, stab), q
+        assert sorted(bfs) == sorted(
+            sorted(m.packed() for m in admissible_transvections(q0))
+            for q0 in bases.values()
+        )
+        for (g, arf), q0 in bases.items():
+            qmask, stab0, adm0 = cached_bases(g)[arf]
+            assert qmask == q0.qmask and not adm0.flags.writeable
+            # only genus 2, Arf 0 has <adm(q0)> proper in O(q0)
+            assert (adm0 is stab0) == ((g, arf) != (2, 0))
+
+    @pytest.mark.parametrize(
+        "mutation,failure",
+        [
+            ("unconjugated", "inside O(q)"),
+            ("duplicate", "distinct"),
+            ("not_closed", "closed"),
+            ("generators", "generators"),
+        ],
+    )
+    def test_certification_rejects_bad_admissible_closure(
+        self, no_stabilizers, monkeypatch, mutation, failure
+    ):
+        # genus 2, Arf 0 is the one case where A0 = <adm(q0)> (36 elements)
+        # is conjugated on its own rather than read off O(q) (72 elements)
+        q0 = standard_form(2, 0)
+        q = QuadraticForm((1, 0), (0, 0))
+        assert q.arf() == 0 and q != q0
+        verify_transvection_generation(q0)
+        entry = cached_bases(2)[0]
+        adm0 = entry[2]
+        assert adm0.size == 36 and entry[1].size == 72
+        kept = [a.copy() for a in entry[1:]]
+        true_adm = closure(admissible_transvections(q)).packed
+        stab = _filter_preserves_q(no_stabilizers[2].packed, q)
+        gens = {m.packed() for m in admissible_transvections(q)}
+        # swap one non-generator of <adm(q)> for an element of O(q) outside it:
+        # right-sized, distinct, inside O(q), holds adm(q), but not closed
+        extra = np.setdiff1d(stab, true_adm)[:1]
+        dropped = next(k for k in true_adm[1:] if int(k) not in gens)
+        not_closed = np.sort(np.concatenate([true_adm[true_adm != dropped], extra]))
+        conjugate = symplectic._conjugate_by_transvection
+
+        def bad(packed, v, n):
+            good = conjugate(packed, v, n)
+            if packed is not adm0:  # the stabilizer's conjugation stays honest
+                return good
+            if mutation == "unconjugated":
+                return np.sort(packed)
+            if mutation == "duplicate":
+                return np.sort(np.concatenate([good[:-1], good[:1]]))
+            if mutation == "not_closed":
+                return not_closed
+            return good
+
+        real_admissible = symplectic.admissible_transvections
+
+        def broken_admissible(form):
+            # one admissible transvection of q goes missing
+            gens_of_form = real_admissible(form)
+            return gens_of_form[:-1] if form == q else gens_of_form
+
+        monkeypatch.setattr(symplectic, "_conjugate_by_transvection", bad)
+        if mutation == "generators":
+            monkeypatch.setattr(symplectic, "admissible_transvections", broken_admissible)
+        with pytest.raises(RuntimeError, match=f"qmask {q.qmask:#x} is not ") as err:
+            verify_transvection_generation(q)
+        failed = str(err.value).split(" is not ", 1)[1].split(", not ")
+        assert failure in failed
+        if mutation in ("not_closed", "generators"):
+            assert failed == [failure]
+        assert cached_bases(2)[0] is entry
+        for cached, copy in zip(entry[1:], kept):
+            assert np.array_equal(cached, copy) and not cached.flags.writeable
+
+    def test_cap_checked_before_cached_admissible_closure(self, no_stabilizers, monkeypatch):
+        q0 = standard_form(3, 0)
+        verify_transvection_generation(q0)
+        assert cached_bases(3)[0][2] is not None
+        q = QuadraticForm((1, 1, 0), (0, 0, 1))
+        assert q.arf() == 0 and q.qmask != q0.qmask
+
+        def fail(*_args):
+            raise AssertionError("cached admissible closure read past the cap")
+
+        monkeypatch.setattr(symplectic, "_admissible_closure", fail)
+        for form in (q0, q):
+            with pytest.raises(CapExceededError, match="full group exceeded the cap of 100$"):
+                verify_transvection_generation(form, cap=100)
+
+    def test_warm_g3_generation_fast(self, no_stabilizers):
+        # regression gate: 20 warm calls on distinct non-base forms took
+        # about 2 s when each call closed its admissible transvections by BFS
+        bases = [standard_form(3, arf) for arf in (0, 1)]
+        for q in bases:
+            verify_transvection_generation(q)
+        rng = random.Random(75)
+        others = [q for q in all_forms(3) if q not in bases]
+        forms = rng.sample(others, 20)
+        start = time.perf_counter()
+        results = [verify_transvection_generation(q) for q in forms]
+        elapsed = time.perf_counter() - start
+        assert all(r["verdict"] == "equal" for r in results)
+        assert elapsed < 1.0, f"20 warm genus-3 generation checks took {elapsed:.2f} s"
 
 
 class TestGeneration:
