@@ -26,16 +26,13 @@ checked against the order formula |Sp(2g, 2)| = 2^(g^2) prod (4^i - 1);
 since the generators are symplectic, equal order proves the closure is the
 whole group.
 
-The q-stabilizer O(q) is brute-force for the first form of each Arf,
-conjugated and certified for the rest: the cached group is filtered by
-q-preservation once per (genus, Arf), and any other form of that Arf
-gets the cached stabilizer conjugated by a transvection, checked to be
-distinct, symplectic and q-preserving before it is returned.  The
-admissible closure <adm(q)> is likewise a BFS for the base form of each
-Arf, conjugated and certified for the rest: a form q = q0 + <v, .> of the
-base's Arf is q0 o T_v, so T_v maps the admissible classes of q0 onto
-those of q, T_v adm(q0) T_v = adm(q) and <adm(q)> = T_v <adm(q0)> T_v
-(Johnson 1980).
+The q-stabilizer O(q) and the admissible closure <adm(q)> are computed
+once per (genus, Arf), for the standard form q0 of that Arf: the cached
+group is filtered by q0-preservation and adm(q0) is closed by BFS.  Every
+form q of that Arf, the standard form of each Arf, v = 0 included, is
+q0 + <v, .> = q0 o T_v, so T_v maps the admissible classes of q0 onto
+those of q, O(q) = T_v O(q0) T_v and <adm(q)> = T_v <adm(q0)> T_v
+(Johnson 1980); both conjugates are certified before they are returned.
 
 Integral transvections use the right-handed convention
 x -> x + <x, c> c; the opposite sign is the inverse twist, and every
@@ -60,7 +57,7 @@ from .homology import (
     swap_pairs,
 )
 from .polygon import PolygonTooLargeError
-from .spin import QuadraticForm
+from .spin import QuadraticForm, standard_form
 
 #: default element budget for closures (override per call or via SPINCYCLES_CAP)
 DEFAULT_CAP = 2_000_000
@@ -421,18 +418,11 @@ def admissible_transvections(q: QuadraticForm) -> list[MatF2]:
     return out
 
 
-#: per genus: the read-only Sp(2g, F2), its generators, and per Arf value
-#: (qmask0, O(q0), A0) for the base form q0 whose stabilizer was filtered
-#: from it, where A0 = <adm(q0)> is None until the first generation check
-#: of that Arf and is the O(q0) array itself when the two are equal
-_FULL_GROUP_CACHE: dict[
-    int,
-    tuple[
-        np.ndarray,
-        tuple[MatF2, ...],
-        dict[int, tuple[int, np.ndarray, np.ndarray | None]],
-    ],
-] = {}
+#: per genus: the read-only Sp(2g, F2), and per Arf value [O(q0), A0] for
+#: the standard form q0 of that Arf, where A0 = <adm(q0)> is None until the
+#: first generation check of that Arf and is the O(q0) array itself when the
+#: two are equal
+_FULL_GROUP_CACHE: dict[int, tuple[np.ndarray, dict[int, list]]] = {}
 
 
 def full_symplectic_closure(
@@ -441,9 +431,9 @@ def full_symplectic_closure(
     """The whole symplectic group over F2, as the closure of the chain transvections.
 
     A completed closure whose order is not |Sp(2g, 2)| raises
-    ``RuntimeError``.  Completed enumerations are cached per genus with
-    their generators; the cached array is returned read-only, so repeat
-    verifications skip the BFS.
+    ``RuntimeError``.  Completed enumerations are cached per genus; the
+    cached array is returned read-only with the chain transvections
+    rebuilt, so repeat verifications skip the BFS.
     """
     if genus > MAX_FULL_GROUP_GENUS:
         raise ValueError(
@@ -452,7 +442,7 @@ def full_symplectic_closure(
     cap = resolve_cap(cap)
     cached = _FULL_GROUP_CACHE.get(genus)
     if cached is not None and cached[0].size <= cap:
-        return GroupClosure(genus, cached[0], list(cached[1]), True, cap)
+        return GroupClosure(genus, cached[0], chain_transvections(genus), True, cap)
     result = closure(chain_transvections(genus), cap, parts)
     if result.completed:
         if result.order != sp_order(genus):
@@ -461,7 +451,7 @@ def full_symplectic_closure(
                 f"{result.order}, not |Sp({2 * genus}, 2)| = {sp_order(genus)}"
             )
         result.packed.setflags(write=False)
-        _FULL_GROUP_CACHE[genus] = (result.packed, tuple(result.generators), {})
+        _FULL_GROUP_CACHE[genus] = (result.packed, {})
     return result
 
 
@@ -505,103 +495,45 @@ def _conjugate_by_transvection(packed: np.ndarray, v: int, n: int) -> np.ndarray
     return out
 
 
+def _certify(what: str, q: QuadraticForm, checks: dict[str, bool]) -> None:
+    """Raise ``RuntimeError`` naming every failed check of ``what`` for q."""
+    failed = ", not ".join(name for name, ok in checks.items() if not ok)
+    if failed:
+        raise RuntimeError(f"{what} of qmask {q.qmask:#x} is not {failed}")
+
+
 def q_stabilizer_bruteforce(
     q: QuadraticForm, cap: int | None = None, parts: int = 1
 ) -> GroupClosure:
     """The q-stabilizer O(q) inside the full symplectic group (genus <= 3).
 
-    Brute force for the first form of each Arf: the cached Sp(2g, F2) is
-    filtered by q-preservation, and the read-only result is cached with
-    that form's qmask.  Conjugated and certified for the rest: a form q of
-    the same Arf as the cached q0 is q0 + <v, .> with q0(v) = 0, so
-    q = q0 o T_v and O(q) = T_v O(q0) T_v (Johnson 1980).  The conjugated
-    array must be distinct, inside Sp(2g, F2) and q-preserving, or
-    ``RuntimeError`` is raised; a subset of O(q) with |O(q0)| = |O(q)|
-    elements is O(q).
+    Brute force for the standard form q0 of each Arf: the cached
+    Sp(2g, F2) is filtered by q0-preservation once, and the read-only
+    result is cached.  Conjugated and certified for every form, the
+    standard form of each Arf, v = 0 included: q = q0 + <v, .> with
+    q0(v) = 0, so q = q0 o T_v and O(q) = T_v O(q0) T_v (Johnson 1980).
+    The conjugated array must be distinct, inside Sp(2g, F2) and
+    q-preserving, or ``RuntimeError`` is raised; a subset of O(q) with
+    |O(q0)| = |O(q)| elements is O(q).
     """
     full = full_symplectic_closure(q.genus, cap, parts)
     if not full.completed:
         raise CapExceededError(f"full group exceeded the cap of {full.cap}")
-    stabilizers = _FULL_GROUP_CACHE[q.genus][2]
+    bases = _FULL_GROUP_CACHE[q.genus][1]
     arf = q.arf()
-    if arf not in stabilizers:
-        stab = _filter_preserves_q(full.packed, q)
-        stab.setflags(write=False)
-        stabilizers[arf] = (q.qmask, stab, None)
-        return GroupClosure(q.genus, stab, [], True, full.cap)
-    qmask0, stab, _ = stabilizers[arf]
-    if qmask0 != q.qmask:
-        v = swap_pairs(q.qmask ^ qmask0)
-        stab = _conjugate_by_transvection(stab, v, 2 * q.genus)
-        checks = {
-            "distinct": bool(np.all(stab[1:] > stab[:-1])),
-            "inside Sp": _setdiff_sorted(stab, full.packed).size == 0,
-            "q-preserving": _filter_preserves_q(stab, q).size == stab.size,
-        }
-        if not all(checks.values()):
-            failed = ", not ".join(name for name, ok in checks.items() if not ok)
-            raise RuntimeError(f"conjugated stabilizer of qmask {q.qmask:#x} is not {failed}")
+    q0 = standard_form(q.genus, arf)
+    if arf not in bases:
+        stab0 = _filter_preserves_q(full.packed, q0)
+        stab0.setflags(write=False)
+        bases[arf] = [stab0, None]
+    v = swap_pairs(q.qmask ^ q0.qmask)
+    stab = _conjugate_by_transvection(bases[arf][0], v, 2 * q.genus)
+    _certify("conjugated stabilizer", q, {
+        "distinct": bool(np.all(stab[1:] > stab[:-1])),
+        "inside Sp": _setdiff_sorted(stab, full.packed).size == 0,
+        "q-preserving": _filter_preserves_q(stab, q).size == stab.size,
+    })
     return GroupClosure(q.genus, stab, [], True, full.cap)
-
-
-def _form_of_qmask(genus: int, qmask: int) -> QuadraticForm:
-    """The quadratic form with the basis values packed in ``qmask``."""
-    return QuadraticForm(
-        tuple((qmask >> (2 * i)) & 1 for i in range(genus)),
-        tuple((qmask >> (2 * i + 1)) & 1 for i in range(genus)),
-    )
-
-
-def _admissible_closure(
-    q: QuadraticForm, stab: np.ndarray, cap: int | None, parts: int
-) -> np.ndarray:
-    """<adm(q)> as sorted keys, given O(q) from :func:`q_stabilizer_bruteforce`.
-
-    The first call for an Arf value closes adm(q0) by BFS for the cached
-    base form q0, whatever q is, and caches it as A0.  Any other form q is
-    q0 o T_v, so <adm(q)> = T_v A0 T_v; when A0 is O(q0) that conjugate is
-    the O(q) already certified.  The transported array A is certified, or
-    ``RuntimeError`` names every failed check: adm(q) is T_v adm(q0) T_v
-    (generators, in pure Python), A is distinct, inside O(q), contains
-    adm(q) and, when smaller than O(q), closed under left multiplication by
-    adm(q).  A is then a group containing adm(q) with |A| = |A0| =
-    |<adm(q)>|, so A = <adm(q)>.
-    """
-    stabilizers = _FULL_GROUP_CACHE[q.genus][2]
-    arf = q.arf()
-    qmask0, stab0, adm0 = stabilizers[arf]
-    q0 = q if q.qmask == qmask0 else _form_of_qmask(q.genus, qmask0)
-    if adm0 is None:
-        result = closure(admissible_transvections(q0), cap, parts)
-        if not result.completed:
-            raise CapExceededError(f"admissible closure exceeded the cap of {result.cap}")
-        adm0 = stab0 if np.array_equal(result.packed, stab0) else result.packed
-        adm0.setflags(write=False)
-        stabilizers[arf] = (qmask0, stab0, adm0)
-    if q is q0:
-        return adm0
-    n = 2 * q.genus
-    v = swap_pairs(q.qmask ^ qmask0)
-    adm = stab if adm0 is stab0 else _conjugate_by_transvection(adm0, v, n)
-    gens = admissible_transvections(q)
-    keys = np.array(sorted(g.packed() for g in gens), dtype=np.uint64)
-    t_v = transvection_f2(CycleClassF2(q.genus, v))
-    moved = sorted((t_v @ c @ t_v).packed() for c in admissible_transvections(q0))
-    checks = {
-        "generators": keys.tolist() == moved,
-        "distinct": bool(np.all(adm[1:] > adm[:-1])),
-        "inside O(q)": adm is stab or _setdiff_sorted(adm, stab).size == 0,
-        "contains generators": _setdiff_sorted(keys, adm).size == 0,
-        "closed": adm.size == stab.size
-        or all(
-            _setdiff_sorted(_apply_table_mats(adm, _vector_table(g), n), adm).size == 0
-            for g in gens
-        ),
-    }
-    if not all(checks.values()):
-        failed = ", not ".join(name for name, ok in checks.items() if not ok)
-        raise RuntimeError(f"admissible closure of qmask {q.qmask:#x} is not {failed}")
-    return adm
 
 
 def verify_transvection_generation(
@@ -613,15 +545,48 @@ def verify_transvection_generation(
     (``equal`` or ``proper_subgroup``).  For genus 3 equality is the
     expected outcome; for smaller genus the verdict is recorded as found.
 
-    The admissible closure is BFS for the base form of each Arf,
-    conjugated and certified for the rest, like the stabilizer: q = q0 +
-    <v, .> is q0 o T_v, so T_v maps adm(q0) onto adm(q) and <adm(q)> =
-    T_v <adm(q0)> T_v (Johnson 1980).  The conjugate is certified to be a
-    group that contains adm(q) and has |<adm(q0)>| elements, hence to be
-    <adm(q)>.  The cap is checked first, by :func:`q_stabilizer_bruteforce`.
+    The admissible closure is BFS for the standard form q0 of each Arf,
+    cached as A0, and conjugated and certified for every form, the
+    standard form of each Arf, v = 0 included, like the stabilizer:
+    q = q0 + <v, .> is q0 o T_v, so T_v maps adm(q0) onto adm(q) and
+    <adm(q)> = T_v A0 T_v (Johnson 1980); when A0 is O(q0) that conjugate
+    is the O(q) already certified.  The conjugate A is certified, or
+    ``RuntimeError`` names every failed check: adm(q) is T_v adm(q0) T_v
+    (generators, in pure Python), A is distinct, inside O(q), contains
+    adm(q) and, when smaller than O(q), closed under left multiplication
+    by adm(q).  A is then a group containing adm(q) with |A| = |A0| =
+    |<adm(q)>|, so A = <adm(q)>.  The cap is checked first, by
+    :func:`q_stabilizer_bruteforce`.
     """
     stab = q_stabilizer_bruteforce(q, cap, parts).packed
-    adm = _admissible_closure(q, stab, cap, parts)
+    n = 2 * q.genus
+    q0 = standard_form(q.genus, q.arf())
+    v = swap_pairs(q.qmask ^ q0.qmask)
+    base = _FULL_GROUP_CACHE[q.genus][1][q.arf()]
+    stab0, adm0 = base
+    if adm0 is None:
+        result = closure(admissible_transvections(q0), cap, parts)
+        if not result.completed:
+            raise CapExceededError(f"admissible closure exceeded the cap of {result.cap}")
+        adm0 = stab0 if np.array_equal(result.packed, stab0) else result.packed
+        adm0.setflags(write=False)
+        base[1] = adm0
+    adm = stab if adm0 is stab0 else _conjugate_by_transvection(adm0, v, n)
+    gens = admissible_transvections(q)
+    keys = np.array(sorted(g.packed() for g in gens), dtype=np.uint64)
+    t_v = transvection_f2(CycleClassF2(q.genus, v))
+    moved = sorted((t_v @ c @ t_v).packed() for c in admissible_transvections(q0))
+    _certify("admissible closure", q, {
+        "generators": keys.tolist() == moved,
+        "distinct": bool(np.all(adm[1:] > adm[:-1])),
+        "inside O(q)": adm is stab or _setdiff_sorted(adm, stab).size == 0,
+        "contains generators": _setdiff_sorted(keys, adm).size == 0,
+        "closed": adm.size == stab.size
+        or all(
+            _setdiff_sorted(_apply_table_mats(adm, _vector_table(g), n), adm).size == 0
+            for g in gens
+        ),
+    })
     equal = bool(np.array_equal(adm, stab))
     subset = equal or _setdiff_sorted(adm, stab).size == 0
     return {
@@ -715,7 +680,8 @@ def q_orbit_partition(q: QuadraticForm, cap: int | None = None, parts: int = 1) 
     """Orbits of the q-stabilizer on nonzero mod-2 classes.
 
     The stabilizer comes from :func:`q_stabilizer_bruteforce`: brute-force
-    for the first form of each Arf, conjugated and certified for the rest.
+    for the standard form of each Arf, conjugated and certified for every
+    form, the standard form of each Arf, v = 0 included.
 
     Expected partition: {q = 1} and {q = 0} minus zero (zero is a fixed
     point).  The transcript records the orbit sizes with their q values

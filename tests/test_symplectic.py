@@ -320,19 +320,17 @@ def sample_forms(rng, g, arf, count):
 @pytest.fixture
 def no_stabilizers(monkeypatch):
     """The cached groups of genus 1-3 with no stabilizer or admissible
-    closure cached yet, so the first form of each Arf is the brute-forced
-    base."""
+    closure of a standard form cached yet."""
     groups = {g: full_symplectic_closure(g) for g in (1, 2, 3)}
     monkeypatch.setattr(
-        symplectic,
-        "_FULL_GROUP_CACHE",
-        {g: (c.packed, tuple(c.generators), {}) for g, c in groups.items()},
+        symplectic, "_FULL_GROUP_CACHE", {g: (c.packed, {}) for g, c in groups.items()}
     )
     return groups
 
 
 def cached_bases(g):
-    return symplectic._FULL_GROUP_CACHE[g][2]
+    """The per-Arf [O(q0), A0] entries cached for genus g."""
+    return symplectic._FULL_GROUP_CACHE[g][1]
 
 
 def generation_oracle(q, adm, stab):
@@ -386,8 +384,9 @@ class TestStabilizer:
 
     def test_warm_matches_filter_oracle(self, no_stabilizers, monkeypatch):
         # every form at genus 1 and 2 and 8 per Arf at genus 3, against the
-        # brute-force filter of the whole group; the first form of each Arf
-        # is the base, every other one goes through the conjugation
+        # brute-force filter of the whole group; the standard form of each
+        # Arf is the base, and every form, the base itself included (v = 0),
+        # goes through the conjugation by its own v
         conjugated = []
         conjugate = symplectic._conjugate_by_transvection
 
@@ -399,16 +398,16 @@ class TestStabilizer:
         rng = random.Random(71)
         forms = [*all_forms(1), *all_forms(2)]
         forms += sample_forms(rng, 3, 0, 8) + sample_forms(rng, 3, 1, 8)
-        bases = {}
         for q in forms:
-            bases.setdefault((q.genus, q.arf()), q.qmask)
             stab = q_stabilizer_bruteforce(q).packed
             oracle = _filter_preserves_q(no_stabilizers[q.genus].packed, q)
             assert np.array_equal(stab, oracle), q
-        for (g, arf), qmask in bases.items():
-            assert cached_bases(g)[arf][0] == qmask
-        # genus 1 Arf 1 has one form; every other form is conjugated
-        assert len(conjugated) == len(forms) - len(bases) == 4 + 16 + 16 - 6
+        for g in (1, 2, 3):
+            assert sorted(cached_bases(g)) == [0, 1]
+        assert len(conjugated) == len(forms) == 4 + 16 + 16
+        assert conjugated == [
+            swap_pairs(q.qmask ^ standard_form(q.genus, q.arf()).qmask) for q in forms
+        ]
 
     @pytest.mark.parametrize(
         "mutation,failure",
@@ -426,7 +425,9 @@ class TestStabilizer:
         # q differs from q0 on b_1, so v = a_1 and q0(v) = 0
         q = QuadraticForm((0, 0, 0), (0, 1, 1))
         assert q.arf() == q0.arf() and swap_pairs(q.qmask ^ q0.qmask) == 0b1
-        base = q_stabilizer_bruteforce(q0).packed
+        q_stabilizer_bruteforce(q0)
+        entry = cached_bases(3)[0]
+        base = entry[0]
         kept = base.copy()
         conjugate = symplectic._conjugate_by_transvection
 
@@ -447,9 +448,13 @@ class TestStabilizer:
         monkeypatch.setattr(symplectic, "_conjugate_by_transvection", bad)
         with pytest.raises(RuntimeError, match=f"qmask {q.qmask:#x} is not {failure}$"):
             q_stabilizer_bruteforce(q)
-        qmask, cached = cached_bases(3)[0][:2]
-        assert qmask == q0.qmask and cached is base
-        assert np.array_equal(cached, kept) and not cached.flags.writeable
+        if mutation in ("duplicate", "outside_sp"):
+            # the base form (v = 0) is certified too; the other two
+            # mutations give O(q0) back for it, which is correct
+            with pytest.raises(RuntimeError, match=f"qmask {q0.qmask:#x} is not {failure}$"):
+                q_stabilizer_bruteforce(q0)
+        assert cached_bases(3)[0] is entry and entry[0] is base
+        assert np.array_equal(base, kept) and not base.flags.writeable
 
     def test_cap_checked_before_cached_stabilizer(self, no_stabilizers, monkeypatch):
         q0 = standard_form(3, 1)
@@ -467,10 +472,12 @@ class TestStabilizer:
 
     @pytest.mark.parametrize("g,per_arf", [(2, 2), (3, 1)])
     def test_warm_transcripts_equal_cold(self, no_stabilizers, g, per_arf):
-        # cold: nothing cached, so q itself is brute-forced and its own
-        # admissible transvections are closed; warm: the standard form is
-        # the base, with its stabilizer and then also its admissible
-        # closure cached, and q is conjugated from it
+        # cold: nothing cached, so the call itself filters the group for
+        # the standard form and closes its admissible transvections; warm:
+        # the standard form's stabilizer and then also its admissible
+        # closure are cached before the call; q is conjugated from them.
+        # The second warm-up finds A0 already cached when the first warm
+        # call was a generation check, and adds it otherwise
         rng = random.Random(72 + g)
         for arf in (0, 1):
             base = standard_form(g, arf)
@@ -480,10 +487,10 @@ class TestStabilizer:
                     for parts in (1, 4):
                         cached_bases(g).clear()
                         cold = fn(q, parts=parts)
+                        cached_bases(g).clear()
                         for warm_up in (q_stabilizer_bruteforce, verify_transvection_generation):
-                            cached_bases(g).clear()
                             warm_up(base)
-                            adm_cached = cached_bases(g)[arf][2] is not None
+                            adm_cached = cached_bases(g)[arf][1] is not None
                             assert adm_cached == (warm_up is verify_transvection_generation)
                             assert fn(q, parts=parts) == cold
 
@@ -505,7 +512,8 @@ class TestStabilizer:
     def test_warm_admissible_matches_closure_oracle(self, no_stabilizers, monkeypatch):
         # every form at genus 1 and 2 and 8 per Arf at genus 3, against a
         # fresh closure of the form's own admissible transvections; the spy
-        # on closure shows one admissible BFS per (genus, Arf), of the base
+        # on closure shows one admissible BFS per (genus, Arf), of the
+        # standard form
         bfs = []
         real_closure = symplectic.closure
 
@@ -513,42 +521,42 @@ class TestStabilizer:
             bfs.append(sorted(m.packed() for m in generators))
             return real_closure(generators, cap, parts)
 
-        used = []
-        real_admissible = symplectic._admissible_closure
+        # the last conjugate of a call is the <adm(q)> it compares with
+        # O(q): the O(q) conjugate where A0 is O(q0), else the A0 conjugate
+        conjugates = []
+        real_conjugate = symplectic._conjugate_by_transvection
 
-        def spy_admissible(*args):
-            used.append(real_admissible(*args))
-            return used[-1]
+        def spy_conjugate(packed, v, n):
+            conjugates.append(real_conjugate(packed, v, n))
+            return conjugates[-1]
 
         monkeypatch.setattr(symplectic, "closure", spy_closure)
-        monkeypatch.setattr(symplectic, "_admissible_closure", spy_admissible)
-        # mixed order at genus 3: q_orbit_partition makes the standard forms
-        # the bases, then the first generation check of each Arf is on a
-        # non-base form
-        bases = {(3, arf): standard_form(3, arf) for arf in (0, 1)}
-        for q0 in bases.values():
+        monkeypatch.setattr(symplectic, "_conjugate_by_transvection", spy_conjugate)
+        # mixed order at genus 3: q_orbit_partition caches the stabilizers
+        # first, then the first generation check of each Arf is on a
+        # non-standard form
+        bases = [standard_form(g, arf) for g in (1, 2, 3) for arf in (0, 1)]
+        for q0 in bases[4:]:
             q_orbit_partition(q0)
         rng = random.Random(74)
-        others = [q for q in all_forms(3) if q not in bases.values()]
+        others = [q for q in all_forms(3) if q not in bases]
         forms = [*all_forms(1), *all_forms(2)]
         for arf in (0, 1):
             forms += rng.sample([q for q in others if q.arf() == arf], 8)
         for q in forms:
-            bases.setdefault((q.genus, q.arf()), q)
             result = verify_transvection_generation(q)
             oracle = closure(admissible_transvections(q)).packed
-            assert np.array_equal(used[-1], oracle), q
+            assert np.array_equal(conjugates[-1], oracle), q
             stab = _filter_preserves_q(no_stabilizers[q.genus].packed, q)
             assert result == generation_oracle(q, oracle, stab), q
         assert sorted(bfs) == sorted(
-            sorted(m.packed() for m in admissible_transvections(q0))
-            for q0 in bases.values()
+            sorted(m.packed() for m in admissible_transvections(q0)) for q0 in bases
         )
-        for (g, arf), q0 in bases.items():
-            qmask, stab0, adm0 = cached_bases(g)[arf]
-            assert qmask == q0.qmask and not adm0.flags.writeable
+        for q0 in bases:
+            stab0, adm0 = cached_bases(q0.genus)[q0.arf()]
+            assert not adm0.flags.writeable
             # only genus 2, Arf 0 has <adm(q0)> proper in O(q0)
-            assert (adm0 is stab0) == ((g, arf) != (2, 0))
+            assert (adm0 is stab0) == ((q0.genus, q0.arf()) != (2, 0))
 
     @pytest.mark.parametrize(
         "mutation,failure",
@@ -569,9 +577,9 @@ class TestStabilizer:
         assert q.arf() == 0 and q != q0
         verify_transvection_generation(q0)
         entry = cached_bases(2)[0]
-        adm0 = entry[2]
-        assert adm0.size == 36 and entry[1].size == 72
-        kept = [a.copy() for a in entry[1:]]
+        stab0, adm0 = entry
+        assert adm0.size == 36 and stab0.size == 72
+        kept = [a.copy() for a in entry]
         true_adm = closure(admissible_transvections(q)).packed
         stab = _filter_preserves_q(no_stabilizers[2].packed, q)
         gens = {m.packed() for m in admissible_transvections(q)}
@@ -610,24 +618,69 @@ class TestStabilizer:
         assert failure in failed
         if mutation in ("not_closed", "generators"):
             assert failed == [failure]
-        assert cached_bases(2)[0] is entry
-        for cached, copy in zip(entry[1:], kept):
+        if mutation == "duplicate":
+            # the base form (v = 0) is certified too
+            with pytest.raises(RuntimeError, match=f"qmask {q0.qmask:#x} is not distinct"):
+                verify_transvection_generation(q0)
+        assert cached_bases(2)[0] is entry and entry[0] is stab0 and entry[1] is adm0
+        for cached, copy in zip(entry, kept):
             assert np.array_equal(cached, copy) and not cached.flags.writeable
 
     def test_cap_checked_before_cached_admissible_closure(self, no_stabilizers, monkeypatch):
         q0 = standard_form(3, 0)
         verify_transvection_generation(q0)
-        assert cached_bases(3)[0][2] is not None
+        assert cached_bases(3)[0][1] is not None
         q = QuadraticForm((1, 1, 0), (0, 0, 1))
         assert q.arf() == 0 and q.qmask != q0.qmask
 
         def fail(*_args):
             raise AssertionError("cached admissible closure read past the cap")
 
-        monkeypatch.setattr(symplectic, "_admissible_closure", fail)
+        class Tripwire(dict):
+            __getitem__ = __contains__ = get = setdefault = fail
+
+        group = symplectic._FULL_GROUP_CACHE[3][0]
+        monkeypatch.setitem(
+            symplectic._FULL_GROUP_CACHE, 3, (group, Tripwire(cached_bases(3)))
+        )
+        monkeypatch.setattr(symplectic, "_conjugate_by_transvection", fail)
         for form in (q0, q):
             with pytest.raises(CapExceededError, match="full group exceeded the cap of 100$"):
                 verify_transvection_generation(form, cap=100)
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_cache_independent_of_call_order(self, no_stabilizers, g):
+        # two call orders from a cleared cache: the standard forms first,
+        # against two non-standard forms per Arf first, with the first
+        # generation check of each Arf before any stabilizer of it
+        rng = random.Random(76 + g)
+        bases = [standard_form(g, arf) for arf in (0, 1)]
+        others = [q for q in all_forms(g) if q not in bases]
+        picks = [
+            q for arf in (0, 1) for q in rng.sample([q for q in others if q.arf() == arf], 2)
+        ]
+        orders = [
+            [(q_stabilizer_bruteforce, q) for q in bases]
+            + [(verify_transvection_generation, q) for q in bases + picks],
+            [(verify_transvection_generation, q) for q in reversed(picks)]
+            + [(q_orbit_partition, q) for q in bases],
+        ]
+        expected = [
+            [
+                _filter_preserves_q(no_stabilizers[g].packed, q0),
+                closure(admissible_transvections(q0)).packed,
+            ]
+            for q0 in bases
+        ]
+        for calls in orders:
+            cached_bases(g).clear()
+            for fn, q in calls:
+                fn(q)
+            assert sorted(cached_bases(g)) == [0, 1]
+            for arf, entry in cached_bases(g).items():
+                assert len(entry) == 2
+                for cached, oracle in zip(entry, expected[arf]):
+                    assert np.array_equal(cached, oracle)
 
     def test_warm_g3_generation_fast(self, no_stabilizers):
         # regression gate: 20 warm calls on distinct non-base forms took
