@@ -7,7 +7,8 @@ bits [2g*j, 2g*(j+1))), which is the canonical encoding used for hashing,
 ordering and membership.
 
 Group closures, orbits on vectors and orbits on quadratic forms all run
-one level-synchronous BFS over numpy uint64 keys (``_bfs``).  For a
+one level-synchronous BFS over numpy uint64 keys (``_bfs``); only the whole
+group Sp(2g, F2) is enumerated differently (below).  For a
 closure the keys are packed matrices under left multiplication by the
 generators: each generator G is tabulated as the map x -> G x over all
 2^(2g) vectors, and G * (a frontier of packed matrices) is computed lane
@@ -19,12 +20,19 @@ most one per CPU).  The result is a sorted array of keys, so closure sets,
 orders, orbits and transcripts do not depend on generator order, ``parts``
 or thread scheduling.
 
-The whole group Sp(2g, F2) (genus <= 3) is the closure of the 3g - 1
+The whole group Sp(2g, F2) (genus <= 3) is generated by the 3g - 1
 chain transvections along a_i, b_i and a_i + a_{i+1}, the mod-2 classes of
-a Humphries-type chain of twist curves.  Every completed enumeration is
-checked against the order formula |Sp(2g, 2)| = 2^(g^2) prod (4^i - 1);
-since the generators are symplectic, equal order proves the closure is the
-whole group.
+a Humphries-type chain of twist curves.  It is enumerated over the fixed
+standard base as a product of transversals T_0 T_1 ... T_{g-1}, the first
+layer of a stabilizer chain (Sims 1970): T_i holds one word in the chain
+transvections fixing e_0, ..., e_{2i-1} per image of the hyperbolic pair
+(e_2i, e_2i+1) (at genus 3: 2,016, 120 and 6 products).  All products are
+formed with the table gathers and sorted once, with no BFS and
+independently of ``parts``.  The distinct products are counted against
+the order formula |Sp(2g, 2)| = 2^(g^2) prod (4^i - 1): they are
+symplectic, so equal order proves they are the whole group and that the
+chain transvections generate it; too small a generator set can only give
+fewer.
 
 The q-stabilizer O(q) and the admissible closure <adm(q)> are computed
 once per (genus, Arf), for the standard form q0 of that Arf: the cached
@@ -238,22 +246,31 @@ def preserves_q(m: MatF2, q: QuadraticForm) -> bool:
 # bulk engine: packed matrices in numpy uint64 arrays
 
 
-def _vector_table(m: MatF2) -> np.ndarray:
-    """uint64 table of x -> M x over all 2^n packed vectors (n <= 16)."""
-    n = m.n
-    table = np.zeros(1 << n, dtype=np.uint64)
+def _vector_table(cols) -> np.ndarray:
+    """uint64 table of x -> M x over all 2^n packed vectors (n <= 16).
+
+    ``cols`` holds the n packed columns of M, or those of k matrices as a
+    (k, n) array, which gives one table per matrix, shape (k, 2^n).
+    """
+    cols = np.asarray(cols, dtype=np.uint64)
+    n = cols.shape[-1]
+    table = np.zeros((*cols.shape[:-1], 1 << n), dtype=np.uint64)
     for j in range(n):
-        table[1 << j : 1 << (j + 1)] = table[: 1 << j] ^ np.uint64(m.cols[j])
+        table[..., 1 << j : 1 << (j + 1)] = table[..., : 1 << j] ^ cols[..., j, None]
     return table
 
 
 def _apply_table_mats(packed: np.ndarray, table: np.ndarray, n: int) -> np.ndarray:
-    """Left-multiply every packed matrix by the tabulated generator."""
+    """Left-multiply every packed matrix by the tabulated generator.
+
+    A (k, 2^n) table of k matrices gives all k x len(packed) products,
+    shape (k, len(packed)).
+    """
     mask = np.uint64((1 << n) - 1)
-    out = np.zeros_like(packed)
+    out = np.zeros((*table.shape[:-1], packed.size), dtype=np.uint64)
     for j in range(n):
         shift = np.uint64(n * j)
-        out |= table[(packed >> shift) & mask] << shift
+        out |= (table << shift)[..., (packed >> shift) & mask]
     return out
 
 
@@ -365,7 +382,7 @@ def closure(
     if not all(g.is_symplectic() for g in generators):
         raise NotSymplecticError("generator does not preserve the form")
     cap = resolve_cap(cap)
-    tables = [_vector_table(g) for g in generators]
+    tables = [_vector_table(g.cols) for g in generators]
     ident = np.array([MatF2.identity(n // 2).packed()], dtype=np.uint64)
     packed, completed = _bfs(
         ident, lambda chunk: (_apply_table_mats(chunk, t, n) for t in tables), parts, cap
@@ -425,34 +442,80 @@ def admissible_transvections(q: QuadraticForm) -> list[MatF2]:
 _FULL_GROUP_CACHE: dict[int, tuple[np.ndarray, dict[int, list]]] = {}
 
 
+def _pair_transversals(
+    genus: int, generators: list[MatF2]
+) -> list[list[tuple[int, ...]]]:
+    """T_0, ..., T_{g-1} of the fixed standard base, as column tuples.
+
+    T_i holds one product of the generators that fix e_0, ..., e_{2i-1}
+    per image of the pair (e_2i, e_2i+1) that those generators reach: a
+    BFS over pair images keeps the first product that reaches each image.
+    """
+    n = 2 * genus
+    ident = tuple(1 << j for j in range(n))
+    tables = [(g.cols, _vector_table(g.cols).tolist()) for g in generators]
+    out = []
+    for i in range(genus):
+        level = [t for cols, t in tables if cols[: 2 * i] == ident[: 2 * i]]
+        reps = {ident[2 * i : 2 * i + 2]: ident}
+        frontier = [ident]
+        while frontier:
+            found = []
+            for m in frontier:
+                for t in level:
+                    image = (t[m[2 * i]], t[m[2 * i + 1]])
+                    if image not in reps:
+                        reps[image] = tuple(t[c] for c in m)
+                        found.append(reps[image])
+            frontier = found
+        out.append(list(reps.values()))
+    return out
+
+
 def full_symplectic_closure(
     genus: int, cap: int | None = None, parts: int = 1
 ) -> GroupClosure:
-    """The whole symplectic group over F2, as the closure of the chain transvections.
+    """The whole symplectic group over F2, generated by the chain transvections.
 
-    A completed closure whose order is not |Sp(2g, 2)| raises
-    ``RuntimeError``.  Completed enumerations are cached per genus; the
-    cached array is returned read-only with the chain transvections
-    rebuilt, so repeat verifications skip the BFS.
+    Enumerated over the fixed standard base as the transversal product
+    T_0 T_1 ... T_{g-1} (see :func:`_pair_transversals`), sorted once, and
+    certified by its order: the products are symplectic, and if
+    |Sp(2g, 2)| of them are distinct they are Sp(2g, F2), else
+    ``RuntimeError`` is raised.  ``parts`` is validated but does not
+    affect the result or the work.
+
+    A cap below |Sp(2g, 2)| returns an incomplete closure at once, with no
+    elements and before the cache is read.  Completed enumerations are
+    cached per genus; the cached array is returned read-only with the
+    chain transvections rebuilt.
     """
     if genus > MAX_FULL_GROUP_GENUS:
         raise ValueError(
             f"full-group enumeration supports genus <= {MAX_FULL_GROUP_GENUS}"
         )
     cap = resolve_cap(cap)
+    resolve_parts(parts)
+    gens = chain_transvections(genus)
+    if sp_order(genus) > cap:
+        return GroupClosure(genus, np.zeros(0, dtype=np.uint64), gens, False, cap)
     cached = _FULL_GROUP_CACHE.get(genus)
-    if cached is not None and cached[0].size <= cap:
-        return GroupClosure(genus, cached[0], chain_transvections(genus), True, cap)
-    result = closure(chain_transvections(genus), cap, parts)
-    if result.completed:
-        if result.order != sp_order(genus):
-            raise RuntimeError(
-                f"closure of {len(result.generators)} generators has order "
-                f"{result.order}, not |Sp({2 * genus}, 2)| = {sp_order(genus)}"
-            )
-        result.packed.setflags(write=False)
-        _FULL_GROUP_CACHE[genus] = (result.packed, {})
-    return result
+    if cached is not None:
+        return GroupClosure(genus, cached[0], gens, True, cap)
+    if not all(g.is_symplectic() for g in gens):
+        raise NotSymplecticError("generator does not preserve the form")
+    n = 2 * genus
+    packed = np.array([MatF2.identity(genus).packed()], dtype=np.uint64)
+    for level in reversed(_pair_transversals(genus, gens)):
+        packed = _apply_table_mats(packed, _vector_table(level), n).ravel()
+    packed = _unique_sorted(packed)
+    if packed.size != sp_order(genus):
+        raise RuntimeError(
+            f"transversal product of {len(gens)} generators has order "
+            f"{packed.size}, not |Sp({n}, 2)| = {sp_order(genus)}"
+        )
+    packed.setflags(write=False)
+    _FULL_GROUP_CACHE[genus] = (packed, {})
+    return GroupClosure(genus, packed, gens, True, cap)
 
 
 def q_values_table(q: QuadraticForm) -> np.ndarray:
@@ -480,7 +543,7 @@ def _filter_preserves_q(packed: np.ndarray, q: QuadraticForm) -> np.ndarray:
 def _conjugate_by_transvection(packed: np.ndarray, v: int, n: int) -> np.ndarray:
     """Sorted T_v M T_v for every packed matrix M."""
     t_v = transvection_f2(CycleClassF2(n // 2, v))
-    out = _apply_table_mats(packed, _vector_table(t_v), n)
+    out = _apply_table_mats(packed, _vector_table(t_v.cols), n)
     # (A T_v) e_j = A e_j + <v, e_j> A v: XOR A v into column j where <v, e_j> = 1
     mask = np.uint64((1 << n) - 1)
     av = np.zeros_like(out)
@@ -583,7 +646,7 @@ def verify_transvection_generation(
         "contains generators": _setdiff_sorted(keys, adm).size == 0,
         "closed": adm.size == stab.size
         or all(
-            _setdiff_sorted(_apply_table_mats(adm, _vector_table(g), n), adm).size == 0
+            _setdiff_sorted(_apply_table_mats(adm, _vector_table(g.cols), n), adm).size == 0
             for g in gens
         ),
     })
@@ -609,7 +672,7 @@ def orbit(
         raise ValueError(f"orbit computations support genus <= {MAX_ORBIT_GENUS}")
     if any(g.genus != x.genus for g in generators):
         raise ValueError("genus mismatch")
-    tables = [_vector_table(g) for g in generators]
+    tables = [_vector_table(g.cols) for g in generators]
     start = np.array([x.bits], dtype=np.uint64)
     packed, _ = _bfs(start, lambda chunk: (t[chunk] for t in tables), parts)
     return {CycleClassF2(x.genus, int(v)) for v in packed}

@@ -305,6 +305,104 @@ class TestFullGroup:
             full_symplectic_closure(g)
         assert symplectic._FULL_GROUP_CACHE == {}
 
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_transversal_product_equals_bfs_oracle(self, monkeypatch, g):
+        monkeypatch.setattr(symplectic, "_FULL_GROUP_CACHE", {})
+        full = full_symplectic_closure(g)
+        assert full.completed and not full.packed.flags.writeable
+        assert np.array_equal(full.packed, closure(chain_transvections(g)).packed)
+
+    def test_transversal_sizes(self):
+        levels = symplectic._pair_transversals(3, chain_transvections(3))
+        assert [len(t) for t in levels] == [2016, 120, 6]
+        assert levels[0][0] == tuple(1 << j for j in range(6))
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    @pytest.mark.parametrize("mutation", ["drop", "repeat"])
+    def test_order_check_rejects_bad_transversal(self, monkeypatch, level, mutation):
+        # one coset representative lost: dropped outright, or overwritten by
+        # a copy of another, which keeps the product count but not the
+        # distinct count
+        real = symplectic._pair_transversals
+
+        def mutated(genus, generators):
+            levels = real(genus, generators)
+            if mutation == "drop":
+                del levels[level][-1]
+            else:
+                levels[level][-1] = levels[level][0]
+            return levels
+
+        monkeypatch.setattr(symplectic, "_FULL_GROUP_CACHE", {})
+        monkeypatch.setattr(symplectic, "_pair_transversals", mutated)
+        size = [2016, 120, 6][level]
+        left = sp_order(3) // size * (size - 1)
+        with pytest.raises(RuntimeError, match=f"order {left}, not \\|Sp\\(6, 2\\)\\| = 1451520$"):
+            full_symplectic_closure(3)
+        assert symplectic._FULL_GROUP_CACHE == {}
+
+    def test_rejects_non_symplectic_generator(self, monkeypatch):
+        real = chain_transvections
+        monkeypatch.setattr(symplectic, "_FULL_GROUP_CACHE", {})
+        monkeypatch.setattr(
+            symplectic, "chain_transvections", lambda g: real(g) + [MatF2(4, (1, 2, 4, 9))]
+        )
+        with pytest.raises(NotSymplecticError):
+            full_symplectic_closure(2)
+        assert symplectic._FULL_GROUP_CACHE == {}
+
+    def test_batched_tables_match_single(self):
+        mats = list(itertools.islice(full_symplectic_closure(2).matrices(), 100, 105))
+        packed = full_symplectic_closure(2).packed[::37]
+        batched = symplectic._apply_table_mats(
+            packed, symplectic._vector_table([m.cols for m in mats]), 4
+        )
+        assert batched.shape == (len(mats), packed.size)
+        for row, m in zip(batched, mats):
+            single = symplectic._apply_table_mats(packed, symplectic._vector_table(m.cols), 4)
+            assert np.array_equal(row, single)
+            assert row.tolist() == [(m @ MatF2.from_packed(4, int(k))).packed() for k in packed]
+
+    def test_cap_matches_bfs_stop(self, monkeypatch):
+        # the BFS stopped incomplete exactly when the order exceeded the cap
+        monkeypatch.setattr(symplectic, "_FULL_GROUP_CACHE", {})
+        for cap in (1, 100, 719, 720, 721, 10_000):
+            full = full_symplectic_closure(2, cap=cap)
+            assert full.completed == closure(chain_transvections(2), cap=cap).completed
+            assert full.cap == cap and full.generators == chain_transvections(2)
+            assert full.order == (720 if full.completed else 0)
+
+    @pytest.mark.parametrize("cap", [100, 1_400_000, sp_order(3) - 1])
+    def test_cap_refused_before_tables_or_cache(self, monkeypatch, cap):
+        full_symplectic_closure(3)
+        assert 3 in symplectic._FULL_GROUP_CACHE
+
+        def fail(*_args):
+            raise AssertionError("work done past the cap")
+
+        class Tripwire(dict):
+            __getitem__ = __contains__ = get = setdefault = fail
+
+        monkeypatch.setattr(symplectic, "_vector_table", fail)
+        monkeypatch.setattr(symplectic, "_pair_transversals", fail)
+        cached = Tripwire(symplectic._FULL_GROUP_CACHE)
+        monkeypatch.setattr(symplectic, "_FULL_GROUP_CACHE", cached)
+        q = QuadraticForm((1, 1, 0), (0, 0, 1))
+        with pytest.raises(CapExceededError, match=f"full group exceeded the cap of {cap}$"):
+            verify_transvection_generation(q, cap=cap)
+        full = full_symplectic_closure(3, cap=cap)
+        assert not full.completed and full.order == 0 and full.cap == cap
+
+    def test_cold_sp6_timed(self, monkeypatch):
+        # on a 2-core Xeon the chain BFS took 1.1-1.3 s, the transversal
+        # product 0.07-0.16 s
+        monkeypatch.setattr(symplectic, "_FULL_GROUP_CACHE", {})
+        start = time.perf_counter()
+        full = full_symplectic_closure(3)
+        elapsed = time.perf_counter() - start
+        assert full.order == sp_order(3)
+        assert elapsed < 0.75, elapsed
+
 
 def all_forms(g):
     """Every quadratic form refining the genus-g pairing, in bit order."""
