@@ -34,13 +34,19 @@ symplectic, so equal order proves they are the whole group and that the
 chain transvections generate it; too small a generator set can only give
 fewer.
 
-The q-stabilizer O(q) and the admissible closure <adm(q)> are computed
-once per (genus, Arf), for the standard form q0 of that Arf: the cached
-group is filtered by q0-preservation and adm(q0) is closed by BFS.  Every
-form q of that Arf, the standard form of each Arf, v = 0 included, is
-q0 + <v, .> = q0 o T_v, so T_v maps the admissible classes of q0 onto
-those of q, O(q) = T_v O(q0) T_v and <adm(q)> = T_v <adm(q0)> T_v
-(Johnson 1980); both conjugates are certified before they are returned.
+The q-stabilizer O(q), the admissible closure <adm(q)> and the orbits of
+O(q) are computed and certified once per (genus, Arf), as the base of the
+standard form q0 of that Arf: the cached group is filtered by
+q0-preservation, adm(q0) is closed by BFS, and every class is labelled by
+its O(q0)-orbit.  Every form q of that Arf, the standard form of each Arf,
+v = 0 included, is q0 + <v, .> = q0 o T_v (Johnson 1980).  The verdict
+functions build only the 2^(2g)-entry table of T_v and certify it: it is
+linear and symplectic, an involution, and q(T_v x) = q0(x) for every class
+x.  Then M -> T_v M T_v maps O(q0) onto O(q) and, as T_v t_c T_v =
+t_{T_v c}, adm(q0) onto adm(q), so the orders and the verdict of q are
+those of the base and the O(q)-orbit of x is labelled by that of T_v x.
+No per-call array of group elements is built, except by
+:func:`q_stabilizer_bruteforce`, which returns O(q) itself.
 
 Integral transvections use the right-handed convention
 x -> x + <x, c> c; the opposite sign is the inverse twist, and every
@@ -306,9 +312,10 @@ def _bfs(
     """Level-synchronous BFS over uint64 keys.
 
     ``start`` is a sorted array of distinct keys and ``step(chunk)`` yields
-    one candidate array per generator.  Each level's frontier is split into
-    ``parts`` chunks run on threads; candidates are deduplicated
-    ``_GEN_BATCH`` generators at a time to bound peak memory.  Returns the
+    candidate arrays, one per generator or several generators at once.
+    Each level's frontier is split into ``parts`` chunks run on threads
+    (inline when one worker would run them); candidates are deduplicated
+    ``_GEN_BATCH`` arrays at a time to bound peak memory.  Returns the
     sorted visited keys and whether the search finished before
     ``len(visited)`` exceeded ``cap``.
     """
@@ -324,8 +331,12 @@ def _bfs(
 
     while frontier.size:
         chunks = np.array_split(frontier, min(parts, frontier.size))
-        with ThreadPoolExecutor(_worker_count(parts, len(chunks))) as pool:
-            results = list(pool.map(expand, chunks))
+        workers = _worker_count(parts, len(chunks))
+        if workers == 1:
+            results = [expand(chunk) for chunk in chunks]
+        else:
+            with ThreadPoolExecutor(workers) as pool:
+                results = list(pool.map(expand, chunks))
         new = [u for r in results for u in r]
         frontier = _unique_sorted(np.concatenate(new)) if new else frontier[:0]
         # visited and frontier are disjoint and sorted: insert, no re-sort
@@ -435,10 +446,11 @@ def admissible_transvections(q: QuadraticForm) -> list[MatF2]:
     return out
 
 
-#: per genus: the read-only Sp(2g, F2), and per Arf value [O(q0), A0] for
-#: the standard form q0 of that Arf, where A0 = <adm(q0)> is None until the
-#: first generation check of that Arf and is the O(q0) array itself when the
-#: two are equal
+#: per genus: the read-only Sp(2g, F2), and per Arf value the certified
+#: base [O(q0), A0, labels0] of the standard form q0 of that Arf: A0 =
+#: <adm(q0)> is None until the first generation check of that Arf and is the
+#: O(q0) array itself when the two are equal; labels0[x] is the smallest
+#: member of the O(q0)-orbit of class x
 _FULL_GROUP_CACHE: dict[int, tuple[np.ndarray, dict[int, list]]] = {}
 
 
@@ -565,37 +577,103 @@ def _certify(what: str, q: QuadraticForm, checks: dict[str, bool]) -> None:
         raise RuntimeError(f"{what} of qmask {q.qmask:#x} is not {failed}")
 
 
-def q_stabilizer_bruteforce(
-    q: QuadraticForm, cap: int | None = None, parts: int = 1
-) -> GroupClosure:
-    """The q-stabilizer O(q) inside the full symplectic group (genus <= 3).
+def _certify_stabilizer(what: str, q: QuadraticForm, stab: np.ndarray, full: np.ndarray) -> None:
+    """``stab`` is distinct, inside Sp(2g, F2) (the array ``full``) and q-preserving."""
+    _certify(what, q, {
+        "distinct": bool(np.all(stab[1:] > stab[:-1])),
+        "inside Sp": _setdiff_sorted(stab, full).size == 0,
+        "q-preserving": _filter_preserves_q(stab, q).size == stab.size,
+    })
 
-    Brute force for the standard form q0 of each Arf: the cached
-    Sp(2g, F2) is filtered by q0-preservation once, and the read-only
-    result is cached.  Conjugated and certified for every form, the
-    standard form of each Arf, v = 0 included: q = q0 + <v, .> with
-    q0(v) = 0, so q = q0 o T_v and O(q) = T_v O(q0) T_v (Johnson 1980).
-    The conjugated array must be distinct, inside Sp(2g, F2) and
-    q-preserving, or ``RuntimeError`` is raised; a subset of O(q) with
-    |O(q0)| = |O(q)| elements is O(q).
+
+def _orbit_labels(group: np.ndarray, n: int) -> np.ndarray:
+    """labels[x] = the smallest member of the orbit of class x under the
+    packed matrices ``group``, which must hold the identity."""
+    mask = np.uint64((1 << n) - 1)
+    labels = np.full(1 << n, -1, dtype=np.intp)
+    # the smallest class not yet placed is the smallest member of its orbit
+    while (todo := np.flatnonzero(labels < 0)).size:
+        x = int(todo[0])
+        images = np.zeros(group.size, dtype=np.uint64)
+        for j in range(n):
+            if (x >> j) & 1:
+                images ^= (group >> np.uint64(n * j)) & mask
+        labels[images.astype(np.intp)] = x
+    return labels
+
+
+def _standard_base(
+    q: QuadraticForm, cap: int | None, parts: int
+) -> tuple[GroupClosure, list]:
+    """Sp(2g, F2) and the cached base [O(q0), A0, labels0] of q's Arf.
+
+    The cap is checked before the cache is read.  On first use O(q0) is
+    the whole group filtered by q0-preservation, certified distinct,
+    inside Sp(2g, F2) and q0-preserving (else ``RuntimeError``), and
+    labelled by its orbits on all 2^(2g) classes; both arrays are cached
+    read-only.  A0 is filled by :func:`verify_transvection_generation`.
     """
     full = full_symplectic_closure(q.genus, cap, parts)
     if not full.completed:
         raise CapExceededError(f"full group exceeded the cap of {full.cap}")
     bases = _FULL_GROUP_CACHE[q.genus][1]
     arf = q.arf()
-    q0 = standard_form(q.genus, arf)
     if arf not in bases:
+        q0 = standard_form(q.genus, arf)
         stab0 = _filter_preserves_q(full.packed, q0)
+        _certify_stabilizer("stabilizer", q0, stab0, full.packed)
+        labels0 = _orbit_labels(stab0, 2 * q.genus)
         stab0.setflags(write=False)
-        bases[arf] = [stab0, None]
+        labels0.setflags(write=False)
+        bases[arf] = [stab0, None, labels0]
+    return full, bases[arf]
+
+
+def _transport_table(q: QuadraticForm, q0: QuadraticForm) -> np.ndarray:
+    """x -> T_v x over all 2^(2g) classes, for v = swap_pairs(q.qmask ^ q0.qmask)."""
     v = swap_pairs(q.qmask ^ q0.qmask)
-    stab = _conjugate_by_transvection(bases[arf][0], v, 2 * q.genus)
-    _certify("conjugated stabilizer", q, {
-        "distinct": bool(np.all(stab[1:] > stab[:-1])),
-        "inside Sp": _setdiff_sorted(stab, full.packed).size == 0,
-        "q-preserving": _filter_preserves_q(stab, q).size == stab.size,
+    return _vector_table(transvection_f2(CycleClassF2(q.genus, v)).cols)
+
+
+def _certified_transport(q: QuadraticForm) -> np.ndarray:
+    """The table of T_v that carries the base of q's Arf to q, certified.
+
+    With q0 the standard form of q's Arf, ``RuntimeError`` names every
+    failed check: the table is linear and symplectic, an involution, and
+    q-transporting, q(T_v x) = q0(x) for every class x.
+    """
+    q0 = standard_form(q.genus, q.arf())
+    table = _transport_table(q, q0)
+    cols = table[1 << np.arange(2 * q.genus)]
+    _certify("transport", q, {
+        "symplectic": bool(np.array_equal(_vector_table(cols), table))
+        and is_symplectic_bits(cols.tolist()),
+        "an involution": bool(np.array_equal(table[table], np.arange(table.size))),
+        "q-transporting": bool(np.array_equal(q_values_table(q)[table], q_values_table(q0))),
     })
+    return table
+
+
+def q_stabilizer_bruteforce(
+    q: QuadraticForm, cap: int | None = None, parts: int = 1
+) -> GroupClosure:
+    """The q-stabilizer O(q) inside the full symplectic group (genus <= 3).
+
+    Brute force for the standard form q0 of each Arf: the cached
+    Sp(2g, F2) is filtered by q0-preservation once, certified, and cached
+    read-only as the base of that Arf.  Conjugated and certified for every
+    form, the standard form of each Arf, v = 0 included: q = q0 + <v, .>
+    with q0(v) = 0, so q = q0 o T_v and O(q) = T_v O(q0) T_v (Johnson
+    1980).  The conjugated array must be distinct, inside Sp(2g, F2) and
+    q-preserving, or ``RuntimeError`` is raised; a subset of O(q) with
+    |O(q0)| = |O(q)| elements is O(q).  The verdict functions do not build
+    this array: they transport the base by a certified T_v.
+    """
+    full, base = _standard_base(q, cap, parts)
+    q0 = standard_form(q.genus, q.arf())
+    v = swap_pairs(q.qmask ^ q0.qmask)
+    stab = _conjugate_by_transvection(base[0], v, 2 * q.genus)
+    _certify_stabilizer("conjugated stabilizer", q, stab, full.packed)
     return GroupClosure(q.genus, stab, [], True, full.cap)
 
 
@@ -608,59 +686,54 @@ def verify_transvection_generation(
     (``equal`` or ``proper_subgroup``).  For genus 3 equality is the
     expected outcome; for smaller genus the verdict is recorded as found.
 
-    The admissible closure is BFS for the standard form q0 of each Arf,
-    cached as A0, and conjugated and certified for every form, the
-    standard form of each Arf, v = 0 included, like the stabilizer:
-    q = q0 + <v, .> is q0 o T_v, so T_v maps adm(q0) onto adm(q) and
-    <adm(q)> = T_v A0 T_v (Johnson 1980); when A0 is O(q0) that conjugate
-    is the O(q) already certified.  The conjugate A is certified, or
-    ``RuntimeError`` names every failed check: adm(q) is T_v adm(q0) T_v
-    (generators, in pure Python), A is distinct, inside O(q), contains
-    adm(q) and, when smaller than O(q), closed under left multiplication
-    by adm(q).  A is then a group containing adm(q) with |A| = |A0| =
-    |<adm(q)>|, so A = <adm(q)>.  The cap is checked first, by
-    :func:`q_stabilizer_bruteforce`.
+    The base of q's Arf (see :func:`_standard_base`) is completed once by
+    A0, the BFS closure of adm(q0), certified or ``RuntimeError`` names
+    every failed check: A0 is distinct, inside O(q0), contains adm(q0)
+    and, when smaller than O(q0), closed under left multiplication by
+    adm(q0).  Its elements are products of adm(q0), so A0 = <adm(q0)>.
+    Every form, the standard form of each Arf included (v = 0), is then
+    transported by the certified table of T_v (:func:`_certified_transport`):
+    T_v is a symplectic involution with q o T_v = q0, so M -> T_v M T_v
+    maps O(q0) onto O(q) and, as T_v t_c T_v = t_{T_v c}, adm(q0) onto
+    adm(q).  The orders and the verdict of q are therefore those of the
+    base.  The cap is checked first, before the cache is read.
     """
-    stab = q_stabilizer_bruteforce(q, cap, parts).packed
-    n = 2 * q.genus
-    q0 = standard_form(q.genus, q.arf())
-    v = swap_pairs(q.qmask ^ q0.qmask)
-    base = _FULL_GROUP_CACHE[q.genus][1][q.arf()]
-    stab0, adm0 = base
+    _, base = _standard_base(q, cap, parts)
+    stab0, adm0, _ = base
     if adm0 is None:
-        result = closure(admissible_transvections(q0), cap, parts)
+        q0 = standard_form(q.genus, q.arf())
+        gens = admissible_transvections(q0)
+        result = closure(gens, cap, parts)
         if not result.completed:
             raise CapExceededError(f"admissible closure exceeded the cap of {result.cap}")
-        adm0 = stab0 if np.array_equal(result.packed, stab0) else result.packed
+        adm0 = result.packed
+        n = 2 * q.genus
+        keys = np.array(sorted(g.packed() for g in gens), dtype=np.uint64)
+        _certify("admissible closure", q0, {
+            "distinct": bool(np.all(adm0[1:] > adm0[:-1])),
+            "inside O(q0)": _setdiff_sorted(adm0, stab0).size == 0,
+            "contains generators": _setdiff_sorted(keys, adm0).size == 0,
+            "closed": adm0.size == stab0.size
+            or all(
+                _setdiff_sorted(_apply_table_mats(adm0, _vector_table(g.cols), n), adm0).size == 0
+                for g in gens
+            ),
+        })
+        if adm0.size == stab0.size:
+            adm0 = stab0
         adm0.setflags(write=False)
         base[1] = adm0
-    adm = stab if adm0 is stab0 else _conjugate_by_transvection(adm0, v, n)
-    gens = admissible_transvections(q)
-    keys = np.array(sorted(g.packed() for g in gens), dtype=np.uint64)
-    t_v = transvection_f2(CycleClassF2(q.genus, v))
-    moved = sorted((t_v @ c @ t_v).packed() for c in admissible_transvections(q0))
-    _certify("admissible closure", q, {
-        "generators": keys.tolist() == moved,
-        "distinct": bool(np.all(adm[1:] > adm[:-1])),
-        "inside O(q)": adm is stab or _setdiff_sorted(adm, stab).size == 0,
-        "contains generators": _setdiff_sorted(keys, adm).size == 0,
-        "closed": adm.size == stab.size
-        or all(
-            _setdiff_sorted(_apply_table_mats(adm, _vector_table(g.cols), n), adm).size == 0
-            for g in gens
-        ),
-    })
-    equal = bool(np.array_equal(adm, stab))
-    subset = equal or _setdiff_sorted(adm, stab).size == 0
+    _certified_transport(q)
     return {
         "genus": q.genus,
         "arf": q.arf(),
-        "closure_order": int(adm.size),
-        "stabilizer_order": int(stab.size),
+        "closure_order": int(adm0.size),
+        "stabilizer_order": int(stab0.size),
         # a completed full closure is proved equal to Sp(2g, 2)
         "full_group_order": sp_order(q.genus),
-        "closure_is_subset": subset,
-        "verdict": "equal" if equal else "proper_subgroup",
+        # certified with A0: inside O(q0), so <adm(q)> lies inside O(q)
+        "closure_is_subset": True,
+        "verdict": "equal" if adm0 is stab0 else "proper_subgroup",
     }
 
 
@@ -696,22 +769,22 @@ def verify_arf_classification(genus: int, parts: int = 1) -> dict:
     fixes a form q when q(c) = 1 and otherwise flips the values on the
     basis vectors pairing with c, which follows from polarization.  The
     transcript records the orbit sizes, that they partition the form
-    count, and that the Arf invariant is constant on each orbit.
+    count, and that the Arf invariant is constant on each orbit.  Each
+    BFS level moves the frontier by all 2^(2g) - 1 transvections in one
+    broadcast array.
     """
-    if genus > MAX_FULL_GROUP_GENUS:
-        raise ValueError(f"supported for genus <= {MAX_FULL_GROUP_GENUS}")
+    if not 1 <= genus <= MAX_FULL_GROUP_GENUS:
+        raise ValueError(f"supported for 1 <= genus <= {MAX_FULL_GROUP_GENUS}, got {genus}")
     total = 1 << (2 * genus)
-    ma = a_mask(genus)
     one = np.uint64(1)
 
-    cs = list(range(1, total))
-    flips = [np.uint64(swap_pairs(c)) for c in cs]
-    quads = [np.uint64((c & (c >> 1) & ma).bit_count() & 1) for c in cs]
+    cs = np.arange(1, total, dtype=np.uint64)[:, None]
+    flips = np.array([swap_pairs(c) for c in range(1, total)], dtype=np.uint64)[:, None]
+    quads = np.bitwise_count(cs & (cs >> one) & np.uint64(a_mask(genus)))
 
     def step(front: np.ndarray):
-        for c, flip, quad in zip(cs, flips, quads):
-            qc = (np.bitwise_count(front & np.uint64(c)) + quad) & one
-            yield np.where(qc == one, front, front ^ flip)
+        qc = (np.bitwise_count(front & cs) + quads) & one
+        yield np.where(qc == one, front, front ^ flips).ravel()
 
     remaining = np.ones(total, dtype=bool)
     orbits = []
@@ -742,29 +815,24 @@ def verify_arf_classification(genus: int, parts: int = 1) -> dict:
 def q_orbit_partition(q: QuadraticForm, cap: int | None = None, parts: int = 1) -> dict:
     """Orbits of the q-stabilizer on nonzero mod-2 classes.
 
-    The stabilizer comes from :func:`q_stabilizer_bruteforce`: brute-force
-    for the standard form of each Arf, conjugated and certified for every
-    form, the standard form of each Arf, v = 0 included.
+    The orbits are the labels of the certified base of q's Arf (see
+    :func:`_standard_base`), the O(q0)-orbits of all classes, read through
+    the certified table of T_v (:func:`_certified_transport`): O(q) =
+    T_v O(q0) T_v and T_v is an involution, so x and y share an O(q)-orbit
+    exactly when T_v x and T_v y share an O(q0)-orbit.
 
     Expected partition: {q = 1} and {q = 0} minus zero (zero is a fixed
     point).  The transcript records the orbit sizes with their q values
     and whether the expectation holds.
     """
-    stab = q_stabilizer_bruteforce(q, cap, parts)
+    stab0, _, labels0 = _standard_base(q, cap, parts)[1]
+    labels = labels0[_certified_transport(q)]
     n = 2 * q.genus
-    mask = np.uint64((1 << n) - 1)
     table = q_values_table(q)
-    # the smallest class not yet placed is the smallest member of its orbit,
-    # so orbits come out ordered by their smallest member
-    remaining = np.ones(1 << n, dtype=bool)
     orbits = []
-    while remaining.any():
-        x = int(np.flatnonzero(remaining)[0])
-        images = np.zeros(stab.order, dtype=np.uint64)
-        for j in range(n):
-            if (x >> j) & 1:
-                images ^= (stab.packed >> np.uint64(n * j)) & mask
-        members = _unique_sorted(images).astype(np.intp)
+    # first occurrences are smallest members: orbits ordered by smallest member
+    for x in np.sort(np.unique(labels, return_index=True)[1]):
+        members = np.flatnonzero(labels == labels[x])
         orbits.append(
             {
                 "q_value": sorted({int(v) for v in table[members]}),
@@ -772,7 +840,6 @@ def q_orbit_partition(q: QuadraticForm, cap: int | None = None, parts: int = 1) 
                 "contains_zero": bool(members[0] == 0),
             }
         )
-        remaining[members] = False
     # expected orbits: {0}, the whole of q^-1(1), and q^-1(0) minus zero
     # (the last is empty for genus 1 with Arf 1)
     ones = int(table.sum())
@@ -789,7 +856,7 @@ def q_orbit_partition(q: QuadraticForm, cap: int | None = None, parts: int = 1) 
     return {
         "genus": q.genus,
         "arf": q.arf(),
-        "stabilizer_order": stab.order,
+        "stabilizer_order": int(stab0.size),
         "orbits": orbits,
         "matches_expected_partition": bool(ok),
     }

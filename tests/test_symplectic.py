@@ -213,6 +213,18 @@ class TestClosure:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert _worker_count(8, 8) == 1
 
+    def test_one_worker_runs_inline(self, monkeypatch):
+        # a level that one worker would run starts no thread pool
+        def no_pool(*_args):
+            raise AssertionError("thread pool started for one worker")
+
+        ref = closure(all_transvections(2), parts=4).packed
+        monkeypatch.setattr(symplectic, "ThreadPoolExecutor", no_pool)
+        assert np.array_equal(closure(all_transvections(2)).packed, ref)
+        assert verify_arf_classification(2)["two_orbits"]
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert np.array_equal(closure(all_transvections(2), parts=4).packed, ref)
+
     def test_engines_agree(self):
         # numpy closure vs the plain set BFS over MatF2 products in conftest
         for gens in (all_transvections(1), all_transvections(2)[:5], GENUS4_TOP_LANE):
@@ -417,8 +429,8 @@ def sample_forms(rng, g, arf, count):
 
 @pytest.fixture
 def no_stabilizers(monkeypatch):
-    """The cached groups of genus 1-3 with no stabilizer or admissible
-    closure of a standard form cached yet."""
+    """The cached groups of genus 1-3 with no base of a standard form
+    cached yet."""
     groups = {g: full_symplectic_closure(g) for g in (1, 2, 3)}
     monkeypatch.setattr(
         symplectic, "_FULL_GROUP_CACHE", {g: (c.packed, {}) for g, c in groups.items()}
@@ -427,8 +439,42 @@ def no_stabilizers(monkeypatch):
 
 
 def cached_bases(g):
-    """The per-Arf [O(q0), A0] entries cached for genus g."""
+    """The per-Arf [O(q0), A0, labels0] entries cached for genus g."""
     return symplectic._FULL_GROUP_CACHE[g][1]
+
+
+def level_labels(q):
+    """Per class, the smallest class of its q-level, zero on its own: the
+    expected O(q)-orbit labels, from q alone."""
+    first = {}
+    return [
+        first.setdefault(-1 if x == 0 else q.eval_bits(x), x)
+        for x in range(1 << (2 * q.genus))
+    ]
+
+
+def orbits_oracle(q, stab):
+    """The orbit entries of a q-orbit transcript, from the images of every
+    class under the packed matrices ``stab``, ordered by smallest member."""
+    n = 2 * q.genus
+    mask = np.uint64((1 << n) - 1)
+    placed = set()
+    orbits = []
+    for x in range(1 << n):
+        if x in placed:
+            continue
+        images = np.zeros(stab.size, dtype=np.uint64)
+        for j in range(n):
+            if (x >> j) & 1:
+                images ^= (stab >> np.uint64(n * j)) & mask
+        members = np.unique(images).tolist()
+        placed.update(members)
+        orbits.append({
+            "q_value": sorted({q.eval_bits(y) for y in members}),
+            "size": len(members),
+            "contains_zero": members[0] == 0,
+        })
+    return orbits
 
 
 def generation_oracle(q, adm, stab):
@@ -506,6 +552,19 @@ class TestStabilizer:
         assert conjugated == [
             swap_pairs(q.qmask ^ standard_form(q.genus, q.arf()).qmask) for q in forms
         ]
+
+    def test_transported_orbits_match_filter_oracle(self, no_stabilizers):
+        # every form at genus 1 and 2 and 4 per Arf at genus 3: the base
+        # labels read through T_v against the images of every class under
+        # the brute-force filter of the whole group
+        rng = random.Random(77)
+        forms = [*all_forms(1), *all_forms(2)]
+        forms += sample_forms(rng, 3, 0, 4) + sample_forms(rng, 3, 1, 4)
+        for q in forms:
+            stab = _filter_preserves_q(no_stabilizers[q.genus].packed, q)
+            result = q_orbit_partition(q)
+            assert result["orbits"] == orbits_oracle(q, stab), q
+            assert result["stabilizer_order"] == stab.size
 
     @pytest.mark.parametrize(
         "mutation,failure",
@@ -609,9 +668,9 @@ class TestStabilizer:
 
     def test_warm_admissible_matches_closure_oracle(self, no_stabilizers, monkeypatch):
         # every form at genus 1 and 2 and 8 per Arf at genus 3, against a
-        # fresh closure of the form's own admissible transvections; the spy
-        # on closure shows one admissible BFS per (genus, Arf), of the
-        # standard form
+        # fresh closure of the form's own admissible transvections and the
+        # filter of the whole group; the spy on closure shows one admissible
+        # BFS per (genus, Arf), of the standard form, and no call conjugates
         bfs = []
         real_closure = symplectic.closure
 
@@ -619,17 +678,12 @@ class TestStabilizer:
             bfs.append(sorted(m.packed() for m in generators))
             return real_closure(generators, cap, parts)
 
-        # the last conjugate of a call is the <adm(q)> it compares with
-        # O(q): the O(q) conjugate where A0 is O(q0), else the A0 conjugate
-        conjugates = []
-        real_conjugate = symplectic._conjugate_by_transvection
+        def no_conjugate(*_args):
+            raise AssertionError("a verdict call conjugated a group array")
 
-        def spy_conjugate(packed, v, n):
-            conjugates.append(real_conjugate(packed, v, n))
-            return conjugates[-1]
-
+        conjugate = symplectic._conjugate_by_transvection
         monkeypatch.setattr(symplectic, "closure", spy_closure)
-        monkeypatch.setattr(symplectic, "_conjugate_by_transvection", spy_conjugate)
+        monkeypatch.setattr(symplectic, "_conjugate_by_transvection", no_conjugate)
         # mixed order at genus 3: q_orbit_partition caches the stabilizers
         # first, then the first generation check of each Arf is on a
         # non-standard form
@@ -643,86 +697,140 @@ class TestStabilizer:
             forms += rng.sample([q for q in others if q.arf() == arf], 8)
         for q in forms:
             result = verify_transvection_generation(q)
-            oracle = closure(admissible_transvections(q)).packed
-            assert np.array_equal(conjugates[-1], oracle), q
+            oracle = real_closure(admissible_transvections(q)).packed
             stab = _filter_preserves_q(no_stabilizers[q.genus].packed, q)
             assert result == generation_oracle(q, oracle, stab), q
+            # the transported verdict stands for the conjugate T_v A0 T_v
+            q0 = standard_form(q.genus, q.arf())
+            adm0 = cached_bases(q.genus)[q.arf()][1]
+            v = swap_pairs(q.qmask ^ q0.qmask)
+            assert np.array_equal(conjugate(adm0, v, 2 * q.genus), oracle), q
         assert sorted(bfs) == sorted(
             sorted(m.packed() for m in admissible_transvections(q0)) for q0 in bases
         )
         for q0 in bases:
-            stab0, adm0 = cached_bases(q0.genus)[q0.arf()]
-            assert not adm0.flags.writeable
+            stab0, adm0, labels0 = cached_bases(q0.genus)[q0.arf()]
+            assert not adm0.flags.writeable and not labels0.flags.writeable
             # only genus 2, Arf 0 has <adm(q0)> proper in O(q0)
             assert (adm0 is stab0) == ((q0.genus, q0.arf()) != (2, 0))
 
     @pytest.mark.parametrize(
         "mutation,failure",
         [
-            ("unconjugated", "inside O(q)"),
+            # the ids of the per-call conjugate checks that these replace
+            pytest.param("outside", "inside O(q0)", id="unconjugated-inside O(q)"),
             ("duplicate", "distinct"),
             ("not_closed", "closed"),
-            ("generators", "generators"),
+            pytest.param("missing_generator", "contains generators", id="generators-generators"),
         ],
     )
     def test_certification_rejects_bad_admissible_closure(
         self, no_stabilizers, monkeypatch, mutation, failure
     ):
-        # genus 2, Arf 0 is the one case where A0 = <adm(q0)> (36 elements)
-        # is conjugated on its own rather than read off O(q) (72 elements)
+        # genus 2, Arf 0 is the one base where A0 = <adm(q0)> (36 elements)
+        # is proper in O(q0) (72 elements), so it is certified closed by
+        # multiplication rather than by its order
         q0 = standard_form(2, 0)
         q = QuadraticForm((1, 0), (0, 0))
         assert q.arf() == 0 and q != q0
-        verify_transvection_generation(q0)
+        q_orbit_partition(q0)
         entry = cached_bases(2)[0]
-        stab0, adm0 = entry
-        assert adm0.size == 36 and stab0.size == 72
-        kept = [a.copy() for a in entry]
-        true_adm = closure(admissible_transvections(q)).packed
-        stab = _filter_preserves_q(no_stabilizers[2].packed, q)
-        gens = {m.packed() for m in admissible_transvections(q)}
-        # swap one non-generator of <adm(q)> for an element of O(q) outside it:
-        # right-sized, distinct, inside O(q), holds adm(q), but not closed
-        extra = np.setdiff1d(stab, true_adm)[:1]
-        dropped = next(k for k in true_adm[1:] if int(k) not in gens)
-        not_closed = np.sort(np.concatenate([true_adm[true_adm != dropped], extra]))
-        conjugate = symplectic._conjugate_by_transvection
+        stab0, labels0 = entry[0], entry[2]
+        assert entry[1] is None and stab0.size == 72
+        true_adm = closure(admissible_transvections(q0)).packed
+        gens = {m.packed() for m in admissible_transvections(q0)}
+        assert true_adm.size == 36
+        # each mutation keeps 36 elements; swapping a non-generator of A0 for
+        # an element of O(q0) outside it keeps it distinct, inside O(q0) and
+        # holding adm(q0), but not closed
+        in_stab = np.setdiff1d(stab0, true_adm)[:1]
+        in_sp = np.setdiff1d(no_stabilizers[2].packed, stab0)[:1]
+        non_gen = next(k for k in true_adm[1:] if int(k) not in gens)
+        gen = next(k for k in true_adm if int(k) in gens)
 
-        def bad(packed, v, n):
-            good = conjugate(packed, v, n)
-            if packed is not adm0:  # the stabilizer's conjugation stays honest
-                return good
-            if mutation == "unconjugated":
-                return np.sort(packed)
-            if mutation == "duplicate":
-                return np.sort(np.concatenate([good[:-1], good[:1]]))
+        def swap(out, new):
+            return np.sort(np.concatenate([true_adm[true_adm != out], new]))
+
+        bad = {
+            "outside": lambda: swap(non_gen, in_sp),
+            "duplicate": lambda: np.sort(np.concatenate([true_adm[:-1], true_adm[:1]])),
+            "not_closed": lambda: swap(non_gen, in_stab),
+            "missing_generator": lambda: swap(gen, in_stab),
+        }[mutation]
+        real_closure = symplectic.closure
+
+        def bad_closure(generators, cap=None, parts=1):
+            result = real_closure(generators, cap, parts)
+            result.packed = bad()
+            return result
+
+        monkeypatch.setattr(symplectic, "closure", bad_closure)
+        # the base is certified whichever form of its Arf fills it
+        for form in (q, q0):
+            with pytest.raises(
+                RuntimeError, match=f"^admissible closure of qmask {q0.qmask:#x} is not "
+            ) as err:
+                verify_transvection_generation(form)
+            failed = str(err.value).split(" is not ", 1)[1].split(", not ")
+            assert failure in failed
             if mutation == "not_closed":
-                return not_closed
-            return good
+                assert failed == [failure]
+            assert cached_bases(2)[0] is entry and entry[1] is None
+        assert entry[0] is stab0 and entry[2] is labels0
+        assert not stab0.flags.writeable and not labels0.flags.writeable
 
-        real_admissible = symplectic.admissible_transvections
-
-        def broken_admissible(form):
-            # one admissible transvection of q goes missing
-            gens_of_form = real_admissible(form)
-            return gens_of_form[:-1] if form == q else gens_of_form
-
-        monkeypatch.setattr(symplectic, "_conjugate_by_transvection", bad)
-        if mutation == "generators":
-            monkeypatch.setattr(symplectic, "admissible_transvections", broken_admissible)
-        with pytest.raises(RuntimeError, match=f"qmask {q.qmask:#x} is not ") as err:
-            verify_transvection_generation(q)
-        failed = str(err.value).split(" is not ", 1)[1].split(", not ")
-        assert failure in failed
-        if mutation in ("not_closed", "generators"):
-            assert failed == [failure]
-        if mutation == "duplicate":
-            # the base form (v = 0) is certified too
-            with pytest.raises(RuntimeError, match=f"qmask {q0.qmask:#x} is not distinct"):
-                verify_transvection_generation(q0)
-        assert cached_bases(2)[0] is entry and entry[0] is stab0 and entry[1] is adm0
-        for cached, copy in zip(entry, kept):
-            assert np.array_equal(cached, copy) and not cached.flags.writeable
+    @pytest.mark.parametrize(
+        "mutation,failure",
+        [
+            ("wrong_v", "q-transporting"),
+            ("not_involution", "an involution"),
+            ("not_transporting", "q-transporting"),
+            ("not_linear", "symplectic"),
+        ],
+    )
+    def test_certification_rejects_bad_transport(
+        self, no_stabilizers, monkeypatch, mutation, failure
+    ):
+        # each mutation fails exactly one check
+        q0 = standard_form(3, 0)
+        # q differs from q0 on b_1, so v = a_1 and q0(v) = 0
+        q = QuadraticForm((0, 0, 0), (0, 1, 1))
+        v = swap_pairs(q.qmask ^ q0.qmask)
+        assert q.arf() == q0.arf() and v == 0b1
+        verify_transvection_generation(q0)
+        entry = cached_bases(3)[0]
+        kept = list(entry)
+        t_v = transvection_f2(CycleClassF2(3, v))
+        if mutation == "wrong_v":
+            # q0(b_1) = 1: T_b1 lies in O(q0), so q o T_b1 = q, not q0
+            table = symplectic._vector_table(transvection_f2(CycleClassF2(3, 0b10)).cols)
+        elif mutation == "not_involution":
+            # T_b1 lies in O(q0), so T_v T_b1 carries q to q0, but <v, b_1> = 1:
+            # the two transvections do not commute and the product has order 3
+            m = t_v @ transvection_f2(CycleClassF2(3, 0b10))
+            assert (m @ m).packed() != MatF2.identity(3).packed()
+            table = symplectic._vector_table(m.cols)
+        elif mutation == "not_transporting":
+            # c = a_2 has q0(c) = 0 and <v, c> = 0: T_v T_c is a symplectic
+            # involution, but q(T_v T_c x) = q0(x) + <x, c>
+            c = transvection_f2(CycleClassF2(3, 0b100))
+            table = symplectic._vector_table((t_v @ c).cols)
+        else:
+            # a_1 + a_2 and a_1 + a_3 are fixed by T_v with q0 = 0 on both:
+            # swapping them keeps an involution carrying q to q0, not linear
+            table = symplectic._vector_table(t_v.cols).copy()
+            assert table[0b101] == 0b101 and table[0b10001] == 0b10001
+            assert q0.eval_bits(0b101) == q0.eval_bits(0b10001) == 0
+            table[[0b101, 0b10001]] = table[[0b10001, 0b101]]
+        monkeypatch.setattr(symplectic, "_transport_table", lambda form, base: table)
+        for fn in (verify_transvection_generation, q_orbit_partition):
+            with pytest.raises(
+                RuntimeError, match=f"^transport of qmask {q.qmask:#x} is not "
+            ) as err:
+                fn(q)
+            assert str(err.value).split(" is not ", 1)[1] == failure
+        assert cached_bases(3)[0] is entry
+        assert all(a is b for a, b in zip(entry, kept))
 
     def test_cap_checked_before_cached_admissible_closure(self, no_stabilizers, monkeypatch):
         q0 = standard_form(3, 0)
@@ -742,6 +850,7 @@ class TestStabilizer:
             symplectic._FULL_GROUP_CACHE, 3, (group, Tripwire(cached_bases(3)))
         )
         monkeypatch.setattr(symplectic, "_conjugate_by_transvection", fail)
+        monkeypatch.setattr(symplectic, "_transport_table", fail)
         for form in (q0, q):
             with pytest.raises(CapExceededError, match="full group exceeded the cap of 100$"):
                 verify_transvection_generation(form, cap=100)
@@ -767,6 +876,7 @@ class TestStabilizer:
             [
                 _filter_preserves_q(no_stabilizers[g].packed, q0),
                 closure(admissible_transvections(q0)).packed,
+                level_labels(q0),
             ]
             for q0 in bases
         ]
@@ -776,7 +886,7 @@ class TestStabilizer:
                 fn(q)
             assert sorted(cached_bases(g)) == [0, 1]
             for arf, entry in cached_bases(g).items():
-                assert len(entry) == 2
+                assert len(entry) == 3
                 for cached, oracle in zip(entry, expected[arf]):
                     assert np.array_equal(cached, oracle)
 
@@ -794,6 +904,22 @@ class TestStabilizer:
         elapsed = time.perf_counter() - start
         assert all(r["verdict"] == "equal" for r in results)
         assert elapsed < 1.0, f"20 warm genus-3 generation checks took {elapsed:.2f} s"
+
+    def test_warm_g3_all_forms_transported_fast(self, no_stabilizers):
+        # regression gate: all 64 genus-3 forms through both verdict
+        # functions took about 1.1 s when each call conjugated its base
+        # arrays by T_v and certified them
+        for arf in (0, 1):
+            verify_transvection_generation(standard_form(3, arf))
+        forms = list(all_forms(3))
+        start = time.perf_counter()
+        results = [(verify_transvection_generation(q), q_orbit_partition(q)) for q in forms]
+        elapsed = time.perf_counter() - start
+        assert all(
+            gen["verdict"] == "equal" and orbits["matches_expected_partition"]
+            for gen, orbits in results
+        )
+        assert elapsed < 0.25, f"128 warm genus-3 verdicts took {elapsed:.2f} s"
 
 
 class TestGeneration:
@@ -901,6 +1027,13 @@ class TestOrbit:
 
 
 class TestArfClassification:
+    @pytest.mark.parametrize("g", [0, -1, 4])
+    def test_genus_out_of_range_rejected(self, g):
+        # genus 0 used to give a one-orbit transcript, genus -1 a bare
+        # "negative shift count"
+        with pytest.raises(ValueError, match=f"1 <= genus <= 3, got {g}$"):
+            verify_arf_classification(g)
+
     def test_small_genera(self):
         for g in (1, 2):
             r = verify_arf_classification(g)
