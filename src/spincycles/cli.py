@@ -10,11 +10,12 @@ Subcommands::
 
 Suites: generation, hyperelliptic-word, chain-relation, chrel2,
 q-consistency, all.  Exit codes: 0 pass, 1 verification failure, 2 input
-error, 3 suite/operation inapplicable, 4 resource cap exhausted (a closure
-over its element cap, or an input over a ``polygon`` budget: box points,
-segment pairs, or model or ``--genus`` genus).  SPINCYCLES_CAP overrides
-the default closure cap; a cap or ``--parts`` below 1 is an input error.
-Output is human-readable by default; ``--json`` switches to the JSON
+error, 3 suite/operation inapplicable, 4 resource cap exhausted (a chain
+storing more points than ``--cap`` or SPINCYCLES_CAP, ``generation`` above
+genus ``MAX_CHAIN_GENUS`` = 6, or an input over a ``polygon`` budget: box
+points, segment pairs, or model or ``--genus`` genus).  A cap or ``--parts``
+below 1 is an input error; ``--parts`` does not change ``generation``'s
+work.  Output is human-readable by default; ``--json`` switches to the JSON
 schemas, and ``--out`` always writes the JSON transcript.  Transcripts are
 byte-identical across runs and across ``--parts`` settings.
 """
@@ -112,12 +113,12 @@ def build_segments_report(p: LatticePolygon, bridges_only: bool) -> dict:
 
 
 def _generation_transcript(genus: int, arf: int, cap, parts) -> dict:
-    from .symplectic import MAX_FULL_GROUP_GENUS, verify_transvection_generation
+    from .symplectic import MAX_CHAIN_GENUS, verify_transvection_generation
 
-    if genus > MAX_FULL_GROUP_GENUS:
-        raise RegimeError(
-            f"generation suite enumerates full groups only for genus <= "
-            f"{MAX_FULL_GROUP_GENUS}"
+    if genus > MAX_CHAIN_GENUS:  # refused before the form's tuples are built
+        raise PolygonTooLargeError(
+            f"generation suite builds stabilizer chains only for genus <= "
+            f"MAX_CHAIN_GENUS = {MAX_CHAIN_GENUS}"
         )
     q = standard_form(genus, arf)
     result = verify_transvection_generation(q, cap, parts)
@@ -238,7 +239,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("file", nargs="?", help="polygon JSON file")
     sp.add_argument("--genus", type=int, help="abstract genus for group suites")
     sp.add_argument("--arf", type=int, choices=(0, 1), help="Arf invariant")
-    sp.add_argument("--cap", type=int, default=None, help="closure element budget")
+    sp.add_argument("--cap", type=int, default=None, help="stored chain points budget")
     sp.add_argument(
         "--parts", type=int, default=1, help="frontier chunks per BFS level, run on threads"
     )

@@ -1,52 +1,40 @@
 """Exact symplectic matrix engine over F2 and Z.
 
-Matrices over F2 act by columns: column j of M is the packed image of the
-basis vector e_j, so M x is the XOR of the columns selected by the bits of
-x.  A whole 2g x 2g matrix packs into a single integer (column j occupies
-bits [2g*j, 2g*(j+1))), which is the canonical encoding used for hashing,
-ordering and membership.
+Matrices over F2 act by columns: column j of M is the packed image of e_j,
+so M x is the XOR of the columns selected by the bits of x.  A 2g x 2g
+matrix packs into one integer (column j in bits [2g*j, 2g*(j+1))), the
+canonical encoding for hashing, ordering and membership.
 
-Group closures, orbits on vectors and orbits on quadratic forms all run
-one level-synchronous BFS over numpy uint64 keys (``_bfs``); only the whole
-group Sp(2g, F2) is enumerated differently (below).  For a
-closure the keys are packed matrices under left multiplication by the
-generators: each generator G is tabulated as the map x -> G x over all
-2^(2g) vectors, and G * (a frontier of packed matrices) is computed lane
-by lane with fancy indexing.  This needs the packed matrix to fit in 64
-bits, so closures are limited to genus <= ``MAX_CLOSURE_GENUS`` = 4 (2g <= 8)
-and larger generators are refused before any table is built.  Each BFS
-level splits its frontier into ``parts`` chunks that run on threads (at
-most one per CPU).  The result is a sorted array of keys, so closure sets,
-orders, orbits and transcripts do not depend on generator order, ``parts``
-or thread scheduling.
+The generation and orbit verdicts rest on one Schreier-Sims engine (Sims
+1970; Seress 2003, ch. 4) over the base e_0, ..., e_{2g-1}: level i of a
+chain holds the orbit of e_i under the strong generators fixing e_0, ...,
+e_{i-1}, and prod |orbit_i| never exceeds the order generated.  Each
+(genus, Arf) has one cached base, of the standard form q0 of that Arf.  Its
+chains prove that the 3g - 1 chain transvections (along a_i, b_i and
+a_i + a_{i+1}, a Humphries-type chain) reach |Sp(2g, 2)|, and sift adm(q0),
+the transvections along the classes with q0 = 1, in class order: each
+passes ``preserves_q``, so reaching |O(q0)| proves <adm(q0)> = O(q0).  Only
+genus 2, Arf 0 stops short, at 36 of 72 with every Schreier generator
+sifted; there the pair swap (e_0, e_1) <-> (e_2, e_3), in O(q0), is
+adjoined and must reach |O(q0)|.  The strong generators of the chain that
+reaches |O(q0)| label each class by its O(q0)-orbit.  A chain short of its
+formula, or a generator outside the group the formula counts, raises
+``RuntimeError``.  The cap bounds the points a chain stores, sum |orbit_i|.
+Chains serve genus <= ``MAX_CHAIN_GENUS``: on a 2-core Xeon a cold base
+takes about 0.3 s at genus 6, its two chains 1.5 s at genus 7.
 
-The whole group Sp(2g, F2) (genus <= 3) is generated by the 3g - 1
-chain transvections along a_i, b_i and a_i + a_{i+1}, the mod-2 classes of
-a Humphries-type chain of twist curves.  It is enumerated over the fixed
-standard base as a product of transversals T_0 T_1 ... T_{g-1}, the first
-layer of a stabilizer chain (Sims 1970): T_i holds one word in the chain
-transvections fixing e_0, ..., e_{2i-1} per image of the hyperbolic pair
-(e_2i, e_2i+1) (at genus 3: 2,016, 120 and 6 products).  All products are
-formed with the table gathers and sorted once, with no BFS and
-independently of ``parts``.  The distinct products are counted against
-the order formula |Sp(2g, 2)| = 2^(g^2) prod (4^i - 1): they are
-symplectic, so equal order proves they are the whole group and that the
-chain transvections generate it; too small a generator set can only give
-fewer.
+Every form q of an Arf (the standard form too, v = 0) is q0 + <v, .> =
+q0 o T_v (Johnson 1980).  A verdict builds only the table of T_v on the
+2^(2g) classes and certifies it: linear and symplectic, an involution,
+and q(T_v x) = q0(x).  Then M -> T_v M T_v maps O(q0) onto O(q) and, as
+T_v t_c T_v = t_{T_v c}, adm(q0) onto adm(q), so q has the base's orders
+and verdict, and the O(q)-orbit of x is labelled by that of T_v x.
 
-The q-stabilizer O(q), the admissible closure <adm(q)> and the orbits of
-O(q) are computed and certified once per (genus, Arf), as the base of the
-standard form q0 of that Arf: the cached group is filtered by
-q0-preservation, adm(q0) is closed by BFS, and every class is labelled by
-its O(q0)-orbit.  Every form q of that Arf, the standard form of each Arf,
-v = 0 included, is q0 + <v, .> = q0 o T_v (Johnson 1980).  The verdict
-functions build only the 2^(2g)-entry table of T_v and certify it: it is
-linear and symplectic, an involution, and q(T_v x) = q0(x) for every class
-x.  Then M -> T_v M T_v maps O(q0) onto O(q) and, as T_v t_c T_v =
-t_{T_v c}, adm(q0) onto adm(q), so the orders and the verdict of q are
-those of the base and the O(q)-orbit of x is labelled by that of T_v x.
-No per-call array of group elements is built, except by
-:func:`q_stabilizer_bruteforce`, which returns O(q) itself.
+Closures and orbits run one level-synchronous BFS over sorted numpy
+uint64 keys (``_bfs``), ``parts`` frontier chunks per level on threads;
+closure keys are packed matrices, so genus <= ``MAX_CLOSURE_GENUS``.  No
+verdict calls the closures, the enumerated Sp(2g, F2) or its q-filter:
+they are brute-force references for the tests.
 
 Integral transvections use the right-handed convention
 x -> x + <x, c> c; the opposite sign is the inverse twist, and every
@@ -55,11 +43,13 @@ relation-level verdict in this package is checked under both signs.
 
 from __future__ import annotations
 
+import math
 import os
 from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,11 +63,15 @@ from .homology import (
 from .polygon import PolygonTooLargeError
 from .spin import QuadraticForm, standard_form
 
-#: default element budget for closures (override per call or via SPINCYCLES_CAP)
+#: default budget, of closure elements or of the points a stabilizer chain
+#: stores (override per call or via SPINCYCLES_CAP)
 DEFAULT_CAP = 2_000_000
 
 #: full-group enumeration and stabilizer filtering are desk-scale only
 MAX_FULL_GROUP_GENUS = 3
+
+#: stabilizer chains, and the 2^(2g)-entry tables that carry their verdicts
+MAX_CHAIN_GENUS = 6
 
 #: closures key packed 2g x 2g matrices as uint64: (2g)^2 <= 64 bits
 MAX_CLOSURE_GENUS = 4
@@ -94,11 +88,11 @@ class NotSymplecticError(ValueError):
 
 
 class CapExceededError(PolygonTooLargeError):
-    """A verification needed a complete closure but the cap cut it short."""
+    """A closure or a stabilizer chain outgrew its cap, or its genus limit."""
 
 
 def resolve_cap(cap: int | None = None) -> int:
-    """The closure element budget: ``cap``, else SPINCYCLES_CAP, else the default."""
+    """The budget: ``cap``, else SPINCYCLES_CAP, else the default."""
     if cap is None:
         env = os.environ.get("SPINCYCLES_CAP")
         try:
@@ -106,7 +100,7 @@ def resolve_cap(cap: int | None = None) -> int:
         except ValueError:
             raise ValueError(f"SPINCYCLES_CAP must be an integer, got {env!r}") from None
     if cap <= 0:
-        raise ValueError(f"cap must be a positive element count, got {cap}")
+        raise ValueError(f"cap must be a positive count, got {cap}")
     return cap
 
 
@@ -173,6 +167,11 @@ class MatF2:
 
     def is_symplectic(self) -> bool:
         return is_symplectic_bits(self.cols)
+
+    def inverse(self) -> "MatF2":
+        """J M^T J, the inverse of a symplectic M (J swaps each pair a_i, b_i)."""
+        rows = [sum(((c >> k) & 1) << j for j, c in enumerate(self.cols)) for k in range(self.n)]
+        return MatF2(self.n, tuple(swap_pairs(rows[j ^ 1]) for j in range(self.n)))
 
 
 def transvection_f2(c: CycleClassF2) -> MatF2:
@@ -437,6 +436,11 @@ def sp_order(genus: int) -> int:
     return order
 
 
+def o_order(genus: int, arf: int) -> int:
+    """|O(q)| = |Sp(2g, 2)| / #forms of q's Arf, which Sp(2g, F2) permutes transitively."""
+    return sp_order(genus) // ((1 << (genus - 1)) * ((1 << genus) + (-1) ** arf))
+
+
 def admissible_transvections(q: QuadraticForm) -> list[MatF2]:
     """Transvections along every class with q = 1."""
     out = []
@@ -444,14 +448,6 @@ def admissible_transvections(q: QuadraticForm) -> list[MatF2]:
         if q.eval_bits(bits) == 1:
             out.append(transvection_f2(CycleClassF2(q.genus, bits)))
     return out
-
-
-#: per genus: the read-only Sp(2g, F2), and per Arf value the certified
-#: base [O(q0), A0, labels0] of the standard form q0 of that Arf: A0 =
-#: <adm(q0)> is None until the first generation check of that Arf and is the
-#: O(q0) array itself when the two are equal; labels0[x] is the smallest
-#: member of the O(q0)-orbit of class x
-_FULL_GROUP_CACHE: dict[int, tuple[np.ndarray, dict[int, list]]] = {}
 
 
 def _pair_transversals(
@@ -487,19 +483,12 @@ def _pair_transversals(
 def full_symplectic_closure(
     genus: int, cap: int | None = None, parts: int = 1
 ) -> GroupClosure:
-    """The whole symplectic group over F2, generated by the chain transvections.
+    """Sp(2g, F2) enumerated (genus <= 3), a brute-force test reference.
 
-    Enumerated over the fixed standard base as the transversal product
-    T_0 T_1 ... T_{g-1} (see :func:`_pair_transversals`), sorted once, and
-    certified by its order: the products are symplectic, and if
-    |Sp(2g, 2)| of them are distinct they are Sp(2g, F2), else
-    ``RuntimeError`` is raised.  ``parts`` is validated but does not
-    affect the result or the work.
-
-    A cap below |Sp(2g, 2)| returns an incomplete closure at once, with no
-    elements and before the cache is read.  Completed enumerations are
-    cached per genus; the cached array is returned read-only with the
-    chain transvections rebuilt.
+    The transversal product T_0 T_1 ... T_{g-1} of the chain transvections
+    (:func:`_pair_transversals`) must have |Sp(2g, 2)| distinct elements,
+    else ``RuntimeError``.  ``parts`` is validated only.  A cap below
+    |Sp(2g, 2)| returns an incomplete closure at once, with no elements.
     """
     if genus > MAX_FULL_GROUP_GENUS:
         raise ValueError(
@@ -510,9 +499,6 @@ def full_symplectic_closure(
     gens = chain_transvections(genus)
     if sp_order(genus) > cap:
         return GroupClosure(genus, np.zeros(0, dtype=np.uint64), gens, False, cap)
-    cached = _FULL_GROUP_CACHE.get(genus)
-    if cached is not None:
-        return GroupClosure(genus, cached[0], gens, True, cap)
     if not all(g.is_symplectic() for g in gens):
         raise NotSymplecticError("generator does not preserve the form")
     n = 2 * genus
@@ -525,8 +511,6 @@ def full_symplectic_closure(
             f"transversal product of {len(gens)} generators has order "
             f"{packed.size}, not |Sp({n}, 2)| = {sp_order(genus)}"
         )
-    packed.setflags(write=False)
-    _FULL_GROUP_CACHE[genus] = (packed, {})
     return GroupClosure(genus, packed, gens, True, cap)
 
 
@@ -552,22 +536,14 @@ def _filter_preserves_q(packed: np.ndarray, q: QuadraticForm) -> np.ndarray:
     return packed[keep]
 
 
-def _conjugate_by_transvection(packed: np.ndarray, v: int, n: int) -> np.ndarray:
-    """Sorted T_v M T_v for every packed matrix M."""
-    t_v = transvection_f2(CycleClassF2(n // 2, v))
-    out = _apply_table_mats(packed, _vector_table(t_v.cols), n)
-    # (A T_v) e_j = A e_j + <v, e_j> A v: XOR A v into column j where <v, e_j> = 1
-    mask = np.uint64((1 << n) - 1)
-    av = np.zeros_like(out)
-    for k in range(n):
-        if (v >> k) & 1:
-            av ^= (out >> np.uint64(n * k)) & mask
-    pairing_row = swap_pairs(v)
-    for j in range(n):
-        if (pairing_row >> j) & 1:
-            out ^= av << np.uint64(n * j)
-    out.sort()
-    return out
+def q_stabilizer_bruteforce(
+    q: QuadraticForm, cap: int | None = None, parts: int = 1
+) -> GroupClosure:
+    """O(q) filtered from the enumerated Sp(2g, F2), a test reference."""
+    full = full_symplectic_closure(q.genus, cap, parts)
+    if not full.completed:
+        raise CapExceededError(f"full group exceeded the cap of {full.cap}")
+    return GroupClosure(q.genus, _filter_preserves_q(full.packed, q), [], True, full.cap)
 
 
 def _certify(what: str, q: QuadraticForm, checks: dict[str, bool]) -> None:
@@ -577,56 +553,142 @@ def _certify(what: str, q: QuadraticForm, checks: dict[str, bool]) -> None:
         raise RuntimeError(f"{what} of qmask {q.qmask:#x} is not {failed}")
 
 
-def _certify_stabilizer(what: str, q: QuadraticForm, stab: np.ndarray, full: np.ndarray) -> None:
-    """``stab`` is distinct, inside Sp(2g, F2) (the array ``full``) and q-preserving."""
-    _certify(what, q, {
-        "distinct": bool(np.all(stab[1:] > stab[:-1])),
-        "inside Sp": _setdiff_sorted(stab, full).size == 0,
-        "q-preserving": _filter_preserves_q(stab, q).size == stab.size,
-    })
+def _check_points(what: str, points: int, cap: int) -> None:
+    if points > cap:
+        raise CapExceededError(f"{what} chain exceeded the cap of {cap} stored points")
 
 
-def _orbit_labels(group: np.ndarray, n: int) -> np.ndarray:
-    """labels[x] = the smallest member of the orbit of class x under the
-    packed matrices ``group``, which must hold the identity."""
-    mask = np.uint64((1 << n) - 1)
-    labels = np.full(1 << n, -1, dtype=np.intp)
-    # the smallest class not yet placed is the smallest member of its orbit
-    while (todo := np.flatnonzero(labels < 0)).size:
-        x = int(todo[0])
-        images = np.zeros(group.size, dtype=np.uint64)
-        for j in range(n):
-            if (x >> j) & 1:
-                images ^= (group >> np.uint64(n * j)) & mask
-        labels[images.astype(np.intp)] = x
-    return labels
+def _schreier_sims(
+    what: str, q0: QuadraticForm, generators: list[MatF2], check: tuple[str, Callable],
+    bound: int, cap: int, short_ok: bool = False,
+) -> tuple[int, int, list[MatF2]]:
+    """(order, stored points, strong generators) of a chain of <generators>.
 
-
-def _standard_base(
-    q: QuadraticForm, cap: int | None, parts: int
-) -> tuple[GroupClosure, list]:
-    """Sp(2g, F2) and the cached base [O(q0), A0, labels0] of q's Arf.
-
-    The cap is checked before the cache is read.  On first use O(q0) is
-    the whole group filtered by q0-preservation, certified distinct,
-    inside Sp(2g, F2) and q0-preserving (else ``RuntimeError``), and
-    labelled by its orbits on all 2^(2g) classes; both arrays are cached
-    read-only.  A0 is filled by :func:`verify_transvection_generation`.
+    Level i holds the orbit of e_i under the strong generators fixing e_0,
+    ..., e_{i-1}.  The generators, then the Schreier generators
+    u_{sp}^-1 s u_p of each level from the top, are sifted; a residue
+    moving e_j joins the levels from its sift's start down to j.  Each
+    generator must pass ``check``, which bounds |<generators>| by
+    ``bound``, so sifting stops once prod |orbit_i| reaches it.  Otherwise
+    every Schreier generator is sifted and the product is the exact order
+    (Schreier's lemma), which unless ``short_ok`` must equal ``bound``.
     """
-    full = full_symplectic_closure(q.genus, cap, parts)
-    if not full.completed:
-        raise CapExceededError(f"full group exceeded the cap of {full.cap}")
-    bases = _FULL_GROUP_CACHE[q.genus][1]
-    arf = q.arf()
-    if arf not in bases:
-        q0 = standard_form(q.genus, arf)
-        stab0 = _filter_preserves_q(full.packed, q0)
-        _certify_stabilizer("stabilizer", q0, stab0, full.packed)
-        labels0 = _orbit_labels(stab0, 2 * q.genus)
-        stab0.setflags(write=False)
-        labels0.setflags(write=False)
-        bases[arf] = [stab0, None, labels0]
-    return full, bases[arf]
+    name, ok = check
+    _certify(f"{what} chain", q0, {f"built on {name} generators": all(map(ok, generators))})
+    n = generators[0].n
+    ident = MatF2.identity(n // 2)
+    # per level: point -> (parent, strong generator) in the orbit tree, strong
+    # generators (s, s^-1, table of s), and the (u_p, u_p^-1) built so far
+    levels = [({1 << i: None}, [], {1 << i: (ident, ident)}) for i in range(n)]
+
+    def order() -> int:
+        return math.prod(len(orbit) for orbit, _, _ in levels)
+
+    def coset(i: int, p: int) -> tuple[MatF2, MatF2]:
+        orbit, _, known = levels[i]
+        path = []
+        while p not in known:
+            path.append(p)
+            p = orbit[p][0]
+        u, u_inv = known[p]
+        for x in reversed(path):
+            s, s_inv, _ = orbit[x][1]
+            u, u_inv = known[x] = (s @ u, u_inv @ s_inv)
+        return u, u_inv
+
+    def add(h: MatF2, start: int) -> bool:
+        for j in range(start, n):
+            if h.cols[j] not in levels[j][0]:
+                break
+            if h.cols[j] != 1 << j:
+                h = coset(j, h.cols[j])[1] @ h
+        else:
+            return False
+        strong = (h, h.inverse(), _vector_table(h.cols).tolist())
+        for orbit, gens, _ in levels[start : j + 1]:
+            gens.append(strong)
+            old = len(orbit)  # the new generator on old points, all on new ones
+            todo = list(orbit)
+            for k, p in enumerate(todo):
+                for s in gens if k >= old else gens[-1:]:
+                    x = s[2][p]
+                    if x not in orbit:
+                        orbit[x] = (p, s)
+                        todo.append(x)
+        _check_points(what, sum(len(orbit) for orbit, _, _ in levels), cap)
+        return True
+
+    def sift() -> None:
+        for g in generators:
+            if add(g, 0) and order() >= bound:
+                return
+        # level i adds only to deeper levels: one pass from the top suffices
+        for i, (orbit, gens, _) in enumerate(levels):
+            for p in orbit:
+                for s, _, table in gens:
+                    h = coset(i, table[p])[1] @ s @ coset(i, p)[0]
+                    if add(h, i + 1) and order() >= bound:
+                        return
+
+    sift()
+    if not short_ok:
+        _certify(f"{what} chain", q0, {f"of order {bound}": order() == bound})
+    return order(), sum(len(orbit) for orbit, _, _ in levels), [s[0] for s in levels[0][1]]
+
+
+def _pair_swap(genus: int) -> MatF2:
+    """(e_0, e_1) <-> (e_2, e_3), fixing the other basis vectors."""
+    cols = MatF2.identity(genus).cols
+    return MatF2(2 * genus, cols[2:4] + cols[:2] + cols[4:])
+
+
+class _Base(NamedTuple):
+    closure_order: int  # |<adm(q0)>|
+    labels: np.ndarray  # labels[x]: the smallest member of the O(q0)-orbit of x
+    points: tuple[tuple[str, int], ...]  # (chain, stored points), in build order
+
+
+#: per (genus, Arf): the base of its standard form, built once its chains
+#: reached |Sp(2g, 2)| and |O(q0)|
+_BASES: dict[tuple[int, int], _Base] = {}
+
+
+def _base(q: QuadraticForm, cap: int | None, parts: int) -> _Base:
+    """The base of q's Arf (see the module docstring), cached once built.  The
+    cap is checked as the chains grow and, on a cache hit, against the stored
+    counts, so a cap gives the same exit either way."""
+    cap = resolve_cap(cap)
+    resolve_parts(parts)
+    genus, arf = q.genus, q.arf()
+    if genus > MAX_CHAIN_GENUS:
+        raise CapExceededError(
+            f"stabilizer chains serve genus <= MAX_CHAIN_GENUS = {MAX_CHAIN_GENUS}, "
+            f"got genus {genus}"
+        )
+    if (genus, arf) not in _BASES:
+        q0 = standard_form(genus, arf)
+        in_o = ("q-preserving", lambda m: preserves_q(m, q0))
+        adm, bound = admissible_transvections(q0), o_order(genus, arf)
+        chains = {"full group": _schreier_sims(
+            "full group", q0, chain_transvections(genus), ("symplectic", MatF2.is_symplectic),
+            sp_order(genus), cap,
+        )}
+        chains["admissible"] = _schreier_sims("admissible", q0, adm, in_o, bound, cap, True)
+        if chains["admissible"][0] < bound:
+            gens = adm + [_pair_swap(genus)]
+            chains["stabilizer"] = _schreier_sims("stabilizer", q0, gens, in_o, bound, cap)
+        strong = list(chains.values())[-1][2]
+        labels = np.full(1 << (2 * genus), -1, dtype=np.intp)
+        while (todo := np.flatnonzero(labels < 0)).size:
+            x = int(todo[0])
+            labels[[c.bits for c in orbit(CycleClassF2(genus, x), strong)]] = x
+        labels.setflags(write=False)
+        points = tuple((what, chain[1]) for what, chain in chains.items())
+        _BASES[genus, arf] = _Base(chains["admissible"][0], labels, points)
+    base = _BASES[genus, arf]
+    for what, points in base.points:
+        _check_points(what, points, cap)
+    return base
 
 
 def _transport_table(q: QuadraticForm, q0: QuadraticForm) -> np.ndarray:
@@ -654,86 +716,27 @@ def _certified_transport(q: QuadraticForm) -> np.ndarray:
     return table
 
 
-def q_stabilizer_bruteforce(
-    q: QuadraticForm, cap: int | None = None, parts: int = 1
-) -> GroupClosure:
-    """The q-stabilizer O(q) inside the full symplectic group (genus <= 3).
-
-    Brute force for the standard form q0 of each Arf: the cached
-    Sp(2g, F2) is filtered by q0-preservation once, certified, and cached
-    read-only as the base of that Arf.  Conjugated and certified for every
-    form, the standard form of each Arf, v = 0 included: q = q0 + <v, .>
-    with q0(v) = 0, so q = q0 o T_v and O(q) = T_v O(q0) T_v (Johnson
-    1980).  The conjugated array must be distinct, inside Sp(2g, F2) and
-    q-preserving, or ``RuntimeError`` is raised; a subset of O(q) with
-    |O(q0)| = |O(q)| elements is O(q).  The verdict functions do not build
-    this array: they transport the base by a certified T_v.
-    """
-    full, base = _standard_base(q, cap, parts)
-    q0 = standard_form(q.genus, q.arf())
-    v = swap_pairs(q.qmask ^ q0.qmask)
-    stab = _conjugate_by_transvection(base[0], v, 2 * q.genus)
-    _certify_stabilizer("conjugated stabilizer", q, stab, full.packed)
-    return GroupClosure(q.genus, stab, [], True, full.cap)
-
-
 def verify_transvection_generation(
     q: QuadraticForm, cap: int | None = None, parts: int = 1
 ) -> dict:
     """Compare the admissible-transvection closure with the q-stabilizer.
 
-    Returns a transcript dict with both orders and a verdict
-    (``equal`` or ``proper_subgroup``).  For genus 3 equality is the
-    expected outcome; for smaller genus the verdict is recorded as found.
-
-    The base of q's Arf (see :func:`_standard_base`) is completed once by
-    A0, the BFS closure of adm(q0), certified or ``RuntimeError`` names
-    every failed check: A0 is distinct, inside O(q0), contains adm(q0)
-    and, when smaller than O(q0), closed under left multiplication by
-    adm(q0).  Its elements are products of adm(q0), so A0 = <adm(q0)>.
-    Every form, the standard form of each Arf included (v = 0), is then
-    transported by the certified table of T_v (:func:`_certified_transport`):
-    T_v is a symplectic involution with q o T_v = q0, so M -> T_v M T_v
-    maps O(q0) onto O(q) and, as T_v t_c T_v = t_{T_v c}, adm(q0) onto
-    adm(q).  The orders and the verdict of q are therefore those of the
-    base.  The cap is checked first, before the cache is read.
+    A transcript dict with both orders and a verdict, ``equal`` (expected
+    for genus >= 3) or ``proper_subgroup``: the orders of the base of q's
+    Arf, carried to q by the certified T_v (see the module docstring).
+    ``parts`` is validated but does not change the work.
     """
-    _, base = _standard_base(q, cap, parts)
-    stab0, adm0, _ = base
-    if adm0 is None:
-        q0 = standard_form(q.genus, q.arf())
-        gens = admissible_transvections(q0)
-        result = closure(gens, cap, parts)
-        if not result.completed:
-            raise CapExceededError(f"admissible closure exceeded the cap of {result.cap}")
-        adm0 = result.packed
-        n = 2 * q.genus
-        keys = np.array(sorted(g.packed() for g in gens), dtype=np.uint64)
-        _certify("admissible closure", q0, {
-            "distinct": bool(np.all(adm0[1:] > adm0[:-1])),
-            "inside O(q0)": _setdiff_sorted(adm0, stab0).size == 0,
-            "contains generators": _setdiff_sorted(keys, adm0).size == 0,
-            "closed": adm0.size == stab0.size
-            or all(
-                _setdiff_sorted(_apply_table_mats(adm0, _vector_table(g.cols), n), adm0).size == 0
-                for g in gens
-            ),
-        })
-        if adm0.size == stab0.size:
-            adm0 = stab0
-        adm0.setflags(write=False)
-        base[1] = adm0
+    closure_order = _base(q, cap, parts).closure_order
     _certified_transport(q)
     return {
         "genus": q.genus,
         "arf": q.arf(),
-        "closure_order": int(adm0.size),
-        "stabilizer_order": int(stab0.size),
-        # a completed full closure is proved equal to Sp(2g, 2)
+        "closure_order": closure_order,
+        "stabilizer_order": o_order(q.genus, q.arf()),
         "full_group_order": sp_order(q.genus),
-        # certified with A0: inside O(q0), so <adm(q)> lies inside O(q)
+        # adm(q0) passed preserves_q, so <adm(q)> lies inside O(q)
         "closure_is_subset": True,
-        "verdict": "equal" if adm0 is stab0 else "proper_subgroup",
+        "verdict": "equal" if closure_order == o_order(q.genus, q.arf()) else "proper_subgroup",
     }
 
 
@@ -815,18 +818,14 @@ def verify_arf_classification(genus: int, parts: int = 1) -> dict:
 def q_orbit_partition(q: QuadraticForm, cap: int | None = None, parts: int = 1) -> dict:
     """Orbits of the q-stabilizer on nonzero mod-2 classes.
 
-    The orbits are the labels of the certified base of q's Arf (see
-    :func:`_standard_base`), the O(q0)-orbits of all classes, read through
-    the certified table of T_v (:func:`_certified_transport`): O(q) =
-    T_v O(q0) T_v and T_v is an involution, so x and y share an O(q)-orbit
-    exactly when T_v x and T_v y share an O(q0)-orbit.
+    x and y share an O(q)-orbit exactly when T_v x and T_v y share an
+    O(q0)-orbit, read from the labels of the base of q's Arf.
 
     Expected partition: {q = 1} and {q = 0} minus zero (zero is a fixed
     point).  The transcript records the orbit sizes with their q values
     and whether the expectation holds.
     """
-    stab0, _, labels0 = _standard_base(q, cap, parts)[1]
-    labels = labels0[_certified_transport(q)]
+    labels = _base(q, cap, parts).labels[_certified_transport(q)]
     n = 2 * q.genus
     table = q_values_table(q)
     orbits = []
@@ -856,7 +855,7 @@ def q_orbit_partition(q: QuadraticForm, cap: int | None = None, parts: int = 1) 
     return {
         "genus": q.genus,
         "arf": q.arf(),
-        "stabilizer_order": int(stab0.size),
+        "stabilizer_order": o_order(q.genus, q.arf()),
         "orbits": orbits,
         "matches_expected_partition": bool(ok),
     }

@@ -70,6 +70,15 @@ def sp_order(genus: int) -> int:
     return order
 
 
+def o_order(genus: int, arf: int) -> int:
+    """|O(q)| for q of Arf 0 (O^+) or 1 (O^-) over F2:
+    2 * 2^(g(g-1)) * (2^g -+ 1) * prod_{i=1..g-1} (4^i - 1)."""
+    order = 2 * 2 ** (genus * (genus - 1)) * (2**genus - (1 if arf == 0 else -1))
+    for i in range(1, genus):
+        order *= (4**i) - 1
+    return order
+
+
 def closure_reference(generators: list[MatF2]) -> list[int]:
     """Sorted packed keys of the group the generators span, by a set BFS.
 

@@ -11,7 +11,9 @@ import pytest
 from spincycles import symplectic
 from spincycles.homology import CycleClassF2, CycleClassZ, pairing_z, swap_pairs
 from spincycles.spin import QuadraticForm, standard_form
+from spincycles.cli import main
 from spincycles.symplectic import (
+    MAX_CHAIN_GENUS,
     CapExceededError,
     MatF2,
     NotSymplecticError,
@@ -38,7 +40,7 @@ from spincycles.symplectic import (
     verify_transvection_generation,
 )
 
-from conftest import closure_reference, sp_order
+from conftest import closure_reference, o_order, sp_order
 
 
 def rand_class_f2(rng, g):
@@ -295,12 +297,14 @@ class TestFullGroup:
         assert full.completed and full.order == sp_order(3) == 1_451_520
         assert all(membership(t, full) for t in all_transvections(3))
 
-    def test_cached_generators(self, monkeypatch):
-        monkeypatch.setattr(symplectic, "_FULL_GROUP_CACHE", {})
-        cold = full_symplectic_closure(2)
-        warm = full_symplectic_closure(2)
-        assert cold.generators == warm.generators == chain_transvections(2)
-        assert np.array_equal(cold.packed, warm.packed)
+    def test_cached_generators(self):
+        # the enumeration keeps no cache: each call builds its own array
+        first = full_symplectic_closure(2)
+        second = full_symplectic_closure(2)
+        assert first.generators == second.generators == chain_transvections(2)
+        assert np.array_equal(first.packed, second.packed)
+        assert first.packed is not second.packed
+        assert not hasattr(symplectic, "_FULL_GROUP_CACHE")
 
     @pytest.mark.parametrize("g", [2, 3])
     def test_order_check_rejects_proper_subgroup(self, monkeypatch, g):
@@ -311,17 +315,19 @@ class TestFullGroup:
             return [t for t in gens if t != b_g]
 
         assert len(without_b_g(g)) == 3 * g - 2
-        monkeypatch.setattr(symplectic, "_FULL_GROUP_CACHE", {})
         monkeypatch.setattr(symplectic, "chain_transvections", without_b_g)
         with pytest.raises(RuntimeError, match="order"):
             full_symplectic_closure(g)
-        assert symplectic._FULL_GROUP_CACHE == {}
+        # the chain of the verdict path refuses the same generators
+        monkeypatch.setattr(symplectic, "_BASES", {})
+        with pytest.raises(RuntimeError, match=f"^full group chain of .* is not of order {sp_order(g)}$"):
+            verify_transvection_generation(standard_form(g, 1))
+        assert symplectic._BASES == {}
 
     @pytest.mark.parametrize("g", [1, 2, 3])
-    def test_transversal_product_equals_bfs_oracle(self, monkeypatch, g):
-        monkeypatch.setattr(symplectic, "_FULL_GROUP_CACHE", {})
+    def test_transversal_product_equals_bfs_oracle(self, g):
         full = full_symplectic_closure(g)
-        assert full.completed and not full.packed.flags.writeable
+        assert full.completed
         assert np.array_equal(full.packed, closure(chain_transvections(g)).packed)
 
     def test_transversal_sizes(self):
@@ -345,23 +351,25 @@ class TestFullGroup:
                 levels[level][-1] = levels[level][0]
             return levels
 
-        monkeypatch.setattr(symplectic, "_FULL_GROUP_CACHE", {})
         monkeypatch.setattr(symplectic, "_pair_transversals", mutated)
         size = [2016, 120, 6][level]
         left = sp_order(3) // size * (size - 1)
         with pytest.raises(RuntimeError, match=f"order {left}, not \\|Sp\\(6, 2\\)\\| = 1451520$"):
             full_symplectic_closure(3)
-        assert symplectic._FULL_GROUP_CACHE == {}
 
     def test_rejects_non_symplectic_generator(self, monkeypatch):
         real = chain_transvections
-        monkeypatch.setattr(symplectic, "_FULL_GROUP_CACHE", {})
         monkeypatch.setattr(
             symplectic, "chain_transvections", lambda g: real(g) + [MatF2(4, (1, 2, 4, 9))]
         )
         with pytest.raises(NotSymplecticError):
             full_symplectic_closure(2)
-        assert symplectic._FULL_GROUP_CACHE == {}
+        monkeypatch.setattr(symplectic, "_BASES", {})
+        with pytest.raises(
+            RuntimeError, match="^full group chain of .* is not built on symplectic generators$"
+        ):
+            verify_transvection_generation(standard_form(2, 0))
+        assert symplectic._BASES == {}
 
     def test_batched_tables_match_single(self):
         mats = list(itertools.islice(full_symplectic_closure(2).matrices(), 100, 105))
@@ -375,9 +383,8 @@ class TestFullGroup:
             assert np.array_equal(row, single)
             assert row.tolist() == [(m @ MatF2.from_packed(4, int(k))).packed() for k in packed]
 
-    def test_cap_matches_bfs_stop(self, monkeypatch):
+    def test_cap_matches_bfs_stop(self):
         # the BFS stopped incomplete exactly when the order exceeded the cap
-        monkeypatch.setattr(symplectic, "_FULL_GROUP_CACHE", {})
         for cap in (1, 100, 719, 720, 721, 10_000):
             full = full_symplectic_closure(2, cap=cap)
             assert full.completed == closure(chain_transvections(2), cap=cap).completed
@@ -386,29 +393,23 @@ class TestFullGroup:
 
     @pytest.mark.parametrize("cap", [100, 1_400_000, sp_order(3) - 1])
     def test_cap_refused_before_tables_or_cache(self, monkeypatch, cap):
-        full_symplectic_closure(3)
-        assert 3 in symplectic._FULL_GROUP_CACHE
-
+        # the enumeration counts elements: a cap below |Sp(6, 2)| is refused
+        # before any table is built (the verdict path counts chain points,
+        # see TestChain.test_cap_same_cold_and_warm)
         def fail(*_args):
             raise AssertionError("work done past the cap")
 
-        class Tripwire(dict):
-            __getitem__ = __contains__ = get = setdefault = fail
-
         monkeypatch.setattr(symplectic, "_vector_table", fail)
         monkeypatch.setattr(symplectic, "_pair_transversals", fail)
-        cached = Tripwire(symplectic._FULL_GROUP_CACHE)
-        monkeypatch.setattr(symplectic, "_FULL_GROUP_CACHE", cached)
         q = QuadraticForm((1, 1, 0), (0, 0, 1))
         with pytest.raises(CapExceededError, match=f"full group exceeded the cap of {cap}$"):
-            verify_transvection_generation(q, cap=cap)
+            q_stabilizer_bruteforce(q, cap=cap)
         full = full_symplectic_closure(3, cap=cap)
         assert not full.completed and full.order == 0 and full.cap == cap
 
-    def test_cold_sp6_timed(self, monkeypatch):
+    def test_cold_sp6_timed(self):
         # on a 2-core Xeon the chain BFS took 1.1-1.3 s, the transversal
         # product 0.07-0.16 s
-        monkeypatch.setattr(symplectic, "_FULL_GROUP_CACHE", {})
         start = time.perf_counter()
         full = full_symplectic_closure(3)
         elapsed = time.perf_counter() - start
@@ -428,19 +429,10 @@ def sample_forms(rng, g, arf, count):
 
 
 @pytest.fixture
-def no_stabilizers(monkeypatch):
-    """The cached groups of genus 1-3 with no base of a standard form
-    cached yet."""
-    groups = {g: full_symplectic_closure(g) for g in (1, 2, 3)}
-    monkeypatch.setattr(
-        symplectic, "_FULL_GROUP_CACHE", {g: (c.packed, {}) for g, c in groups.items()}
-    )
-    return groups
-
-
-def cached_bases(g):
-    """The per-Arf [O(q0), A0, labels0] entries cached for genus g."""
-    return symplectic._FULL_GROUP_CACHE[g][1]
+def no_bases(monkeypatch):
+    """An empty base cache for one test; the module's cache is restored."""
+    monkeypatch.setattr(symplectic, "_BASES", {})
+    return symplectic._BASES
 
 
 def level_labels(q):
@@ -485,9 +477,87 @@ def generation_oracle(q, adm, stab):
         "closure_order": int(adm.size),
         "stabilizer_order": int(stab.size),
         "full_group_order": sp_order(q.genus),
-        "closure_is_subset": bool(np.isin(adm, stab).all()),
+        "closure_is_subset": holds(stab, adm),
         "verdict": "equal" if np.array_equal(adm, stab) else "proper_subgroup",
     }
+
+
+def conjugate(packed, v, n):
+    """Sorted T_v M T_v for every packed matrix M, by table products."""
+    t_v = transvection_f2(CycleClassF2(n // 2, v))
+    out = symplectic._apply_table_mats(packed, symplectic._vector_table(t_v.cols), n)
+    # (A T_v) e_j = A e_j + <v, e_j> A v: XOR A v into column j where <v, e_j> = 1
+    mask = np.uint64((1 << n) - 1)
+    av = np.zeros_like(out)
+    for k in range(n):
+        if (v >> k) & 1:
+            av ^= (out >> np.uint64(n * k)) & mask
+    for j in range(n):
+        if (swap_pairs(v) >> j) & 1:
+            out ^= av << np.uint64(n * j)
+    out.sort()
+    return out
+
+
+def holds(sorted_keys, keys):
+    """Are all ``keys`` in the sorted uint64 array ``sorted_keys``?"""
+    keys = np.asarray(keys, dtype=np.uint64)
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
+    return bool(np.all(sorted_keys[pos] == keys))
+
+
+def conjugated_references(q, q0, stab0, adm0):
+    """The brute-force O(q) and <adm(q)> of a form q of the Arf of q0: those
+    of q0 conjugated by T_v, checked against q itself."""
+    n, v = 2 * q.genus, swap_pairs(q.qmask ^ q0.qmask)
+    stab, adm = conjugate(stab0, v, n), conjugate(adm0, v, n)
+    # the table products against MatF2 products, on a sample
+    t_v = transvection_f2(CycleClassF2(q.genus, v))
+    sample = stab0[:: max(1, stab0.size // 5)]
+    assert holds(stab, [(t_v @ MatF2.from_packed(n, int(k)) @ t_v).packed() for k in sample])
+    # |O(q0)| = |O(q)| distinct q-preserving matrices are O(q), and the
+    # conjugate of <adm(q0)> holds adm(q)
+    assert np.all(stab[1:] > stab[:-1]) and _filter_preserves_q(stab, q).size == stab.size
+    assert holds(adm, [m.packed() for m in admissible_transvections(q)])
+    return stab, adm
+
+
+@pytest.fixture(scope="module")
+def references():
+    """Per form at genus 1-3 (84 forms), the brute-force O(q) and <adm(q)>
+    as sorted packed keys.  The enumeration filtered to O(q0) and the BFS
+    closure of adm(q0) run once per (genus, Arf), for its standard form
+    q0, and are carried to every form of that Arf by T_v."""
+    out = {}
+    for g in (1, 2, 3):
+        for arf in (0, 1):
+            q0 = standard_form(g, arf)
+            stab0 = q_stabilizer_bruteforce(q0).packed
+            adm0 = closure(admissible_transvections(q0)).packed
+            for q in all_forms(g):
+                if q.arf() == arf:
+                    out[q] = conjugated_references(q, q0, stab0, adm0)
+    return out
+
+
+def check_cap_before_cached_base(monkeypatch, fn):
+    """With both genus-3 bases cached by ``fn``, a cap below a cached
+    chain's points is refused for standard and other forms of each Arf,
+    with no chain built and no transport."""
+    for arf in (0, 1):
+        fn(standard_form(3, arf))
+
+    def fail(*_args):
+        raise AssertionError("work done past the cap")
+
+    monkeypatch.setattr(symplectic, "_schreier_sims", fail)
+    monkeypatch.setattr(symplectic, "_transport_table", fail)
+    others = [QuadraticForm((1, 1, 0), (0, 0, 1)), QuadraticForm((1, 1, 0), (1, 0, 0))]
+    for q in [standard_form(3, 0), standard_form(3, 1), *others]:
+        with pytest.raises(
+            CapExceededError, match="^full group chain exceeded the cap of 100 stored points$"
+        ):
+            fn(q, cap=100)
 
 
 class TestStabilizer:
@@ -526,137 +596,47 @@ class TestStabilizer:
                 moved += 1
         assert moved == full.order - stab.order
 
-    def test_warm_matches_filter_oracle(self, no_stabilizers, monkeypatch):
-        # every form at genus 1 and 2 and 8 per Arf at genus 3, against the
-        # brute-force filter of the whole group; the standard form of each
-        # Arf is the base, and every form, the base itself included (v = 0),
-        # goes through the conjugation by its own v
-        conjugated = []
-        conjugate = symplectic._conjugate_by_transvection
-
-        def spy(packed, v, n):
-            conjugated.append(v)
-            return conjugate(packed, v, n)
-
-        monkeypatch.setattr(symplectic, "_conjugate_by_transvection", spy)
-        rng = random.Random(71)
-        forms = [*all_forms(1), *all_forms(2)]
-        forms += sample_forms(rng, 3, 0, 8) + sample_forms(rng, 3, 1, 8)
-        for q in forms:
-            stab = q_stabilizer_bruteforce(q).packed
-            oracle = _filter_preserves_q(no_stabilizers[q.genus].packed, q)
-            assert np.array_equal(stab, oracle), q
+    def test_transported_orbits_match_filter_oracle(self, references):
+        # all 84 forms at genus 1-3: the base labels read through T_v
+        # against the images of every class under the brute-force O(q)
         for g in (1, 2, 3):
-            assert sorted(cached_bases(g)) == [0, 1]
-        assert len(conjugated) == len(forms) == 4 + 16 + 16
-        assert conjugated == [
-            swap_pairs(q.qmask ^ standard_form(q.genus, q.arf()).qmask) for q in forms
-        ]
+            for q in all_forms(g):
+                stab, _ = references[q]
+                result = q_orbit_partition(q)
+                assert result["orbits"] == orbits_oracle(q, stab), q
+                assert result["stabilizer_order"] == stab.size
 
-    def test_transported_orbits_match_filter_oracle(self, no_stabilizers):
-        # every form at genus 1 and 2 and 4 per Arf at genus 3: the base
-        # labels read through T_v against the images of every class under
-        # the brute-force filter of the whole group
-        rng = random.Random(77)
-        forms = [*all_forms(1), *all_forms(2)]
-        forms += sample_forms(rng, 3, 0, 4) + sample_forms(rng, 3, 1, 4)
-        for q in forms:
-            stab = _filter_preserves_q(no_stabilizers[q.genus].packed, q)
-            result = q_orbit_partition(q)
-            assert result["orbits"] == orbits_oracle(q, stab), q
-            assert result["stabilizer_order"] == stab.size
-
-    @pytest.mark.parametrize(
-        "mutation,failure",
-        [
-            ("unconjugated", "q-preserving"),
-            ("wrong_v", "q-preserving"),
-            ("duplicate", "distinct"),
-            ("outside_sp", "inside Sp"),
-        ],
-    )
-    def test_certification_rejects_bad_conjugate(
-        self, no_stabilizers, monkeypatch, mutation, failure
-    ):
-        q0 = standard_form(3, 0)
-        # q differs from q0 on b_1, so v = a_1 and q0(v) = 0
-        q = QuadraticForm((0, 0, 0), (0, 1, 1))
-        assert q.arf() == q0.arf() and swap_pairs(q.qmask ^ q0.qmask) == 0b1
-        q_stabilizer_bruteforce(q0)
-        entry = cached_bases(3)[0]
-        base = entry[0]
-        kept = base.copy()
-        conjugate = symplectic._conjugate_by_transvection
-
-        def bad(packed, v, n):
-            if mutation == "unconjugated":
-                return np.sort(packed)
-            if mutation == "wrong_v":
-                # q0(b_1) = 1: T_b1 lies in O(q0), so this gives O(q0) back
-                return conjugate(packed, 0b10, n)
-            good = conjugate(packed, v, n)
-            if mutation == "duplicate":
-                return np.sort(np.concatenate([good[:-1], good[:1]]))
-            # the identity with column a_1 zeroed keeps q on the basis
-            # (q(0) = q(a_1) = 0) but is singular, so it is not in Sp
-            singular = np.uint64(MatF2.identity(3).packed() ^ 1)
-            return np.sort(np.concatenate([good[:-1], [singular]]))
-
-        monkeypatch.setattr(symplectic, "_conjugate_by_transvection", bad)
-        with pytest.raises(RuntimeError, match=f"qmask {q.qmask:#x} is not {failure}$"):
-            q_stabilizer_bruteforce(q)
-        if mutation in ("duplicate", "outside_sp"):
-            # the base form (v = 0) is certified too; the other two
-            # mutations give O(q0) back for it, which is correct
-            with pytest.raises(RuntimeError, match=f"qmask {q0.qmask:#x} is not {failure}$"):
-                q_stabilizer_bruteforce(q0)
-        assert cached_bases(3)[0] is entry and entry[0] is base
-        assert np.array_equal(base, kept) and not base.flags.writeable
-
-    def test_cap_checked_before_cached_stabilizer(self, no_stabilizers, monkeypatch):
-        q0 = standard_form(3, 1)
-        q_stabilizer_bruteforce(q0)
-        q = QuadraticForm((1, 1, 0), (1, 0, 0))
-        assert q.arf() == 1 and q.qmask != q0.qmask
-
-        def fail(*_args):
-            raise AssertionError("cached stabilizer read past the cap")
-
-        monkeypatch.setattr(symplectic, "_conjugate_by_transvection", fail)
-        for form in (q0, q):
-            with pytest.raises(CapExceededError, match="full group exceeded the cap of 100$"):
-                q_stabilizer_bruteforce(form, cap=100)
+    def test_cap_checked_before_cached_stabilizer(self, no_bases, monkeypatch):
+        # the cached count refuses a cap before any chain or transport work
+        check_cap_before_cached_base(monkeypatch, q_orbit_partition)
 
     @pytest.mark.parametrize("g,per_arf", [(2, 2), (3, 1)])
-    def test_warm_transcripts_equal_cold(self, no_stabilizers, g, per_arf):
-        # cold: nothing cached, so the call itself filters the group for
-        # the standard form and closes its admissible transvections; warm:
-        # the standard form's stabilizer and then also its admissible
-        # closure are cached before the call; q is conjugated from them.
-        # The second warm-up finds A0 already cached when the first warm
-        # call was a generation check, and adds it otherwise
+    def test_warm_transcripts_equal_cold(self, no_bases, g, per_arf):
+        # cold: the call builds the base of its Arf; warm: the other verdict
+        # function built it first, on the standard form
         rng = random.Random(72 + g)
+        pairs = [
+            (verify_transvection_generation, q_orbit_partition),
+            (q_orbit_partition, verify_transvection_generation),
+        ]
         for arf in (0, 1):
             base = standard_form(g, arf)
             others = [q for q in all_forms(g) if q.arf() == arf and q != base]
             for q in rng.sample(others, per_arf):
-                for fn in (verify_transvection_generation, q_orbit_partition):
+                for fn, warm_up in pairs:
                     for parts in (1, 4):
-                        cached_bases(g).clear()
+                        no_bases.clear()
                         cold = fn(q, parts=parts)
-                        cached_bases(g).clear()
-                        for warm_up in (q_stabilizer_bruteforce, verify_transvection_generation):
-                            warm_up(base)
-                            adm_cached = cached_bases(g)[arf][1] is not None
-                            assert adm_cached == (warm_up is verify_transvection_generation)
-                            assert fn(q, parts=parts) == cold
+                        no_bases.clear()
+                        warm_up(base)
+                        assert fn(q, parts=parts) == cold
 
-    def test_warm_g3_orbit_partitions_fast(self, no_stabilizers):
+    def test_warm_g3_orbit_partitions_fast(self, no_bases):
         # regression gate: 20 warm calls on distinct non-base forms took
         # about 1.2 s when each call filtered all of Sp(6, F2)
         bases = [standard_form(3, arf) for arf in (0, 1)]
         for q in bases:
-            q_stabilizer_bruteforce(q)
+            q_orbit_partition(q)
         rng = random.Random(73)
         others = [q for q in all_forms(3) if q not in bases]
         forms = rng.sample(others, 20)
@@ -666,118 +646,12 @@ class TestStabilizer:
         assert all(r["matches_expected_partition"] for r in results)
         assert elapsed < 1.0, f"20 warm genus-3 orbit partitions took {elapsed:.2f} s"
 
-    def test_warm_admissible_matches_closure_oracle(self, no_stabilizers, monkeypatch):
-        # every form at genus 1 and 2 and 8 per Arf at genus 3, against a
-        # fresh closure of the form's own admissible transvections and the
-        # filter of the whole group; the spy on closure shows one admissible
-        # BFS per (genus, Arf), of the standard form, and no call conjugates
-        bfs = []
-        real_closure = symplectic.closure
-
-        def spy_closure(generators, cap=None, parts=1):
-            bfs.append(sorted(m.packed() for m in generators))
-            return real_closure(generators, cap, parts)
-
-        def no_conjugate(*_args):
-            raise AssertionError("a verdict call conjugated a group array")
-
-        conjugate = symplectic._conjugate_by_transvection
-        monkeypatch.setattr(symplectic, "closure", spy_closure)
-        monkeypatch.setattr(symplectic, "_conjugate_by_transvection", no_conjugate)
-        # mixed order at genus 3: q_orbit_partition caches the stabilizers
-        # first, then the first generation check of each Arf is on a
-        # non-standard form
-        bases = [standard_form(g, arf) for g in (1, 2, 3) for arf in (0, 1)]
-        for q0 in bases[4:]:
-            q_orbit_partition(q0)
-        rng = random.Random(74)
-        others = [q for q in all_forms(3) if q not in bases]
-        forms = [*all_forms(1), *all_forms(2)]
-        for arf in (0, 1):
-            forms += rng.sample([q for q in others if q.arf() == arf], 8)
-        for q in forms:
-            result = verify_transvection_generation(q)
-            oracle = real_closure(admissible_transvections(q)).packed
-            stab = _filter_preserves_q(no_stabilizers[q.genus].packed, q)
-            assert result == generation_oracle(q, oracle, stab), q
-            # the transported verdict stands for the conjugate T_v A0 T_v
-            q0 = standard_form(q.genus, q.arf())
-            adm0 = cached_bases(q.genus)[q.arf()][1]
-            v = swap_pairs(q.qmask ^ q0.qmask)
-            assert np.array_equal(conjugate(adm0, v, 2 * q.genus), oracle), q
-        assert sorted(bfs) == sorted(
-            sorted(m.packed() for m in admissible_transvections(q0)) for q0 in bases
-        )
-        for q0 in bases:
-            stab0, adm0, labels0 = cached_bases(q0.genus)[q0.arf()]
-            assert not adm0.flags.writeable and not labels0.flags.writeable
-            # only genus 2, Arf 0 has <adm(q0)> proper in O(q0)
-            assert (adm0 is stab0) == ((q0.genus, q0.arf()) != (2, 0))
-
-    @pytest.mark.parametrize(
-        "mutation,failure",
-        [
-            # the ids of the per-call conjugate checks that these replace
-            pytest.param("outside", "inside O(q0)", id="unconjugated-inside O(q)"),
-            ("duplicate", "distinct"),
-            ("not_closed", "closed"),
-            pytest.param("missing_generator", "contains generators", id="generators-generators"),
-        ],
-    )
-    def test_certification_rejects_bad_admissible_closure(
-        self, no_stabilizers, monkeypatch, mutation, failure
-    ):
-        # genus 2, Arf 0 is the one base where A0 = <adm(q0)> (36 elements)
-        # is proper in O(q0) (72 elements), so it is certified closed by
-        # multiplication rather than by its order
-        q0 = standard_form(2, 0)
-        q = QuadraticForm((1, 0), (0, 0))
-        assert q.arf() == 0 and q != q0
-        q_orbit_partition(q0)
-        entry = cached_bases(2)[0]
-        stab0, labels0 = entry[0], entry[2]
-        assert entry[1] is None and stab0.size == 72
-        true_adm = closure(admissible_transvections(q0)).packed
-        gens = {m.packed() for m in admissible_transvections(q0)}
-        assert true_adm.size == 36
-        # each mutation keeps 36 elements; swapping a non-generator of A0 for
-        # an element of O(q0) outside it keeps it distinct, inside O(q0) and
-        # holding adm(q0), but not closed
-        in_stab = np.setdiff1d(stab0, true_adm)[:1]
-        in_sp = np.setdiff1d(no_stabilizers[2].packed, stab0)[:1]
-        non_gen = next(k for k in true_adm[1:] if int(k) not in gens)
-        gen = next(k for k in true_adm if int(k) in gens)
-
-        def swap(out, new):
-            return np.sort(np.concatenate([true_adm[true_adm != out], new]))
-
-        bad = {
-            "outside": lambda: swap(non_gen, in_sp),
-            "duplicate": lambda: np.sort(np.concatenate([true_adm[:-1], true_adm[:1]])),
-            "not_closed": lambda: swap(non_gen, in_stab),
-            "missing_generator": lambda: swap(gen, in_stab),
-        }[mutation]
-        real_closure = symplectic.closure
-
-        def bad_closure(generators, cap=None, parts=1):
-            result = real_closure(generators, cap, parts)
-            result.packed = bad()
-            return result
-
-        monkeypatch.setattr(symplectic, "closure", bad_closure)
-        # the base is certified whichever form of its Arf fills it
-        for form in (q, q0):
-            with pytest.raises(
-                RuntimeError, match=f"^admissible closure of qmask {q0.qmask:#x} is not "
-            ) as err:
-                verify_transvection_generation(form)
-            failed = str(err.value).split(" is not ", 1)[1].split(", not ")
-            assert failure in failed
-            if mutation == "not_closed":
-                assert failed == [failure]
-            assert cached_bases(2)[0] is entry and entry[1] is None
-        assert entry[0] is stab0 and entry[2] is labels0
-        assert not stab0.flags.writeable and not labels0.flags.writeable
+    def test_warm_admissible_matches_closure_oracle(self, references):
+        # all 84 forms at genus 1-3 against the brute-force <adm(q)> and O(q)
+        for g in (1, 2, 3):
+            for q in all_forms(g):
+                stab, adm = references[q]
+                assert verify_transvection_generation(q) == generation_oracle(q, adm, stab), q
 
     @pytest.mark.parametrize(
         "mutation,failure",
@@ -789,7 +663,7 @@ class TestStabilizer:
         ],
     )
     def test_certification_rejects_bad_transport(
-        self, no_stabilizers, monkeypatch, mutation, failure
+        self, no_bases, monkeypatch, mutation, failure
     ):
         # each mutation fails exactly one check
         q0 = standard_form(3, 0)
@@ -798,8 +672,7 @@ class TestStabilizer:
         v = swap_pairs(q.qmask ^ q0.qmask)
         assert q.arf() == q0.arf() and v == 0b1
         verify_transvection_generation(q0)
-        entry = cached_bases(3)[0]
-        kept = list(entry)
+        entry = no_bases[3, 0]
         t_v = transvection_f2(CycleClassF2(3, v))
         if mutation == "wrong_v":
             # q0(b_1) = 1: T_b1 lies in O(q0), so q o T_b1 = q, not q0
@@ -829,37 +702,16 @@ class TestStabilizer:
             ) as err:
                 fn(q)
             assert str(err.value).split(" is not ", 1)[1] == failure
-        assert cached_bases(3)[0] is entry
-        assert all(a is b for a, b in zip(entry, kept))
+        assert no_bases == {(3, 0): entry} and not entry.labels.flags.writeable
 
-    def test_cap_checked_before_cached_admissible_closure(self, no_stabilizers, monkeypatch):
-        q0 = standard_form(3, 0)
-        verify_transvection_generation(q0)
-        assert cached_bases(3)[0][1] is not None
-        q = QuadraticForm((1, 1, 0), (0, 0, 1))
-        assert q.arf() == 0 and q.qmask != q0.qmask
-
-        def fail(*_args):
-            raise AssertionError("cached admissible closure read past the cap")
-
-        class Tripwire(dict):
-            __getitem__ = __contains__ = get = setdefault = fail
-
-        group = symplectic._FULL_GROUP_CACHE[3][0]
-        monkeypatch.setitem(
-            symplectic._FULL_GROUP_CACHE, 3, (group, Tripwire(cached_bases(3)))
-        )
-        monkeypatch.setattr(symplectic, "_conjugate_by_transvection", fail)
-        monkeypatch.setattr(symplectic, "_transport_table", fail)
-        for form in (q0, q):
-            with pytest.raises(CapExceededError, match="full group exceeded the cap of 100$"):
-                verify_transvection_generation(form, cap=100)
+    def test_cap_checked_before_cached_admissible_closure(self, no_bases, monkeypatch):
+        # the cached count refuses a cap before any chain or transport work
+        check_cap_before_cached_base(monkeypatch, verify_transvection_generation)
 
     @pytest.mark.parametrize("g", [2, 3])
-    def test_cache_independent_of_call_order(self, no_stabilizers, g):
-        # two call orders from a cleared cache: the standard forms first,
-        # against two non-standard forms per Arf first, with the first
-        # generation check of each Arf before any stabilizer of it
+    def test_cache_independent_of_call_order(self, no_bases, references, g):
+        # two call orders from an empty cache: the standard forms first,
+        # against two non-standard forms per Arf first
         rng = random.Random(76 + g)
         bases = [standard_form(g, arf) for arf in (0, 1)]
         others = [q for q in all_forms(g) if q not in bases]
@@ -867,30 +719,22 @@ class TestStabilizer:
             q for arf in (0, 1) for q in rng.sample([q for q in others if q.arf() == arf], 2)
         ]
         orders = [
-            [(q_stabilizer_bruteforce, q) for q in bases]
+            [(q_orbit_partition, q) for q in bases]
             + [(verify_transvection_generation, q) for q in bases + picks],
             [(verify_transvection_generation, q) for q in reversed(picks)]
             + [(q_orbit_partition, q) for q in bases],
         ]
-        expected = [
-            [
-                _filter_preserves_q(no_stabilizers[g].packed, q0),
-                closure(admissible_transvections(q0)).packed,
-                level_labels(q0),
-            ]
-            for q0 in bases
-        ]
         for calls in orders:
-            cached_bases(g).clear()
+            no_bases.clear()
             for fn, q in calls:
                 fn(q)
-            assert sorted(cached_bases(g)) == [0, 1]
-            for arf, entry in cached_bases(g).items():
-                assert len(entry) == 3
-                for cached, oracle in zip(entry, expected[arf]):
-                    assert np.array_equal(cached, oracle)
+            assert sorted(no_bases) == [(g, 0), (g, 1)]
+            for (_, arf), base in no_bases.items():
+                stab0, adm0 = references[bases[arf]]
+                assert base.closure_order == adm0.size and o_order(g, arf) == stab0.size
+                assert base.labels.tolist() == level_labels(bases[arf])
 
-    def test_warm_g3_generation_fast(self, no_stabilizers):
+    def test_warm_g3_generation_fast(self, no_bases):
         # regression gate: 20 warm calls on distinct non-base forms took
         # about 2 s when each call closed its admissible transvections by BFS
         bases = [standard_form(3, arf) for arf in (0, 1)]
@@ -905,7 +749,7 @@ class TestStabilizer:
         assert all(r["verdict"] == "equal" for r in results)
         assert elapsed < 1.0, f"20 warm genus-3 generation checks took {elapsed:.2f} s"
 
-    def test_warm_g3_all_forms_transported_fast(self, no_stabilizers):
+    def test_warm_g3_all_forms_transported_fast(self, no_bases):
         # regression gate: all 64 genus-3 forms through both verdict
         # functions took about 1.1 s when each call conjugated its base
         # arrays by T_v and certified them
@@ -920,6 +764,166 @@ class TestStabilizer:
             for gen, orbits in results
         )
         assert elapsed < 0.25, f"128 warm genus-3 verdicts took {elapsed:.2f} s"
+
+
+def chain(generators, short_ok=True):
+    """(order, stored points, strong generators) of a chain of symplectic
+    generators, bounded by |Sp(2g, 2)|."""
+    g = generators[0].genus
+    return symplectic._schreier_sims(
+        "test", standard_form(g, 0), generators, ("symplectic", MatF2.is_symplectic),
+        sp_order(g), 10**9, short_ok,
+    )
+
+
+class TestChain:
+    def test_inverse_is_j_transpose_j(self):
+        rng = random.Random(81)
+        for g in (1, 2, 3, 5):
+            for _ in range(10):
+                m = MatF2.identity(g)
+                for _ in range(6):
+                    m = transvection_f2(rand_class_f2(rng, g)) @ m
+                assert m @ m.inverse() == m.inverse() @ m == MatF2.identity(g)
+
+    def test_o_order_formula(self):
+        # orbit-stabilizer against the classical |O^+-(2g, 2)| formula, and
+        # the brute-force filter at genus <= 2
+        for g in range(1, 9):
+            for arf in (0, 1):
+                assert symplectic.o_order(g, arf) == o_order(g, arf)
+        for g in (1, 2):
+            for arf in (0, 1):
+                assert q_stabilizer_bruteforce(standard_form(g, arf)).order == o_order(g, arf)
+
+    def test_orders_match_closure_oracle(self):
+        # random generator sets, mostly proper subgroups: the completed chain
+        # gives the exact order, and its strong generators the same group
+        rng = random.Random(82)
+        cases = [GENUS4_TOP_LANE, chain_transvections(3)[:-1]]
+        for g, count in ((1, 1), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)):
+            for _ in range(4):
+                cases.append([transvection_f2(rand_class_f2(rng, g)) for _ in range(count)])
+        for gens in cases:
+            order, points, strong = chain(gens)
+            ref = closure(gens).packed
+            assert order == ref.size, gens
+            assert np.array_equal(closure(strong or [MatF2.identity(gens[0].genus)]).packed, ref)
+            assert 2 * gens[0].genus <= points <= order + 2 * gens[0].genus
+
+    def test_rejects_generator_outside_o_q(self, no_bases, monkeypatch):
+        # a transvection along a class with q0 = 0 moves q0
+        real = admissible_transvections
+        q0 = standard_form(3, 1)
+        assert q0.eval_bits(0b100) == 0
+        bad = transvection_f2(CycleClassF2(3, 0b100))
+        monkeypatch.setattr(symplectic, "admissible_transvections", lambda q: real(q) + [bad])
+        with pytest.raises(
+            RuntimeError,
+            match=f"^admissible chain of qmask {q0.qmask:#x} is not built on q-preserving generators$",
+        ):
+            verify_transvection_generation(q0)
+        assert no_bases == {}
+
+    def test_rejects_chain_one_point_short(self, no_bases, monkeypatch):
+        # t_a t_b has order 3 in Sp(2, 2) of order 6: its chain has orbits
+        # of sizes 3 and 1 where Sp(2, 2) has 3 and 2
+        t_ab = transvection_f2(CycleClassF2(1, 0b01)) @ transvection_f2(CycleClassF2(1, 0b10))
+        assert chain([t_ab])[:2] == (3, 4) and chain(chain_transvections(1))[:2] == (6, 5)
+        monkeypatch.setattr(symplectic, "chain_transvections", lambda g: [t_ab])
+        q0 = standard_form(1, 1)
+        with pytest.raises(
+            RuntimeError, match=f"^full group chain of qmask {q0.qmask:#x} is not of order 6$"
+        ):
+            q_orbit_partition(q0)
+        assert no_bases == {}
+
+    def test_rejects_withheld_pair_swap(self, no_bases, monkeypatch):
+        # genus 2, Arf 0: <adm(q0)> has order 36, so without the swap the
+        # stabilizer chain stops short of |O(q0)| = 72
+        monkeypatch.setattr(symplectic, "_pair_swap", MatF2.identity)
+        q0 = standard_form(2, 0)
+        with pytest.raises(
+            RuntimeError, match=f"^stabilizer chain of qmask {q0.qmask:#x} is not of order 72$"
+        ):
+            verify_transvection_generation(q0)
+        assert no_bases == {}
+
+    def test_g2_arf0_needs_the_swap(self, no_bases):
+        # <adm(q0)> splits q0^-1(1) into two orbits of 3; O(q0) does not
+        q0 = standard_form(2, 0)
+        gens = admissible_transvections(q0)
+        placed, sizes = set(), []
+        for x in range(16):
+            if x not in placed:
+                members = {c.bits for c in orbit(CycleClassF2(2, x), gens)}
+                placed |= members
+                sizes.append(len(members))
+        assert sizes == [1, 9, 3, 3]
+        assert [o["size"] for o in q_orbit_partition(q0)["orbits"]] == [1, 9, 6]
+        assert [what for what, _ in no_bases[2, 0].points] == ["full group", "admissible", "stabilizer"]
+        assert preserves_q(symplectic._pair_swap(2), q0)
+
+    @pytest.mark.parametrize("g", range(4, MAX_CHAIN_GENUS + 1))
+    def test_verdicts_above_enumeration(self, g):
+        # the paper's generation and transitivity facts where no group is
+        # enumerated, against the order formulas
+        for arf in (0, 1):
+            q = QuadraticForm((1,) * g, (arf,) + (0,) * (g - 1))
+            assert q.arf() == arf
+            r = verify_transvection_generation(q)
+            assert r["verdict"] == "equal"
+            assert r["closure_order"] == r["stabilizer_order"] == o_order(g, arf)
+            assert r["full_group_order"] == sp_order(g)
+            assert q_orbit_partition(q)["matches_expected_partition"]
+
+    def test_genus_limit(self, no_bases):
+        q = standard_form(MAX_CHAIN_GENUS + 1, 0)
+        match = f"MAX_CHAIN_GENUS = {MAX_CHAIN_GENUS}, got genus {MAX_CHAIN_GENUS + 1}$"
+        for fn in (verify_transvection_generation, q_orbit_partition):
+            with pytest.raises(CapExceededError, match=match):
+                fn(q)
+        assert no_bases == {}
+
+    @pytest.mark.parametrize("cap", [1, 100, 122])
+    def test_cap_same_cold_and_warm(self, no_bases, monkeypatch, cap):
+        # at genus 3 the full group chain stores 123 points, the largest of
+        # a base: a cap below it exits the same way cold and warm
+        q = QuadraticForm((1, 1, 0), (0, 0, 1))
+        message = f"^full group chain exceeded the cap of {cap} stored points$"
+        for fn in (verify_transvection_generation, q_orbit_partition):
+            with pytest.raises(CapExceededError, match=message):
+                fn(q, cap=cap)
+            assert no_bases == {}
+        assert verify_transvection_generation(q, cap=123)["verdict"] == "equal"
+        assert dict(no_bases[3, 0].points) == {"full group": 123, "admissible": 67}
+
+        def fail(*_args):
+            raise AssertionError("a cached base was rebuilt")
+
+        monkeypatch.setattr(symplectic, "_schreier_sims", fail)
+        for fn in (verify_transvection_generation, q_orbit_partition):
+            with pytest.raises(CapExceededError, match=message):
+                fn(q, cap=cap)
+            fn(q, cap=123)
+
+    def test_verdict_path_never_enumerates(self, no_bases, monkeypatch, capsys):
+        # the brute-force references stay out of every verdict, cold or warm
+        def fail(*_args, **_kwargs):
+            raise AssertionError("a verdict called a brute-force reference")
+
+        for name in ("full_symplectic_closure", "closure", "_filter_preserves_q",
+                     "q_stabilizer_bruteforce"):
+            monkeypatch.setattr(symplectic, name, fail)
+        for g in (1, 2, 3):
+            for q in all_forms(g):
+                verify_transvection_generation(q)
+                q_orbit_partition(q)
+        no_bases.clear()
+        for g in range(1, MAX_CHAIN_GENUS + 1):
+            for arf in ("0", "1"):
+                assert main(["verify", "generation", "--genus", str(g), "--arf", arf]) == 0
+        capsys.readouterr()
 
 
 class TestGeneration:
