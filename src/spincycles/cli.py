@@ -6,18 +6,17 @@ Subcommands::
     spincycles qtable   <file>
     spincycles segments <file> [--bridges]
     spincycles verify <suite> [<file>] [--genus G] [--arf A] [--cap N]
-                      [--parts P] [--json] [--out FILE]
+                      [--json] [--out FILE]
 
 Suites: generation, hyperelliptic-word, chain-relation, chrel2,
 q-consistency, all.  Exit codes: 0 pass, 1 verification failure, 2 input
 error, 3 suite/operation inapplicable, 4 resource cap exhausted (a chain
 storing more points than ``--cap`` or SPINCYCLES_CAP, ``generation`` above
 genus ``MAX_CHAIN_GENUS`` = 6, or an input over a ``polygon`` budget: box
-points, segment pairs, or model or ``--genus`` genus).  A cap or ``--parts``
-below 1 is an input error; ``--parts`` does not change ``generation``'s
-work.  Output is human-readable by default; ``--json`` switches to the JSON
-schemas, and ``--out`` always writes the JSON transcript.  Transcripts are
-byte-identical across runs and across ``--parts`` settings.
+points, segment pairs, or model or ``--genus`` genus).  A cap below 1 is an
+input error.  Output is human-readable by default; ``--json`` switches to
+the JSON schemas, and ``--out`` always writes the JSON transcript.
+Transcripts are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -112,7 +111,7 @@ def build_segments_report(p: LatticePolygon, bridges_only: bool) -> dict:
     }
 
 
-def _generation_transcript(genus: int, arf: int, cap, parts) -> dict:
+def _generation_transcript(genus: int, arf: int, cap) -> dict:
     from .symplectic import MAX_CHAIN_GENUS, verify_transvection_generation
 
     if genus > MAX_CHAIN_GENUS:  # refused before the form's tuples are built
@@ -121,7 +120,7 @@ def _generation_transcript(genus: int, arf: int, cap, parts) -> dict:
             f"MAX_CHAIN_GENUS = {MAX_CHAIN_GENUS}"
         )
     q = standard_form(genus, arf)
-    result = verify_transvection_generation(q, cap, parts)
+    result = verify_transvection_generation(q, cap)
     # equality is asserted only where full-group generation is expected
     result["asserted"] = genus >= 3
     result["pass"] = (
@@ -137,7 +136,6 @@ def run_suite(
     genus: int | None,
     arf: int | None,
     cap: int | None,
-    parts: int,
 ) -> dict:
     from .relations import (
         verify_chain_relation_homology,
@@ -148,7 +146,7 @@ def run_suite(
     if suite == "generation":
         if genus is None or arf is None:
             raise RegimeError("generation needs --genus and --arf")
-        return _generation_transcript(genus, arf, cap, parts)
+        return _generation_transcript(genus, arf, cap)
     if suite == "hyperelliptic-word":
         if p is None:
             raise RegimeError("hyperelliptic-word needs a polygon file")
@@ -167,22 +165,21 @@ def run_suite(
 def run_verify(args) -> tuple[dict, int]:
     p = _load_polygon(args.file) if args.file else None
     cap = args.cap
-    parts = args.parts
     if args.suite != "all":
-        transcript = run_suite(args.suite, p, args.genus, args.arf, cap, parts)
+        transcript = run_suite(args.suite, p, args.genus, args.arf, cap)
         code = EXIT_OK if transcript.get("pass", True) else EXIT_VERIFICATION_FAILED
         return transcript, code
     results = []
     if p is not None:
         regime = classify_regime(p)
         if regime == REGIME_HYPERELLIPTIC:
-            results.append(run_suite("hyperelliptic-word", p, None, None, cap, parts))
+            results.append(run_suite("hyperelliptic-word", p, None, None, cap))
         if regime in SPIN_REGIMES:
-            results.append(run_suite("q-consistency", p, None, None, cap, parts))
+            results.append(run_suite("q-consistency", p, None, None, cap))
     if args.genus is not None and args.arf is not None:
-        results.append(run_suite("generation", None, args.genus, args.arf, cap, parts))
-    results.append(run_suite("chain-relation", None, args.genus, None, cap, parts))
-    results.append(run_suite("chrel2", None, None, None, cap, parts))
+        results.append(run_suite("generation", None, args.genus, args.arf, cap))
+    results.append(run_suite("chain-relation", None, args.genus, None, cap))
+    results.append(run_suite("chrel2", None, None, None, cap))
     transcript = {
         "suite": "all",
         "results": results,
@@ -240,9 +237,6 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--genus", type=int, help="abstract genus for group suites")
     sp.add_argument("--arf", type=int, choices=(0, 1), help="Arf invariant")
     sp.add_argument("--cap", type=int, default=None, help="stored chain points budget")
-    sp.add_argument(
-        "--parts", type=int, default=1, help="frontier chunks per BFS level, run on threads"
-    )
     common(sp)
     return ap
 
@@ -263,10 +257,9 @@ def main(argv: list[str] | None = None) -> int:
             _emit(report, args.json, args.out)
             return EXIT_OK
         if args.command == "verify":
-            from .symplectic import resolve_cap, resolve_parts
+            from .symplectic import resolve_cap
 
             args.cap = resolve_cap(args.cap)
-            args.parts = resolve_parts(args.parts)
             transcript, code = run_verify(args)
             _emit(transcript, args.json, args.out)
             return code

@@ -30,11 +30,10 @@ and q(T_v x) = q0(x).  Then M -> T_v M T_v maps O(q0) onto O(q) and, as
 T_v t_c T_v = t_{T_v c}, adm(q0) onto adm(q), so q has the base's orders
 and verdict, and the O(q)-orbit of x is labelled by that of T_v x.
 
-Closures and orbits run one level-synchronous BFS over sorted numpy
-uint64 keys (``_bfs``), ``parts`` frontier chunks per level on threads;
-closure keys are packed matrices, so genus <= ``MAX_CLOSURE_GENUS``.  No
-verdict calls the closures, the enumerated Sp(2g, F2) or its q-filter:
-they are brute-force references for the tests.
+Closures and orbits run one sequential, level-synchronous BFS over sorted
+numpy uint64 keys (``_bfs``); closure keys are packed matrices, so genus
+<= ``MAX_CLOSURE_GENUS``.  No verdict calls the closures, the enumerated
+Sp(2g, F2) or its q-filter: they are brute-force references for the tests.
 
 Integral transvections use the right-handed convention
 x -> x + <x, c> c; the opposite sign is the inverse twist, and every
@@ -46,7 +45,6 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Callable, Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import NamedTuple
@@ -102,13 +100,6 @@ def resolve_cap(cap: int | None = None) -> int:
     if cap <= 0:
         raise ValueError(f"cap must be a positive count, got {cap}")
     return cap
-
-
-def resolve_parts(parts: int) -> int:
-    """The number of frontier chunks per BFS level; at least 1."""
-    if parts < 1:
-        raise ValueError(f"parts must be at least 1, got {parts}")
-    return parts
 
 
 @dataclass(frozen=True)
@@ -297,46 +288,25 @@ def _setdiff_sorted(cand: np.ndarray, visited: np.ndarray) -> np.ndarray:
     return cand[~old]
 
 
-def _worker_count(parts: int, chunks: int) -> int:
-    """Threads for one BFS level: never more than chunks or CPUs."""
-    return min(parts, chunks, os.cpu_count() or 1)
-
-
 def _bfs(
     start: np.ndarray,
     step: Callable[[np.ndarray], Iterable[np.ndarray]],
-    parts: int,
     cap: int | None = None,
 ) -> tuple[np.ndarray, bool]:
     """Level-synchronous BFS over uint64 keys.
 
-    ``start`` is a sorted array of distinct keys and ``step(chunk)`` yields
-    candidate arrays, one per generator or several generators at once.
-    Each level's frontier is split into ``parts`` chunks run on threads
-    (inline when one worker would run them); candidates are deduplicated
-    ``_GEN_BATCH`` arrays at a time to bound peak memory.  Returns the
-    sorted visited keys and whether the search finished before
-    ``len(visited)`` exceeded ``cap``.
+    ``start`` is a sorted array of distinct keys and ``step(frontier)``
+    yields candidate arrays, one per generator or several generators at
+    once; candidates are deduplicated ``_GEN_BATCH`` arrays at a time to
+    bound peak memory.  Returns the sorted visited keys and whether the
+    search finished before ``len(visited)`` exceeded ``cap``.
     """
-    resolve_parts(parts)
     visited = frontier = start
-
-    def expand(chunk: np.ndarray) -> list[np.ndarray]:
-        gens = iter(step(chunk))
-        out = []
-        while batch := list(islice(gens, _GEN_BATCH)):
-            out.append(_setdiff_sorted(_unique_sorted(np.concatenate(batch)), visited))
-        return out
-
     while frontier.size:
-        chunks = np.array_split(frontier, min(parts, frontier.size))
-        workers = _worker_count(parts, len(chunks))
-        if workers == 1:
-            results = [expand(chunk) for chunk in chunks]
-        else:
-            with ThreadPoolExecutor(workers) as pool:
-                results = list(pool.map(expand, chunks))
-        new = [u for r in results for u in r]
+        gens = iter(step(frontier))
+        new = []
+        while batch := list(islice(gens, _GEN_BATCH)):
+            new.append(_setdiff_sorted(_unique_sorted(np.concatenate(batch)), visited))
         frontier = _unique_sorted(np.concatenate(new)) if new else frontier[:0]
         # visited and frontier are disjoint and sorted: insert, no re-sort
         visited = np.insert(visited, np.searchsorted(visited, frontier), frontier)
@@ -369,9 +339,7 @@ class GroupClosure:
             yield MatF2.from_packed(n, int(key))
 
 
-def closure(
-    generators: list[MatF2], cap: int | None = None, parts: int = 1
-) -> GroupClosure:
+def closure(generators: list[MatF2], cap: int | None = None) -> GroupClosure:
     """Left-multiplication BFS closure of symplectic generators.
 
     Stops (``completed=False``) once the element budget is exceeded; the
@@ -395,7 +363,7 @@ def closure(
     tables = [_vector_table(g.cols) for g in generators]
     ident = np.array([MatF2.identity(n // 2).packed()], dtype=np.uint64)
     packed, completed = _bfs(
-        ident, lambda chunk: (_apply_table_mats(chunk, t, n) for t in tables), parts, cap
+        ident, lambda front: (_apply_table_mats(front, t, n) for t in tables), cap
     )
     return GroupClosure(n // 2, packed, list(generators), completed, cap)
 
@@ -480,22 +448,19 @@ def _pair_transversals(
     return out
 
 
-def full_symplectic_closure(
-    genus: int, cap: int | None = None, parts: int = 1
-) -> GroupClosure:
+def full_symplectic_closure(genus: int, cap: int | None = None) -> GroupClosure:
     """Sp(2g, F2) enumerated (genus <= 3), a brute-force test reference.
 
     The transversal product T_0 T_1 ... T_{g-1} of the chain transvections
     (:func:`_pair_transversals`) must have |Sp(2g, 2)| distinct elements,
-    else ``RuntimeError``.  ``parts`` is validated only.  A cap below
-    |Sp(2g, 2)| returns an incomplete closure at once, with no elements.
+    else ``RuntimeError``.  A cap below |Sp(2g, 2)| returns an incomplete
+    closure at once, with no elements.
     """
     if genus > MAX_FULL_GROUP_GENUS:
         raise ValueError(
             f"full-group enumeration supports genus <= {MAX_FULL_GROUP_GENUS}"
         )
     cap = resolve_cap(cap)
-    resolve_parts(parts)
     gens = chain_transvections(genus)
     if sp_order(genus) > cap:
         return GroupClosure(genus, np.zeros(0, dtype=np.uint64), gens, False, cap)
@@ -536,11 +501,9 @@ def _filter_preserves_q(packed: np.ndarray, q: QuadraticForm) -> np.ndarray:
     return packed[keep]
 
 
-def q_stabilizer_bruteforce(
-    q: QuadraticForm, cap: int | None = None, parts: int = 1
-) -> GroupClosure:
+def q_stabilizer_bruteforce(q: QuadraticForm, cap: int | None = None) -> GroupClosure:
     """O(q) filtered from the enumerated Sp(2g, F2), a test reference."""
-    full = full_symplectic_closure(q.genus, cap, parts)
+    full = full_symplectic_closure(q.genus, cap)
     if not full.completed:
         raise CapExceededError(f"full group exceeded the cap of {full.cap}")
     return GroupClosure(q.genus, _filter_preserves_q(full.packed, q), [], True, full.cap)
@@ -653,12 +616,11 @@ class _Base(NamedTuple):
 _BASES: dict[tuple[int, int], _Base] = {}
 
 
-def _base(q: QuadraticForm, cap: int | None, parts: int) -> _Base:
+def _base(q: QuadraticForm, cap: int | None) -> _Base:
     """The base of q's Arf (see the module docstring), cached once built.  The
     cap is checked as the chains grow and, on a cache hit, against the stored
     counts, so a cap gives the same exit either way."""
     cap = resolve_cap(cap)
-    resolve_parts(parts)
     genus, arf = q.genus, q.arf()
     if genus > MAX_CHAIN_GENUS:
         raise CapExceededError(
@@ -716,17 +678,14 @@ def _certified_transport(q: QuadraticForm) -> np.ndarray:
     return table
 
 
-def verify_transvection_generation(
-    q: QuadraticForm, cap: int | None = None, parts: int = 1
-) -> dict:
+def verify_transvection_generation(q: QuadraticForm, cap: int | None = None) -> dict:
     """Compare the admissible-transvection closure with the q-stabilizer.
 
     A transcript dict with both orders and a verdict, ``equal`` (expected
     for genus >= 3) or ``proper_subgroup``: the orders of the base of q's
     Arf, carried to q by the certified T_v (see the module docstring).
-    ``parts`` is validated but does not change the work.
     """
-    closure_order = _base(q, cap, parts).closure_order
+    closure_order = _base(q, cap).closure_order
     _certified_transport(q)
     return {
         "genus": q.genus,
@@ -740,9 +699,7 @@ def verify_transvection_generation(
     }
 
 
-def orbit(
-    x: CycleClassF2, generators: list[MatF2], parts: int = 1
-) -> set[CycleClassF2]:
+def orbit(x: CycleClassF2, generators: list[MatF2]) -> set[CycleClassF2]:
     """BFS orbit of a class under the group generated by ``generators``."""
     if x.genus > MAX_ORBIT_GENUS:
         raise ValueError(f"orbit computations support genus <= {MAX_ORBIT_GENUS}")
@@ -750,7 +707,7 @@ def orbit(
         raise ValueError("genus mismatch")
     tables = [_vector_table(g.cols) for g in generators]
     start = np.array([x.bits], dtype=np.uint64)
-    packed, _ = _bfs(start, lambda chunk: (t[chunk] for t in tables), parts)
+    packed, _ = _bfs(start, lambda front: (t[front] for t in tables))
     return {CycleClassF2(x.genus, int(v)) for v in packed}
 
 
@@ -765,7 +722,7 @@ def _arf_of_form_masks(masks: np.ndarray, genus: int) -> np.ndarray:
     )
 
 
-def verify_arf_classification(genus: int, parts: int = 1) -> dict:
+def verify_arf_classification(genus: int) -> dict:
     """Orbits of the symplectic group on all 2^(2g) quadratic forms.
 
     A form is encoded by its 2g basis values.  A transvection along c
@@ -793,7 +750,7 @@ def verify_arf_classification(genus: int, parts: int = 1) -> dict:
     orbits = []
     while remaining.any():
         start = np.flatnonzero(remaining)[:1].astype(np.uint64)
-        visited, _ = _bfs(start, step, parts)
+        visited, _ = _bfs(start, step)
         arfs = _arf_of_form_masks(visited, genus)
         orbits.append(
             {
@@ -815,7 +772,7 @@ def verify_arf_classification(genus: int, parts: int = 1) -> dict:
     }
 
 
-def q_orbit_partition(q: QuadraticForm, cap: int | None = None, parts: int = 1) -> dict:
+def q_orbit_partition(q: QuadraticForm, cap: int | None = None) -> dict:
     """Orbits of the q-stabilizer on nonzero mod-2 classes.
 
     x and y share an O(q)-orbit exactly when T_v x and T_v y share an
@@ -825,7 +782,7 @@ def q_orbit_partition(q: QuadraticForm, cap: int | None = None, parts: int = 1) 
     point).  The transcript records the orbit sizes with their q values
     and whether the expectation holds.
     """
-    labels = _base(q, cap, parts).labels[_certified_transport(q)]
+    labels = _base(q, cap).labels[_certified_transport(q)]
     n = 2 * q.genus
     table = q_values_table(q)
     orbits = []

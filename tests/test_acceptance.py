@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 import time
+from functools import partial
 
-from spincycles import corpus
+from spincycles import corpus, symplectic
 from spincycles.homology import CycleClassF2, build_model
 from spincycles.polygon import (
     classify_onedim,
@@ -199,19 +200,25 @@ def test_criterion_9_chain_relation():
     _report(9, elapsed, "chain relation over Z + 5-step rewriting replay")
 
 
-def test_criterion_10_determinism():
+def test_criterion_10_determinism(monkeypatch):
     start = time.time()
-    transcripts = {}
-    for parts in (1, 4, 8):
-        batch = []
-        for arf in (0, 1):
-            batch.append(
-                verify_transvection_generation(standard_form(3, arf), parts=parts)
-            )
-        batch.append(verify_arf_classification(3, parts=parts))
-        for arf in (0, 1):
-            batch.append(q_orbit_partition(standard_form(3, arf), parts=parts))
-        transcripts[parts] = json.dumps(batch, indent=2)
-    assert transcripts[1] == transcripts[4] == transcripts[8]
+    forms = [standard_form(3, arf) for arf in (0, 1)]
+    calls = [
+        *(partial(verify_transvection_generation, q) for q in forms),
+        partial(verify_arf_classification, 3),
+        *(partial(q_orbit_partition, q) for q in forms),
+    ]
+
+    def transcript(order):
+        results = {i: calls[i]() for i in order}
+        return json.dumps([results[i] for i in range(len(calls))], indent=2)
+
+    forward = range(len(calls))
+    monkeypatch.setattr(symplectic, "_BASES", {})
+    cold = transcript(forward)
+    warm = transcript(forward)
+    monkeypatch.setattr(symplectic, "_BASES", {})
+    reverse = transcript(reversed(forward))
+    assert cold == warm == reverse
     elapsed = time.time() - start
-    _report(10, elapsed, "criteria 5-7 transcripts byte-identical, parts 1/4/8")
+    _report(10, elapsed, "criteria 5-7 transcripts byte-identical, cold, warm, reversed")

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import itertools
-import os
 import random
 import time
 
@@ -18,7 +17,6 @@ from spincycles.symplectic import (
     MatF2,
     NotSymplecticError,
     _filter_preserves_q,
-    _worker_count,
     admissible_transvections,
     all_transvections,
     chain_transvections,
@@ -196,36 +194,6 @@ class TestClosure:
         capped = closure(gens, cap=100)
         assert not capped.completed
         assert capped.order == closure(gens, cap=100).order  # deterministic
-
-    def test_parts_do_not_change_result(self):
-        gens = all_transvections(2)
-        ref = closure(gens, parts=1)
-        for parts in (4, 8):
-            alt = closure(gens, parts=parts)
-            assert np.array_equal(alt.packed, ref.packed)
-
-    def test_parts_bounds(self, monkeypatch):
-        with pytest.raises(ValueError):
-            closure(all_transvections(1), parts=0)
-        # one thread per chunk at most, and never more threads than CPUs
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert _worker_count(100_000, 100_000) == 2
-        assert _worker_count(4, 1) == 1
-        assert _worker_count(1, 8) == 1
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert _worker_count(8, 8) == 1
-
-    def test_one_worker_runs_inline(self, monkeypatch):
-        # a level that one worker would run starts no thread pool
-        def no_pool(*_args):
-            raise AssertionError("thread pool started for one worker")
-
-        ref = closure(all_transvections(2), parts=4).packed
-        monkeypatch.setattr(symplectic, "ThreadPoolExecutor", no_pool)
-        assert np.array_equal(closure(all_transvections(2)).packed, ref)
-        assert verify_arf_classification(2)["two_orbits"]
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert np.array_equal(closure(all_transvections(2), parts=4).packed, ref)
 
     def test_engines_agree(self):
         # numpy closure vs the plain set BFS over MatF2 products in conftest
@@ -624,12 +592,11 @@ class TestStabilizer:
             others = [q for q in all_forms(g) if q.arf() == arf and q != base]
             for q in rng.sample(others, per_arf):
                 for fn, warm_up in pairs:
-                    for parts in (1, 4):
-                        no_bases.clear()
-                        cold = fn(q, parts=parts)
-                        no_bases.clear()
-                        warm_up(base)
-                        assert fn(q, parts=parts) == cold
+                    no_bases.clear()
+                    cold = fn(q)
+                    no_bases.clear()
+                    warm_up(base)
+                    assert fn(q) == cold
 
     def test_warm_g3_orbit_partitions_fast(self, no_bases):
         # regression gate: 20 warm calls on distinct non-base forms took
@@ -1003,9 +970,9 @@ class TestOrbit:
         ones = {CycleClassF2(2, b) for b in range(1, 16) if table[b] == 1}
         zeros = {CycleClassF2(2, b) for b in range(1, 16) if table[b] == 0}
         x1 = min(ones, key=lambda c: c.bits)
-        assert orbit(x1, gens) == ones == orbit(x1, gens, parts=4)
+        assert orbit(x1, gens) == ones
         x0 = min(zeros, key=lambda c: c.bits)
-        assert orbit(x0, gens) == zeros == orbit(x0, gens, parts=4)
+        assert orbit(x0, gens) == zeros
 
     def test_admissible_closure_can_be_proper_at_g2(self):
         # genus 2, Arf 0: the admissible transvections generate an index-2
