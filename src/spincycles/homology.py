@@ -313,11 +313,11 @@ def default_forest(
     return {v: _path(parent, v) for v in d.interior_points}
 
 
-def vertex_forest(p: LatticePolygon, kappa: Point | None = None) -> Forest:
+def vertex_forest(p: LatticePolygon) -> Forest:
     """Forest routing every interior point through one hull vertex.
 
-    Unit steps inside the interior-point set lead to ``kappa`` (default:
-    the lexicographically smallest hull vertex), followed by one primitive
+    Unit steps inside the interior-point set lead to ``kappa``, the
+    lexicographically smallest hull vertex, followed by one primitive
     step out to the polygon boundary.  Interior points the inner walk
     cannot reach fall back to their boundary-rooted default path.  Budgeted
     like :func:`default_forest`.
@@ -325,10 +325,7 @@ def vertex_forest(p: LatticePolygon, kappa: Point | None = None) -> Forest:
     check_model_genus(p.pick_counts()[0])
     d = interior_data(p)
     interior = set(d.interior_points)
-    if kappa is None:
-        kappa = d.hull_vertices[0]
-    if kappa not in interior:
-        raise ValueError(f"{kappa} is not an interior lattice point")
+    kappa = d.hull_vertices[0]
     lattice = set(p.lattice_points())
     exits = sorted(
         (w for w in lattice - interior if integer_length(kappa, w) == 1),

@@ -2,7 +2,10 @@
 
 A polygon is stored as a tuple of integer vertex pairs, counterclockwise,
 starting at the lexicographically smallest vertex, with no repeated or
-collinear-consecutive vertices.  All predicates use integer (or Fraction)
+collinear-consecutive vertices.  The constructor accepts a cycle only if it
+equals its own strict convex hull in that form; ``parse_polygon`` brings
+any convex cycle to it, and one hull check (``_convex_cycle``) decides
+convexity for both.  All predicates use integer (or Fraction)
 arithmetic only; lattice points are enumerated column by column over the
 bounding box.  Work is budgeted from the vertices alone (Pick's theorem),
 before any scan: a box over ``MAX_BOX_POINTS`` lattice points, segment
@@ -138,7 +141,12 @@ def _hull_ccw(points: list[Point]) -> list[Point]:
 
 @dataclass(frozen=True)
 class LatticePolygon:
-    """Convex lattice polygon; vertices CCW from the lex-smallest vertex."""
+    """Convex lattice polygon; vertices CCW from the lex-smallest vertex.
+
+    ``vertices`` is accepted only if it equals its own strict convex hull,
+    counterclockwise from the lexicographically smallest vertex; any other
+    cycle raises :class:`PolygonError` (``parse_polygon`` canonicalizes).
+    """
 
     vertices: tuple[Point, ...]
 
@@ -214,27 +222,39 @@ class LatticePolygon:
         return json.dumps(self.to_json_dict())
 
 
-def _validate(vertices: tuple[Point, ...]) -> None:
-    if len(vertices) < 3:
-        raise PolygonError(
-            f"a polygon needs at least 3 distinct vertices, got {len(vertices)}",
-            code="too_few_vertices",
-        )
-    if len(set(vertices)) != len(vertices):
+def _convex_cycle(cycle: list[Point] | tuple[Point, ...]) -> tuple[Point, ...]:
+    """The strict hull of a CCW vertex cycle that traverses it in order.
+
+    This is the one convexity decision: a cycle with a vertex off the hull's
+    corners, a repeat, or an order other than a rotation of the hull raises
+    :class:`PolygonError`.
+    """
+    hull = tuple(_hull_ccw(cycle))
+    if len(hull) < 3:
+        raise PolygonError("all vertices are collinear", code="collinear")
+    corners = set(hull)
+    for p in cycle:
+        if p in corners:
+            continue
+        # not a corner: on a hull edge => collinear, inside => non-convex
+        if any(_cross(hull[i - 1], hull[i], p) == 0 for i in range(len(hull))):
+            raise PolygonError(
+                f"vertex {p} lies on an edge (collinear triple)", code="collinear"
+            )
+        raise PolygonError(f"vertex {p} is not in convex position", code="non_convex")
+    if len(hull) != len(cycle):
         raise PolygonError("repeated vertex", code="too_few_vertices")
-    n = len(vertices)
-    for i in range(n):
-        c = _cross(vertices[i], vertices[(i + 1) % n], vertices[(i + 2) % n])
-        if c == 0:
-            raise PolygonError(
-                "three consecutive vertices are collinear", code="collinear"
-            )
-        if c < 0:
-            raise PolygonError(
-                "vertices are not in counterclockwise convex position",
-                code="non_convex",
-            )
-    if vertices[0] != min(vertices):
+    k = cycle.index(hull[0])
+    if tuple(cycle[k:]) + tuple(cycle[:k]) != hull:
+        raise PolygonError(
+            "vertex cycle does not traverse the convex hull in order",
+            code="non_convex",
+        )
+    return hull
+
+
+def _validate(vertices: tuple[Point, ...]) -> None:
+    if _convex_cycle(vertices) != vertices:
         raise PolygonError(
             "vertex list must start at the lexicographically smallest vertex",
             code="non_canonical",
@@ -257,31 +277,7 @@ def _canonicalize(raw: list[Point]) -> tuple[Point, ...]:
     )
     if area2 == 0:
         raise PolygonError("degenerate (zero-area) vertex cycle", code="collinear")
-    cycle = list(raw) if area2 > 0 else list(reversed(raw))
-    hull = _hull_ccw(cycle)
-    if len(hull) < 3:
-        raise PolygonError("all vertices are collinear", code="collinear")
-    if set(hull) != set(cycle):
-        # some listed vertex is not a corner: on an edge => collinear, inside => non-convex
-        boundary = LatticePolygon(tuple(hull))
-        for p in cycle:
-            if p in set(hull):
-                continue
-            if boundary.on_boundary(p):
-                raise PolygonError(
-                    f"vertex {p} lies on an edge (collinear triple)", code="collinear"
-                )
-            raise PolygonError(f"vertex {p} is not in convex position", code="non_convex")
-    if len(hull) != len(cycle):
-        raise PolygonError("repeated vertex", code="too_few_vertices")
-    k = cycle.index(hull[0])
-    rotated = cycle[k:] + cycle[:k]
-    if rotated != hull:
-        raise PolygonError(
-            "vertex cycle does not traverse the convex hull in order",
-            code="non_convex",
-        )
-    return tuple(hull)
+    return _convex_cycle(raw if area2 > 0 else raw[::-1])
 
 
 def parse_polygon(text: str | bytes | dict) -> LatticePolygon:

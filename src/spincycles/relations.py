@@ -238,11 +238,9 @@ def chain_instance(genus_ambient: int) -> dict[str, CycleClassZ]:
     return {"a": a, "b": b, "c": c, "alpha": d, "beta": d}
 
 
-def chrel2_system(
-    i_ac: int = 0, genus_ambient: int = 2
-) -> CurveSystem:
+def chrel2_system(i_ac: int = 0) -> CurveSystem:
     """Curve system of the chain-relation rewriting (perturbable for tests)."""
-    classes = chain_instance(genus_ambient)
+    classes = chain_instance(2)
     pairs = {
         ("a", "b"): 1,
         ("b", "c"): 1,
@@ -372,18 +370,22 @@ def verify_chrel2_derivation(system: CurveSystem | None = None) -> dict:
     4. braid  a b a -> b a b  and  c b c -> b c b  in each half;
     5. cancel the inner  b b^-1  pairs.
 
-    Every primitive move is validated against the intersection table, each
-    line is compared with the expected word, and when homology classes
-    are assigned every line is evaluated over Z and compared with the
-    value of the starting word (rewriting soundness).  Finally the moves
-    are undone in reverse order, and each undo must give back the word
-    the move was applied to.
+    Every primitive move is validated against the intersection table, and
+    each line is compared with the expected word and evaluated over Z
+    against the value of the starting word (rewriting soundness), so a
+    system without homology classes raises ``ValueError``.  Finally the
+    moves are undone in reverse order, and each undo must give back the
+    word the move was applied to.
     """
     if system is None:
         system = chrel2_system()
+    if system.classes is None:
+        raise ValueError(
+            "the chrel2 soundness check needs homology classes for the curves "
+            + ", ".join(system.curves)
+        )
     start = TwistWord.from_names(["alpha", "beta"])
-    sound_values = system.classes is not None
-    base_value = evaluate_word_z(start, system.classes) if sound_values else None
+    base_value = evaluate_word_z(start, system.classes)
     word = start
     history = []
     steps = []
@@ -406,24 +408,24 @@ def verify_chrel2_derivation(system: CurveSystem | None = None) -> dict:
                     "word_after": str(word),
                 }
             )
-        entry = {
-            "step": step_no,
-            "rule": label,
-            "position": moves[0][1],
-            "word_before": primitives[0]["word_before"],
-            "word_after": str(word),
-            "matches_expected_line": str(word) == expected,
-            "primitives": primitives,
-        }
-        if sound_values:
-            value = evaluate_word_z(word, system.classes)
-            entry["sound"] = bool(np.array_equal(value, base_value))
-        steps.append(entry)
+        value = evaluate_word_z(word, system.classes)
+        steps.append(
+            {
+                "step": step_no,
+                "rule": label,
+                "position": moves[0][1],
+                "word_before": primitives[0]["word_before"],
+                "word_after": str(word),
+                "matches_expected_line": str(word) == expected,
+                "primitives": primitives,
+                "sound": bool(np.array_equal(value, base_value)),
+            }
+        )
 
     reversed_ok = _undo(system, word, history, start)
     final_ok = str(word.normalized()) == "b^2 a b^2 c b^2 a b^2 c"
     lines_ok = all(s["matches_expected_line"] for s in steps)
-    sound = all(s.get("sound", True) for s in steps)
+    sound = all(s["sound"] for s in steps)
     return {
         "suite": "chrel2",
         "steps": steps,
@@ -440,7 +442,7 @@ def verify_chrel2_derivation(system: CurveSystem | None = None) -> dict:
 # the hyperelliptic chain word
 
 
-def verify_hyperelliptic_word(p: LatticePolygon, sign: int = 1) -> dict:
+def verify_hyperelliptic_word(p: LatticePolygon) -> dict:
     """Evaluate the palindromic chain word of a width-2 strip polygon.
 
     The word runs once up the chain and once back down (the top twist
@@ -464,10 +466,10 @@ def verify_hyperelliptic_word(p: LatticePolygon, sign: int = 1) -> dict:
         classes[name] = cz
     word = TwistWord.from_names(names + names[::-1])
     minus_i = -np.eye(2 * g, dtype=np.int64)
-    value = evaluate_word_z(word, classes, sign)
-    ok = bool(np.array_equal(value, minus_i))
-    flipped = evaluate_word_z(word, classes, -sign)
-    ok_flip = bool(np.array_equal(flipped, minus_i))
+    ok, ok_flip = (
+        bool(np.array_equal(evaluate_word_z(word, classes, sign), minus_i))
+        for sign in (1, -1)
+    )
     return {
         "suite": "hyperelliptic-word",
         "genus": g,

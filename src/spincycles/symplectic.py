@@ -479,13 +479,19 @@ def full_symplectic_closure(genus: int, cap: int | None = None) -> GroupClosure:
     return GroupClosure(genus, packed, gens, True, cap)
 
 
+def _quad_term(x: np.ndarray, genus: int) -> np.ndarray:
+    """The closed-form q kernel popcount(x & (x >> 1) & a_mask): sum_i a_i b_i
+    of packed classes (the part of q every form shares), or, for the basis
+    values of forms, sum_i q(a_i) q(b_i), whose parity is the Arf invariant."""
+    return np.bitwise_count(x & (x >> np.uint64(1)) & np.uint64(a_mask(genus)))
+
+
 def q_values_table(q: QuadraticForm) -> np.ndarray:
     """q over all 2^(2g) packed classes (uint8), the closed form of
     :meth:`QuadraticForm.eval_bits` applied to every class at once."""
     x = np.arange(1 << (2 * q.genus), dtype=np.uint64)
     lin = np.bitwise_count(x & np.uint64(q.qmask))
-    quad = np.bitwise_count(x & (x >> np.uint64(1)) & np.uint64(a_mask(q.genus)))
-    return ((lin + quad) & np.uint64(1)).astype(np.uint8)
+    return ((lin + _quad_term(x, q.genus)) & np.uint64(1)).astype(np.uint8)
 
 
 def _filter_preserves_q(packed: np.ndarray, q: QuadraticForm) -> np.ndarray:
@@ -715,13 +721,6 @@ def orbit(x: CycleClassF2, generators: list[MatF2]) -> set[CycleClassF2]:
 # orbit structure used by the acceptance checks
 
 
-def _arf_of_form_masks(masks: np.ndarray, genus: int) -> np.ndarray:
-    ma = np.uint64(a_mask(genus))
-    return (np.bitwise_count(masks & (masks >> np.uint64(1)) & ma) & np.uint64(1)).astype(
-        np.uint8
-    )
-
-
 def verify_arf_classification(genus: int) -> dict:
     """Orbits of the symplectic group on all 2^(2g) quadratic forms.
 
@@ -740,7 +739,7 @@ def verify_arf_classification(genus: int) -> dict:
 
     cs = np.arange(1, total, dtype=np.uint64)[:, None]
     flips = np.array([swap_pairs(c) for c in range(1, total)], dtype=np.uint64)[:, None]
-    quads = np.bitwise_count(cs & (cs >> one) & np.uint64(a_mask(genus)))
+    quads = _quad_term(cs, genus)
 
     def step(front: np.ndarray):
         qc = (np.bitwise_count(front & cs) + quads) & one
@@ -751,7 +750,7 @@ def verify_arf_classification(genus: int) -> dict:
     while remaining.any():
         start = np.flatnonzero(remaining)[:1].astype(np.uint64)
         visited, _ = _bfs(start, step)
-        arfs = _arf_of_form_masks(visited, genus)
+        arfs = _quad_term(visited, genus) & 1
         orbits.append(
             {
                 "arf": int(arfs[0]),

@@ -13,6 +13,7 @@ from spincycles.polygon import (
     CORNER_MEETING,
     CORNER_TRUNCATED,
     GenusZeroError,
+    LatticePolygon,
     NotSmoothError,
     PolygonError,
     PolygonTooLargeError,
@@ -96,6 +97,51 @@ class TestParse:
                 continue
             count += 1
             assert parse_polygon(json.dumps(p.to_json_dict())) == p
+
+
+def _parse_verdict(vertices):
+    """The canonical cycle ``parse_polygon`` makes of ``vertices``, or None."""
+    try:
+        return parse_polygon({"vertices": [list(v) for v in vertices]}).vertices
+    except PolygonError:
+        return None
+
+
+class TestConstructor:
+    """``LatticePolygon(v)`` accepts ``v`` exactly when it is its own canonical form."""
+
+    def test_pentagram_rejected(self):
+        star = ((-1, 3), (4, 0), (2, 5), (0, 0), (5, 3))
+        with pytest.raises(PolygonError) as err:
+            LatticePolygon(star)
+        assert err.value.code == "non_convex"
+        assert _parse_verdict(star) is None
+
+    def test_rotation_and_reversal_rejected(self):
+        square = ((0, 0), (2, 0), (2, 2), (0, 2))
+        assert LatticePolygon(square).vertices == square
+        with pytest.raises(PolygonError) as err:
+            LatticePolygon(square[1:] + square[:1])
+        assert err.value.code == "non_canonical"
+        with pytest.raises(PolygonError) as err:
+            LatticePolygon(square[:1] + square[:0:-1])
+        assert err.value.code == "non_convex"
+
+    def test_accepts_exactly_canonical_cycles(self):
+        rng = random.Random(18)
+        accepted = 0
+        for _ in range(10_000):
+            cycle = tuple(
+                (rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(rng.randint(1, 7))
+            )
+            try:
+                LatticePolygon(cycle)
+                ok = True
+            except PolygonError:
+                ok = False
+            assert ok == (_parse_verdict(cycle) == cycle), cycle
+            accepted += ok
+        assert accepted > 50
 
 
 class TestSmooth:

@@ -218,6 +218,13 @@ class TestChrel2:
         with pytest.raises(RuleError):
             verify_chrel2_derivation(chrel2_system(i_ac=1))
 
+    def test_system_without_classes_refused(self):
+        # soundness is only claimed for lines that were evaluated
+        sys = chrel2_system()
+        bare = CurveSystem(sys.curves, sys.intersections)
+        with pytest.raises(ValueError, match="needs homology classes for the curves a, b, c"):
+            verify_chrel2_derivation(bare)
+
     def test_transcript_serializes(self):
         import json
 
