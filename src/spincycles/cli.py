@@ -39,6 +39,7 @@ from .polygon import (
     even_points,
     interior_data,
     parse_polygon,
+    resolve_cap,
 )
 from .spin import canonical_q, standard_form, verify_q_consistency
 
@@ -257,8 +258,6 @@ def main(argv: list[str] | None = None) -> int:
             _emit(report, args.json, args.out)
             return EXIT_OK
         if args.command == "verify":
-            from .symplectic import resolve_cap
-
             args.cap = resolve_cap(args.cap)
             transcript, code = run_verify(args)
             _emit(transcript, args.json, args.out)

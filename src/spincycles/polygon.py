@@ -11,6 +11,8 @@ bounding box.  Work is budgeted from the vertices alone (Pick's theorem),
 before any scan: a box over ``MAX_BOX_POINTS`` lattice points, segment
 enumeration over ``MAX_SEGMENT_PAIRS`` point pairs, or a homology model
 over genus ``MAX_MODEL_GENUS`` raises :class:`PolygonTooLargeError`.
+The group budget, ``DEFAULT_CAP`` or SPINCYCLES_CAP, is resolved here too
+(``resolve_cap``), so the CLI validates it without loading numpy.
 
 Terminology used throughout the package:
 
@@ -33,6 +35,7 @@ Terminology used throughout the package:
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -57,9 +60,13 @@ MAX_BOX_POINTS = 250_000
 MAX_SEGMENT_PAIRS = 250_000
 
 #: interior points of a homology model, also the largest abstract genus a
-#: relation check accepts; ``verify hyperelliptic-word`` (cubic in the
-#: genus) on a genus-300 strip takes about 5 s (2-core Xeon)
+#: relation check accepts; ``verify hyperelliptic-word`` (quadratic in the
+#: genus) on a genus-300 strip takes about 0.7 s (2-core Xeon)
 MAX_MODEL_GENUS = 300
+
+#: default budget, of closure elements or of the points a stabilizer chain
+#: stores (override per call or via SPINCYCLES_CAP)
+DEFAULT_CAP = 2_000_000
 
 
 class PolygonError(ValueError):
@@ -99,6 +106,19 @@ def check_model_genus(genus: int) -> None:
         raise PolygonTooLargeError(
             f"genus {genus} is over the model budget MAX_MODEL_GENUS = {MAX_MODEL_GENUS}"
         )
+
+
+def resolve_cap(cap: int | None = None) -> int:
+    """The budget: ``cap``, else SPINCYCLES_CAP, else the default."""
+    if cap is None:
+        env = os.environ.get("SPINCYCLES_CAP")
+        try:
+            cap = int(env) if env else DEFAULT_CAP
+        except ValueError:
+            raise ValueError(f"SPINCYCLES_CAP must be an integer, got {env!r}") from None
+    if cap <= 0:
+        raise ValueError(f"cap must be a positive count, got {cap}")
+    return cap
 
 
 def _cross(o: Point, a: Point, b: Point) -> int:
@@ -143,16 +163,17 @@ def _hull_ccw(points: list[Point]) -> list[Point]:
 class LatticePolygon:
     """Convex lattice polygon; vertices CCW from the lex-smallest vertex.
 
-    ``vertices`` is accepted only if it equals its own strict convex hull,
-    counterclockwise from the lexicographically smallest vertex; any other
-    cycle raises :class:`PolygonError` (``parse_polygon`` canonicalizes).
+    ``vertices`` is accepted only if every vertex is a pair of ints
+    (``non_integer`` otherwise, as in ``parse_polygon``) and the cycle equals
+    its own strict convex hull, counterclockwise from the lexicographically
+    smallest vertex; any other cycle raises :class:`PolygonError`
+    (``parse_polygon`` canonicalizes).
     """
 
     vertices: tuple[Point, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(map(tuple, self.vertices)))
-        _validate(self.vertices)
+        object.__setattr__(self, "vertices", _validate(self.vertices))
 
     def edges(self) -> list[tuple[Point, Point]]:
         v = self.vertices
@@ -253,12 +274,28 @@ def _convex_cycle(cycle: list[Point] | tuple[Point, ...]) -> tuple[Point, ...]:
     return hull
 
 
-def _validate(vertices: tuple[Point, ...]) -> None:
-    if _convex_cycle(vertices) != vertices:
+def _lattice_point(item) -> Point:
+    """``item`` as a vertex: a list or tuple of two ints (bools excluded)."""
+    if (
+        not isinstance(item, (list, tuple))
+        or len(item) != 2
+        or not all(type(c) is int for c in item)
+    ):
+        raise PolygonError(
+            f"vertex {item!r} is not a pair of integers", code="non_integer"
+        )
+    return (item[0], item[1])
+
+
+def _validate(vertices) -> tuple[Point, ...]:
+    """The vertices as integer pairs, if they are their own canonical hull."""
+    points = tuple(map(_lattice_point, vertices))
+    if _convex_cycle(points) != points:
         raise PolygonError(
             "vertex list must start at the lexicographically smallest vertex",
             code="non_canonical",
         )
+    return points
 
 
 def _canonicalize(raw: list[Point]) -> tuple[Point, ...]:
@@ -294,18 +331,7 @@ def parse_polygon(text: str | bytes | dict) -> LatticePolygon:
     raw = doc["vertices"]
     if not isinstance(raw, list):
         raise PolygonError('"vertices" must be an array', code="format")
-    verts: list[Point] = []
-    for item in raw:
-        if (
-            not isinstance(item, (list, tuple))
-            or len(item) != 2
-            or not all(type(c) is int for c in item)
-        ):
-            raise PolygonError(
-                f"vertex {item!r} is not a pair of integers", code="non_integer"
-            )
-        verts.append((item[0], item[1]))
-    return LatticePolygon(_canonicalize(verts))
+    return LatticePolygon(_canonicalize([_lattice_point(item) for item in raw]))
 
 
 def is_smooth(p: LatticePolygon) -> bool:

@@ -37,13 +37,14 @@ Sp(2g, F2) or its q-filter: they are brute-force references for the tests.
 
 Integral transvections use the right-handed convention
 x -> x + <x, c> c; the opposite sign is the inverse twist, and every
-relation-level verdict in this package is checked under both signs.
+relation-level verdict in this package is checked under both signs.  The
+dense integral matrices here (``transvection_z_power``) are the test oracle
+for ``relations.evaluate_word_z``, which needs neither them nor numpy.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from itertools import islice
@@ -58,12 +59,8 @@ from .homology import (
     is_symplectic_bits,
     swap_pairs,
 )
-from .polygon import PolygonTooLargeError
+from .polygon import DEFAULT_CAP, PolygonTooLargeError, resolve_cap
 from .spin import QuadraticForm, standard_form
-
-#: default budget, of closure elements or of the points a stabilizer chain
-#: stores (override per call or via SPINCYCLES_CAP)
-DEFAULT_CAP = 2_000_000
 
 #: full-group enumeration and stabilizer filtering are desk-scale only
 MAX_FULL_GROUP_GENUS = 3
@@ -87,19 +84,6 @@ class NotSymplecticError(ValueError):
 
 class CapExceededError(PolygonTooLargeError):
     """A closure or a stabilizer chain outgrew its cap, or its genus limit."""
-
-
-def resolve_cap(cap: int | None = None) -> int:
-    """The budget: ``cap``, else SPINCYCLES_CAP, else the default."""
-    if cap is None:
-        env = os.environ.get("SPINCYCLES_CAP")
-        try:
-            cap = int(env) if env else DEFAULT_CAP
-        except ValueError:
-            raise ValueError(f"SPINCYCLES_CAP must be an integer, got {env!r}") from None
-    if cap <= 0:
-        raise ValueError(f"cap must be a positive count, got {cap}")
-    return cap
 
 
 @dataclass(frozen=True)

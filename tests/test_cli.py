@@ -245,16 +245,23 @@ class TestVerify:
 
 class TestNumpyBoundary:
     def test_polygon_commands_run_without_numpy(self, tmp_path):
-        # only the verify path (symplectic, relations) may load numpy
-        path = corpus_file(tmp_path, "quintic")
+        # only the group verdicts (symplectic) may load numpy
+        spin = corpus_file(tmp_path, "quintic")
+        hyper = corpus_file(tmp_path, "rect_4x2")
         script = (
             "import sys\n"
             "from spincycles.cli import main\n"
-            f"path = {path!r}\n"
-            "for argv in (['classify', path], ['qtable', path], ['segments', path]):\n"
+            f"spin, hyper = {spin!r}, {hyper!r}\n"
+            "for argv in (\n"
+            "    ['classify', spin], ['qtable', spin], ['segments', spin],\n"
+            "    ['verify', 'all', spin], ['verify', 'all', hyper],\n"
+            "    ['verify', 'q-consistency', spin],\n"
+            "    ['verify', 'hyperelliptic-word', hyper],\n"
+            "    ['verify', 'chain-relation'], ['verify', 'chrel2'],\n"
+            "):\n"
             "    assert main(argv) == 0, argv\n"
-            "assert 'numpy' not in sys.modules, 'numpy imported'\n"
-            "assert main(['verify', 'all', path]) == 0\n"
+            "    assert 'numpy' not in sys.modules, ('numpy imported', argv)\n"
+            "assert main(['verify', 'generation', '--genus', '2', '--arf', '1']) == 0\n"
             "assert 'numpy' in sys.modules\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(spincycles.__file__).parents[1])}

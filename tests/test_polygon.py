@@ -127,6 +127,18 @@ class TestConstructor:
             LatticePolygon(square[:1] + square[:0:-1])
         assert err.value.code == "non_convex"
 
+    def test_non_integer_rejected_like_the_parser(self):
+        # a float or a bool coordinate gets the parser's code and message
+        for cycle in (((0, 0), (2.5, 0), (0, 2)), ((0, 0), (2, 0), (True, 2))):
+            with pytest.raises(PolygonError) as err:
+                LatticePolygon(cycle)
+            with pytest.raises(PolygonError) as parsed:
+                parse_polygon({"vertices": [list(v) for v in cycle]})
+            assert err.value.code == parsed.value.code == "non_integer"
+            bad = next(v for v in cycle if any(type(c) is not int for c in v))
+            assert str(err.value) == f"vertex {bad!r} is not a pair of integers"
+            assert str(parsed.value) == f"vertex {list(bad)!r} is not a pair of integers"
+
     def test_accepts_exactly_canonical_cycles(self):
         rng = random.Random(18)
         accepted = 0

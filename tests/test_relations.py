@@ -132,6 +132,32 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate_word_z(TwistWord.from_names(["x"]), {})
 
+    def test_exact_past_int64(self):
+        # entries past 2^63 stay exact, against dense powers over Python ints
+        cls = {"a": CycleClassZ.basis_a(1, 1), "b": CycleClassZ.basis_b(1, 1)}
+        out = evaluate_word_z(TwistWord((("a", 2**40), ("b", 2**40))), cls)
+        assert out[0][0] == 1 - 2**80
+        rng = random.Random(19)
+        largest = 0
+        for g in (1, 2, 3):
+            cls = {
+                f"c{k}": CycleClassZ(g, tuple(rng.randint(-2, 2) for _ in range(2 * g)))
+                for k in range(3)
+            }
+            for _ in range(5):
+                word = TwistWord(
+                    tuple(
+                        (rng.choice(list(cls)), rng.choice((-1, 1)) * 2 ** rng.randint(20, 40))
+                        for _ in range(rng.randint(2, 6))
+                    )
+                )
+                dense = np.eye(2 * g, dtype=np.int64).astype(object)
+                for name, exp in word.letters:
+                    dense = dense @ transvection_z_power(cls[name], exp).astype(object)
+                assert evaluate_word_z(word, cls) == dense.tolist(), str(word)
+                largest = max(largest, max(abs(x) for row in dense.tolist() for x in row))
+        assert largest > 2**63
+
     def test_matches_dense_product(self):
         # rank-1 updates against the left-to-right product of dense powers
         rng = random.Random(11)
@@ -251,6 +277,16 @@ class TestHyperellipticWord:
     def test_wrong_regime(self, d5):
         with pytest.raises(RegimeError):
             verify_hyperelliptic_word(d5)
+
+    def test_genus_300_strip_is_fast(self):
+        # the largest strip MAX_MODEL_GENUS admits: sparse letters keep the
+        # chain word quadratic in the genus
+        p = polygon_from([(0, 0), (301, 0), (301, 2), (0, 2)])
+        start = time.perf_counter()
+        r = verify_hyperelliptic_word(p)
+        elapsed = time.perf_counter() - start
+        assert r["genus"] == 300 and r["pass"], r
+        assert elapsed < 2.0, elapsed
 
     def test_genus_100_strip_is_fast(self):
         p = polygon_from([(0, 0), (101, 0), (101, 2), (0, 2)])
