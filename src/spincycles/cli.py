@@ -5,16 +5,15 @@ Subcommands::
     spincycles classify <file>
     spincycles qtable   <file>
     spincycles segments <file> [--bridges]
-    spincycles verify <suite> [<file>] [--genus G] [--arf A] [--cap N]
+    spincycles verify <suite> [<file>] [--genus G] [--arf A]
                       [--json] [--out FILE]
 
 Suites: generation, hyperelliptic-word, chain-relation, chrel2,
 q-consistency, all.  Exit codes: 0 pass, 1 verification failure, 2 input
-error, 3 suite/operation inapplicable, 4 resource cap exhausted (a chain
-storing more points than ``--cap`` or SPINCYCLES_CAP, ``generation`` above
-genus ``MAX_CHAIN_GENUS`` = 6, or an input over a ``polygon`` budget: box
-points, segment pairs, or model or ``--genus`` genus).  A cap below 1 is an
-input error.  Output is human-readable by default; ``--json`` switches to
+error, 3 suite/operation inapplicable, 4 resource cap exhausted
+(``generation`` above genus ``MAX_CHAIN_GENUS`` = 6, or an input over a
+``polygon`` budget: box points, segment pairs, or model or ``--genus``
+genus).  Output is human-readable by default; ``--json`` switches to
 the JSON schemas, and ``--out`` always writes the JSON transcript.
 Transcripts are byte-identical across runs.
 """
@@ -39,7 +38,6 @@ from .polygon import (
     even_points,
     interior_data,
     parse_polygon,
-    resolve_cap,
 )
 from .spin import canonical_q, standard_form, verify_q_consistency
 
@@ -112,7 +110,7 @@ def build_segments_report(p: LatticePolygon, bridges_only: bool) -> dict:
     }
 
 
-def _generation_transcript(genus: int, arf: int, cap) -> dict:
+def _generation_transcript(genus: int, arf: int) -> dict:
     from .symplectic import MAX_CHAIN_GENUS, verify_transvection_generation
 
     if genus > MAX_CHAIN_GENUS:  # refused before the form's tuples are built
@@ -121,7 +119,7 @@ def _generation_transcript(genus: int, arf: int, cap) -> dict:
             f"MAX_CHAIN_GENUS = {MAX_CHAIN_GENUS}"
         )
     q = standard_form(genus, arf)
-    result = verify_transvection_generation(q, cap)
+    result = verify_transvection_generation(q)
     # equality is asserted only where full-group generation is expected
     result["asserted"] = genus >= 3
     result["pass"] = (
@@ -132,29 +130,25 @@ def _generation_transcript(genus: int, arf: int, cap) -> dict:
 
 
 def run_suite(
-    suite: str,
-    p: LatticePolygon | None,
-    genus: int | None,
-    arf: int | None,
-    cap: int | None,
+    suite: str, p: LatticePolygon | None, genus: int | None, arf: int | None
 ) -> dict:
-    from .relations import (
-        verify_chain_relation_homology,
-        verify_chrel2_derivation,
-        verify_hyperelliptic_word,
-    )
-
     if suite == "generation":
         if genus is None or arf is None:
             raise RegimeError("generation needs --genus and --arf")
-        return _generation_transcript(genus, arf, cap)
+        return _generation_transcript(genus, arf)
     if suite == "hyperelliptic-word":
         if p is None:
             raise RegimeError("hyperelliptic-word needs a polygon file")
+        from .relations import verify_hyperelliptic_word
+
         return verify_hyperelliptic_word(p)
     if suite == "chain-relation":
+        from .relations import verify_chain_relation_homology
+
         return verify_chain_relation_homology(2 if genus is None else genus)
     if suite == "chrel2":
+        from .relations import verify_chrel2_derivation
+
         return verify_chrel2_derivation()
     if suite == "q-consistency":
         if p is None:
@@ -165,22 +159,21 @@ def run_suite(
 
 def run_verify(args) -> tuple[dict, int]:
     p = _load_polygon(args.file) if args.file else None
-    cap = args.cap
     if args.suite != "all":
-        transcript = run_suite(args.suite, p, args.genus, args.arf, cap)
+        transcript = run_suite(args.suite, p, args.genus, args.arf)
         code = EXIT_OK if transcript.get("pass", True) else EXIT_VERIFICATION_FAILED
         return transcript, code
     results = []
     if p is not None:
         regime = classify_regime(p)
         if regime == REGIME_HYPERELLIPTIC:
-            results.append(run_suite("hyperelliptic-word", p, None, None, cap))
+            results.append(run_suite("hyperelliptic-word", p, None, None))
         if regime in SPIN_REGIMES:
-            results.append(run_suite("q-consistency", p, None, None, cap))
+            results.append(run_suite("q-consistency", p, None, None))
     if args.genus is not None and args.arf is not None:
-        results.append(run_suite("generation", None, args.genus, args.arf, cap))
-    results.append(run_suite("chain-relation", None, args.genus, None, cap))
-    results.append(run_suite("chrel2", None, None, None, cap))
+        results.append(run_suite("generation", None, args.genus, args.arf))
+    results.append(run_suite("chain-relation", None, args.genus, None))
+    results.append(run_suite("chrel2", None, None, None))
     transcript = {
         "suite": "all",
         "results": results,
@@ -237,7 +230,6 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("file", nargs="?", help="polygon JSON file")
     sp.add_argument("--genus", type=int, help="abstract genus for group suites")
     sp.add_argument("--arf", type=int, choices=(0, 1), help="Arf invariant")
-    sp.add_argument("--cap", type=int, default=None, help="stored chain points budget")
     common(sp)
     return ap
 
@@ -258,7 +250,6 @@ def main(argv: list[str] | None = None) -> int:
             _emit(report, args.json, args.out)
             return EXIT_OK
         if args.command == "verify":
-            args.cap = resolve_cap(args.cap)
             transcript, code = run_verify(args)
             _emit(transcript, args.json, args.out)
             return code

@@ -11,8 +11,6 @@ bounding box.  Work is budgeted from the vertices alone (Pick's theorem),
 before any scan: a box over ``MAX_BOX_POINTS`` lattice points, segment
 enumeration over ``MAX_SEGMENT_PAIRS`` point pairs, or a homology model
 over genus ``MAX_MODEL_GENUS`` raises :class:`PolygonTooLargeError`.
-The group budget, ``DEFAULT_CAP`` or SPINCYCLES_CAP, is resolved here too
-(``resolve_cap``), so the CLI validates it without loading numpy.
 
 Terminology used throughout the package:
 
@@ -35,7 +33,6 @@ Terminology used throughout the package:
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -63,10 +60,6 @@ MAX_SEGMENT_PAIRS = 250_000
 #: relation check accepts; ``verify hyperelliptic-word`` (quadratic in the
 #: genus) on a genus-300 strip takes about 0.7 s (2-core Xeon)
 MAX_MODEL_GENUS = 300
-
-#: default budget, of closure elements or of the points a stabilizer chain
-#: stores (override per call or via SPINCYCLES_CAP)
-DEFAULT_CAP = 2_000_000
 
 
 class PolygonError(ValueError):
@@ -106,19 +99,6 @@ def check_model_genus(genus: int) -> None:
         raise PolygonTooLargeError(
             f"genus {genus} is over the model budget MAX_MODEL_GENUS = {MAX_MODEL_GENUS}"
         )
-
-
-def resolve_cap(cap: int | None = None) -> int:
-    """The budget: ``cap``, else SPINCYCLES_CAP, else the default."""
-    if cap is None:
-        env = os.environ.get("SPINCYCLES_CAP")
-        try:
-            cap = int(env) if env else DEFAULT_CAP
-        except ValueError:
-            raise ValueError(f"SPINCYCLES_CAP must be an integer, got {env!r}") from None
-    if cap <= 0:
-        raise ValueError(f"cap must be a positive count, got {cap}")
-    return cap
 
 
 def _cross(o: Point, a: Point, b: Point) -> int:
@@ -238,9 +218,6 @@ class LatticePolygon:
 
     def to_json_dict(self) -> dict:
         return {"vertices": [list(v) for v in self.vertices]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def _convex_cycle(cycle: list[Point] | tuple[Point, ...]) -> tuple[Point, ...]:
@@ -362,12 +339,6 @@ class InteriorData:
             raise RegimeError("interior hull is not two-dimensional")
         return LatticePolygon(self.hull_vertices)
 
-    @property
-    def segment_length(self) -> int:
-        if self.dimension != 1:
-            raise RegimeError("interior hull is not a segment")
-        return integer_length(*self.hull_vertices)
-
     def is_even(self, pt: Point) -> bool:
         """Parity of an arbitrary lattice point relative to the interior hull.
 
@@ -404,11 +375,6 @@ def interior_data(p: LatticePolygon) -> InteriorData:
     for length in lengths:
         root = gcd(root, length)
     return InteriorData(tuple(pts), tuple(hull), 2, len(pts), root)
-
-
-def is_even_point(p: LatticePolygon, pt: Point) -> bool:
-    """Parity of a lattice point of ``p``; see :meth:`InteriorData.is_even`."""
-    return interior_data(p).is_even(pt)
 
 
 def even_points(p: LatticePolygon) -> dict[Point, bool]:
@@ -521,11 +487,6 @@ class AffineMap:
         if abs(a * d - b * c) != 1:
             raise ValueError("linear part must have determinant +-1")
 
-    @property
-    def det(self) -> int:
-        (a, b), (c, d) = self.linear
-        return a * d - b * c
-
     def apply(self, p: Point) -> Point:
         (a, b), (c, d) = self.linear
         return (a * p[0] + b * p[1] + self.translation[0],
@@ -534,76 +495,6 @@ class AffineMap:
     def apply_polygon(self, p: LatticePolygon) -> LatticePolygon:
         verts = [self.apply(v) for v in p.vertices]
         return LatticePolygon(_canonicalize(verts))
-
-    def inverse(self) -> "AffineMap":
-        (a, b), (c, d) = self.linear
-        det = a * d - b * c
-        # det is +-1 so det * adj is the exact integer inverse
-        li = ((d * det, -b * det), (-c * det, a * det))
-        tx, ty = self.translation
-        it = (-(li[0][0] * tx + li[0][1] * ty), -(li[1][0] * tx + li[1][1] * ty))
-        return AffineMap(li, it)
-
-
-CORNER_MEETING = "meeting"  # the two outer edges meet at (-1, -1)
-CORNER_TRUNCATED = "truncated"  # a unit edge of direction (-1, 1) sits between them
-
-
-def normalize_at_vertex(
-    p: LatticePolygon, kappa: Point
-) -> tuple[AffineMap, LatticePolygon, str]:
-    """Normalize at a vertex of the interior hull.
-
-    Returns an affine lattice map sending ``kappa`` to the origin and its
-    two adjacent hull edges onto the rays spanned by (1,0) and (0,1), the
-    transformed polygon, and the local corner case: after normalization
-    the polygon has an edge on ``y = -1`` and one on ``x = -1``; either they
-    meet at ``(-1,-1)`` ("meeting") or a unit edge of direction ``(-1,1)``
-    lies between them ("truncated").
-    """
-    d = interior_data(p)
-    if d.dimension != 2:
-        raise RegimeError("normalization requires a 2-dimensional interior hull")
-    hull = d.hull_vertices
-    if kappa not in hull:
-        raise ValueError(f"{kappa} is not a vertex of the interior hull")
-    k = hull.index(kappa)
-    d_out = _primitive(_sub(hull[(k + 1) % len(hull)], kappa))
-    d_back = _primitive(_sub(hull[k - 1], kappa))
-    det = d_out[0] * d_back[1] - d_out[1] * d_back[0]
-    if abs(det) != 1:
-        raise RegimeError("interior hull is not smooth at this vertex")
-    # L = [d_out d_back]^{-1}, so L d_out = (1,0) and L d_back = (0,1)
-    li = (
-        (d_back[1] * det, -d_back[0] * det),
-        (-d_out[1] * det, d_out[0] * det),
-    )
-    amap = AffineMap(
-        li,
-        (
-            -(li[0][0] * kappa[0] + li[0][1] * kappa[1]),
-            -(li[1][0] * kappa[0] + li[1][1] * kappa[1]),
-        ),
-    )
-    image = amap.apply_polygon(p)
-    verts = image.vertices
-    n = len(verts)
-    if (-1, -1) in verts:
-        case = CORNER_MEETING
-    else:
-        idx = {v: i for i, v in enumerate(verts)}
-        if (
-            (0, -1) in idx
-            and (-1, 0) in idx
-            and (idx[(-1, 0)] - idx[(0, -1)]) % n in (1, n - 1)
-        ):
-            case = CORNER_TRUNCATED
-        else:
-            raise RegimeError(
-                "unexpected corner shape at the normalized vertex; "
-                "is the polygon smooth?"
-            )
-    return amap, image, case
 
 
 def classify_regime(p: LatticePolygon) -> str:

@@ -26,7 +26,6 @@ from .homology import (
     build_model,
     default_forest,
     is_symplectic_bits,
-    pairing_f2,
     vertex_forest,
 )
 from .polygon import (
@@ -197,35 +196,6 @@ def q_symplectic_basis(
             pass
         out[2 * i], out[2 * i + 1] = a, b
     return out, basis_types(q, out)
-
-
-def retype_pair(
-    q: QuadraticForm, basis: list[CycleClassF2], i: int, j: int
-) -> list[CycleClassF2]:
-    """Flip the types of pairs i and j (0-based) of a q-symplectic basis.
-
-    Both pairs must currently share a type.  The move is the transvection
-    along c = b_i + b_j: q(c) = q(b_i) + q(b_j) = 0, c pairs to 1 with a_i
-    and a_j and to 0 with every other basis vector, so only q(a_i) and
-    q(a_j) change, each by 1.
-    """
-    if i == j:
-        raise ValueError("indices must differ")
-    types = basis_types(q, basis)
-    if types[i] != types[j]:
-        raise ValueError(f"pairs {i} and {j} have mixed types {types[i]} != {types[j]}")
-    c = basis[2 * i + 1] + basis[2 * j + 1]
-    new_basis = [
-        v + c if pairing_f2(c, v) else v
-        for v in basis
-    ]
-    new_types = basis_types(q, new_basis)  # raises if the move broke the form
-    expected = tuple(
-        1 - t if k in (i, j) else t for k, t in enumerate(types)
-    )
-    if new_types != expected:
-        raise AssertionError("retype postcondition failed")
-    return new_basis
 
 
 def consistency_forests(p: LatticePolygon) -> list:

@@ -19,9 +19,10 @@ sifted; there the pair swap (e_0, e_1) <-> (e_2, e_3), in O(q0), is
 adjoined and must reach |O(q0)|.  The strong generators of the chain that
 reaches |O(q0)| label each class by its O(q0)-orbit.  A chain short of its
 formula, or a generator outside the group the formula counts, raises
-``RuntimeError``.  The cap bounds the points a chain stores, sum |orbit_i|.
-Chains serve genus <= ``MAX_CHAIN_GENUS``: on a 2-core Xeon a cold base
-takes about 0.3 s at genus 6, its two chains 1.5 s at genus 7.
+``RuntimeError``.  Chains serve genus <= ``MAX_CHAIN_GENUS``, the one budget
+of the verdicts: the largest chain there, at genus 6, stores 8,184 points
+(sum |orbit_i|).  On a 2-core Xeon a cold base takes about 0.3 s at genus
+6, its two chains 1.5 s at genus 7.
 
 Every form q of an Arf (the standard form too, v = 0) is q0 + <v, .> =
 q0 o T_v (Johnson 1980).  A verdict builds only the table of T_v on the
@@ -33,7 +34,8 @@ and verdict, and the O(q)-orbit of x is labelled by that of T_v x.
 Closures and orbits run one sequential, level-synchronous BFS over sorted
 numpy uint64 keys (``_bfs``); closure keys are packed matrices, so genus
 <= ``MAX_CLOSURE_GENUS``.  No verdict calls the closures, the enumerated
-Sp(2g, F2) or its q-filter: they are brute-force references for the tests.
+Sp(2g, F2) or its q-filter: they are brute-force references for the tests,
+bounded by an element budget, ``DEFAULT_CAP`` unless a call passes one.
 
 Integral transvections use the right-handed convention
 x -> x + <x, c> c; the opposite sign is the inverse twist, and every
@@ -59,7 +61,7 @@ from .homology import (
     is_symplectic_bits,
     swap_pairs,
 )
-from .polygon import DEFAULT_CAP, PolygonTooLargeError, resolve_cap
+from .polygon import PolygonTooLargeError
 from .spin import QuadraticForm, standard_form
 
 #: full-group enumeration and stabilizer filtering are desk-scale only
@@ -70,6 +72,9 @@ MAX_CHAIN_GENUS = 6
 
 #: closures key packed 2g x 2g matrices as uint64: (2g)^2 <= 64 bits
 MAX_CLOSURE_GENUS = 4
+
+#: element budget of the brute-force closures and enumerations
+DEFAULT_CAP = 2_000_000
 
 #: orbits tabulate each generator on all 2^(2g) vectors (8 B each): at genus 6
 #: all 4,095 transvections take 128 MiB, at genus 7 they would take 2 GiB
@@ -83,7 +88,7 @@ class NotSymplecticError(ValueError):
 
 
 class CapExceededError(PolygonTooLargeError):
-    """A closure or a stabilizer chain outgrew its cap, or its genus limit."""
+    """A brute-force reference outgrew its cap, or a chain its genus limit."""
 
 
 @dataclass(frozen=True)
@@ -323,7 +328,7 @@ class GroupClosure:
             yield MatF2.from_packed(n, int(key))
 
 
-def closure(generators: list[MatF2], cap: int | None = None) -> GroupClosure:
+def closure(generators: list[MatF2], cap: int = DEFAULT_CAP) -> GroupClosure:
     """Left-multiplication BFS closure of symplectic generators.
 
     Stops (``completed=False``) once the element budget is exceeded; the
@@ -343,7 +348,6 @@ def closure(generators: list[MatF2], cap: int | None = None) -> GroupClosure:
         )
     if not all(g.is_symplectic() for g in generators):
         raise NotSymplecticError("generator does not preserve the form")
-    cap = resolve_cap(cap)
     tables = [_vector_table(g.cols) for g in generators]
     ident = np.array([MatF2.identity(n // 2).packed()], dtype=np.uint64)
     packed, completed = _bfs(
@@ -432,7 +436,7 @@ def _pair_transversals(
     return out
 
 
-def full_symplectic_closure(genus: int, cap: int | None = None) -> GroupClosure:
+def full_symplectic_closure(genus: int, cap: int = DEFAULT_CAP) -> GroupClosure:
     """Sp(2g, F2) enumerated (genus <= 3), a brute-force test reference.
 
     The transversal product T_0 T_1 ... T_{g-1} of the chain transvections
@@ -444,7 +448,6 @@ def full_symplectic_closure(genus: int, cap: int | None = None) -> GroupClosure:
         raise ValueError(
             f"full-group enumeration supports genus <= {MAX_FULL_GROUP_GENUS}"
         )
-    cap = resolve_cap(cap)
     gens = chain_transvections(genus)
     if sp_order(genus) > cap:
         return GroupClosure(genus, np.zeros(0, dtype=np.uint64), gens, False, cap)
@@ -491,7 +494,7 @@ def _filter_preserves_q(packed: np.ndarray, q: QuadraticForm) -> np.ndarray:
     return packed[keep]
 
 
-def q_stabilizer_bruteforce(q: QuadraticForm, cap: int | None = None) -> GroupClosure:
+def q_stabilizer_bruteforce(q: QuadraticForm, cap: int = DEFAULT_CAP) -> GroupClosure:
     """O(q) filtered from the enumerated Sp(2g, F2), a test reference."""
     full = full_symplectic_closure(q.genus, cap)
     if not full.completed:
@@ -506,14 +509,9 @@ def _certify(what: str, q: QuadraticForm, checks: dict[str, bool]) -> None:
         raise RuntimeError(f"{what} of qmask {q.qmask:#x} is not {failed}")
 
 
-def _check_points(what: str, points: int, cap: int) -> None:
-    if points > cap:
-        raise CapExceededError(f"{what} chain exceeded the cap of {cap} stored points")
-
-
 def _schreier_sims(
     what: str, q0: QuadraticForm, generators: list[MatF2], check: tuple[str, Callable],
-    bound: int, cap: int, short_ok: bool = False,
+    bound: int, short_ok: bool = False,
 ) -> tuple[int, int, list[MatF2]]:
     """(order, stored points, strong generators) of a chain of <generators>.
 
@@ -568,7 +566,6 @@ def _schreier_sims(
                     if x not in orbit:
                         orbit[x] = (p, s)
                         todo.append(x)
-        _check_points(what, sum(len(orbit) for orbit, _, _ in levels), cap)
         return True
 
     def sift() -> None:
@@ -606,11 +603,8 @@ class _Base(NamedTuple):
 _BASES: dict[tuple[int, int], _Base] = {}
 
 
-def _base(q: QuadraticForm, cap: int | None) -> _Base:
-    """The base of q's Arf (see the module docstring), cached once built.  The
-    cap is checked as the chains grow and, on a cache hit, against the stored
-    counts, so a cap gives the same exit either way."""
-    cap = resolve_cap(cap)
+def _base(q: QuadraticForm) -> _Base:
+    """The base of q's Arf (see the module docstring), cached once built."""
     genus, arf = q.genus, q.arf()
     if genus > MAX_CHAIN_GENUS:
         raise CapExceededError(
@@ -623,12 +617,12 @@ def _base(q: QuadraticForm, cap: int | None) -> _Base:
         adm, bound = admissible_transvections(q0), o_order(genus, arf)
         chains = {"full group": _schreier_sims(
             "full group", q0, chain_transvections(genus), ("symplectic", MatF2.is_symplectic),
-            sp_order(genus), cap,
+            sp_order(genus),
         )}
-        chains["admissible"] = _schreier_sims("admissible", q0, adm, in_o, bound, cap, True)
+        chains["admissible"] = _schreier_sims("admissible", q0, adm, in_o, bound, True)
         if chains["admissible"][0] < bound:
             gens = adm + [_pair_swap(genus)]
-            chains["stabilizer"] = _schreier_sims("stabilizer", q0, gens, in_o, bound, cap)
+            chains["stabilizer"] = _schreier_sims("stabilizer", q0, gens, in_o, bound)
         strong = list(chains.values())[-1][2]
         labels = np.full(1 << (2 * genus), -1, dtype=np.intp)
         while (todo := np.flatnonzero(labels < 0)).size:
@@ -637,10 +631,7 @@ def _base(q: QuadraticForm, cap: int | None) -> _Base:
         labels.setflags(write=False)
         points = tuple((what, chain[1]) for what, chain in chains.items())
         _BASES[genus, arf] = _Base(chains["admissible"][0], labels, points)
-    base = _BASES[genus, arf]
-    for what, points in base.points:
-        _check_points(what, points, cap)
-    return base
+    return _BASES[genus, arf]
 
 
 def _transport_table(q: QuadraticForm, q0: QuadraticForm) -> np.ndarray:
@@ -668,14 +659,14 @@ def _certified_transport(q: QuadraticForm) -> np.ndarray:
     return table
 
 
-def verify_transvection_generation(q: QuadraticForm, cap: int | None = None) -> dict:
+def verify_transvection_generation(q: QuadraticForm) -> dict:
     """Compare the admissible-transvection closure with the q-stabilizer.
 
     A transcript dict with both orders and a verdict, ``equal`` (expected
     for genus >= 3) or ``proper_subgroup``: the orders of the base of q's
     Arf, carried to q by the certified T_v (see the module docstring).
     """
-    closure_order = _base(q, cap).closure_order
+    closure_order = _base(q).closure_order
     _certified_transport(q)
     return {
         "genus": q.genus,
@@ -755,7 +746,7 @@ def verify_arf_classification(genus: int) -> dict:
     }
 
 
-def q_orbit_partition(q: QuadraticForm, cap: int | None = None) -> dict:
+def q_orbit_partition(q: QuadraticForm) -> dict:
     """Orbits of the q-stabilizer on nonzero mod-2 classes.
 
     x and y share an O(q)-orbit exactly when T_v x and T_v y share an
@@ -765,7 +756,7 @@ def q_orbit_partition(q: QuadraticForm, cap: int | None = None) -> dict:
     point).  The transcript records the orbit sizes with their q values
     and whether the expectation holds.
     """
-    labels = _base(q, cap).labels[_certified_transport(q)]
+    labels = _base(q).labels[_certified_transport(q)]
     n = 2 * q.genus
     table = q_values_table(q)
     orbits = []

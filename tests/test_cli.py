@@ -205,34 +205,16 @@ class TestVerify:
         suites = [r["suite"] for r in report["results"]]
         assert "q-consistency" in suites and "chrel2" in suites
 
-    def test_cap_exit_4(self, capsys, monkeypatch):
-        code = main(
-            ["verify", "generation", "--genus", "2", "--arf", "1", "--cap", "10"]
-        )
-        assert code == 4
-
-    def test_cap_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("SPINCYCLES_CAP", "10")
-        assert main(["verify", "generation", "--genus", "2", "--arf", "1"]) == 4
-
-    def test_nonpositive_cap_exit_2(self, capsys, monkeypatch):
-        args = ["verify", "generation", "--genus", "2", "--arf", "1"]
-        for cap in ("0", "-1"):
-            assert main([*args, "--cap", cap]) == 2
-            assert f"got {cap}" in capsys.readouterr().err
-        monkeypatch.setenv("SPINCYCLES_CAP", "-5")
-        assert main(args) == 2
-        assert "got -5" in capsys.readouterr().err
-
-    def test_removed_parts_option_exit_2(self):
-        argv = ["verify", "generation", "--genus", "2", "--arf", "1", "--parts", "4"]
+    @pytest.mark.parametrize("option, value", [("--parts", "4"), ("--cap", "10")])
+    def test_removed_parts_option_exit_2(self, option, value):
+        argv = ["verify", "generation", "--genus", "2", "--arf", "1", option, value]
         env = {**os.environ, "PYTHONPATH": str(Path(spincycles.__file__).parents[1])}
         proc = subprocess.run(
             [sys.executable, "-m", "spincycles.cli", *argv],
             capture_output=True, text=True, timeout=60, env=env,
         )
         assert proc.returncode == 2
-        assert "--parts" in proc.stderr
+        assert option in proc.stderr
 
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "transcript.json"
@@ -245,7 +227,8 @@ class TestVerify:
 
 class TestNumpyBoundary:
     def test_polygon_commands_run_without_numpy(self, tmp_path):
-        # only the group verdicts (symplectic) may load numpy
+        # only the group verdicts (symplectic) may load numpy, and the
+        # generation verdict loads no relation check
         spin = corpus_file(tmp_path, "quintic")
         hyper = corpus_file(tmp_path, "rect_4x2")
         script = (
@@ -261,15 +244,21 @@ class TestNumpyBoundary:
             "):\n"
             "    assert main(argv) == 0, argv\n"
             "    assert 'numpy' not in sys.modules, ('numpy imported', argv)\n"
+        )
+        generation = (
+            "import sys\n"
+            "from spincycles.cli import main\n"
             "assert main(['verify', 'generation', '--genus', '2', '--arf', '1']) == 0\n"
             "assert 'numpy' in sys.modules\n"
+            "assert 'spincycles.relations' not in sys.modules, 'relations imported'\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(spincycles.__file__).parents[1])}
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True, text=True, timeout=60, env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
+        for code in (script, generation):
+            proc = subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True, text=True, timeout=60, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
 
     def test_symplectic_starts_no_thread_pool(self):
         # the BFS runs on one thread: no executor module is imported
@@ -302,34 +291,31 @@ GOLDEN = Path(__file__).parent / "golden"
 class TestGoldenTranscripts:
     """Transcripts pinned byte for byte against files in tests/golden."""
 
-    @pytest.mark.parametrize(
-        "argv, golden",
-        [
-            (["verify", "chrel2"], "chrel2.json"),
-            (["verify", "chain-relation", "--genus", "3"], "chain_relation_g3.json"),
-            # the genus-3 full group chain stores 123 points, the most of
-            # either Arf's base: the tightest cap that passes changes nothing
-            *(
-                (
-                    ["verify", "generation", "--genus", "3", "--arf", arf, *cap],
-                    f"generation_g3_arf{arf}.json",
-                )
-                for arf in ("0", "1")
-                for cap in ([], ["--cap", "123"])
-            ),
-            *(
-                (
-                    ["verify", "generation", "--genus", str(g), "--arf", arf],
-                    f"generation_g{g}_arf{arf}.json",
-                )
-                for g in range(4, MAX_CHAIN_GENUS + 1)
-                for arf in ("0", "1")
-            ),
-        ],
-    )
-    def test_matches_golden(self, tmp_path, capsys, argv, golden):
-        out = tmp_path / golden
-        assert main(argv + ["--json", "--out", str(out)]) == 0
-        expected = (GOLDEN / golden).read_bytes()
+    ARGV = {
+        "chrel2": ["verify", "chrel2"],
+        "chain_relation_g3": ["verify", "chain-relation", "--genus", "3"],
+        **{
+            f"generation_g{g}_arf{arf}": ["verify", "generation", "--genus", str(g), "--arf", arf]
+            for g in range(3, MAX_CHAIN_GENUS + 1)
+            for arf in ("0", "1")
+        },
+    }
+
+    @pytest.mark.parametrize("golden", list(ARGV))
+    def test_matches_golden(self, tmp_path, capsys, golden):
+        out = tmp_path / f"{golden}.json"
+        assert main(self.ARGV[golden] + ["--json", "--out", str(out)]) == 0
+        expected = (GOLDEN / f"{golden}.json").read_bytes()
         assert out.read_bytes() == expected
         assert capsys.readouterr().out.encode() == expected
+
+    def test_cap_env_var_ignored(self, tmp_path, capsys, monkeypatch):
+        # the chain budget is MAX_CHAIN_GENUS alone: no value of the former
+        # SPINCYCLES_CAP changes an exit code or a transcript
+        for value in ("abc", "-5", "10"):
+            monkeypatch.setenv("SPINCYCLES_CAP", value)
+            for golden in ("chrel2", "generation_g3_arf1"):
+                out = tmp_path / f"{golden}.json"
+                assert main(self.ARGV[golden] + ["--out", str(out)]) == 0, value
+                assert out.read_bytes() == (GOLDEN / f"{golden}.json").read_bytes()
+        capsys.readouterr()

@@ -6,15 +6,13 @@ import numpy as np
 import pytest
 
 from spincycles.homology import CycleClassF2, build_model, pairing_f2
-from spincycles.polygon import RegimeError, enumerate_segments, is_even_point
+from spincycles.polygon import RegimeError, enumerate_segments, interior_data
 from spincycles.spin import (
     QuadraticForm,
-    basis_types,
     canonical_q,
     consistency_forests,
     is_symplectic_basis,
     q_symplectic_basis,
-    retype_pair,
     standard_form,
     vanishing_cycle_report,
     verify_q_consistency,
@@ -57,7 +55,8 @@ class TestEval:
         q = canonical_q(m)
         s = m.segment_class(((1, 1), (2, 1)))
         assert q.eval(s) == 1
-        assert is_even_point(d5, (1, 1)) and not is_even_point(d5, (2, 1))
+        d = interior_data(d5)
+        assert d.is_even((1, 1)) and not d.is_even((2, 1))
 
     def test_brute_oracle_exhaustive_small(self):
         for g in (1, 2, 3):
@@ -216,35 +215,6 @@ class TestQSymplecticBasis:
         assert not is_symplectic_basis([a1])  # too short
         assert not is_symplectic_basis([b1, b1])  # does not pair to 1
         assert not is_symplectic_basis([a1, CycleClassF2.basis_b(2, 1)])  # mixed genera
-
-
-class TestRetype:
-    def test_flip_both_ways(self):
-        q = standard_form(2, 0)
-        basis, types = q_symplectic_basis(q)
-        assert types == (0, 0)
-        up = retype_pair(q, basis, 0, 1)
-        assert basis_types(q, up) == (1, 1)
-        assert is_symplectic_basis(up)
-        down = retype_pair(q, up, 0, 1)
-        assert basis_types(q, down) == (0, 0)
-
-    def test_other_pairs_untouched(self):
-        q = QuadraticForm((0, 0, 1), (1, 1, 1))
-        basis, types = q_symplectic_basis(q)
-        assert types == (0, 0, 1)
-        new = retype_pair(q, basis, 0, 1)
-        assert basis_types(q, new) == (1, 1, 1)
-        assert new[4] == basis[4] and new[5] == basis[5]
-
-    def test_errors(self):
-        q = standard_form(2, 1)
-        basis, types = q_symplectic_basis(q)
-        assert types == (1, 0)
-        with pytest.raises(ValueError):
-            retype_pair(q, basis, 0, 1)  # mixed types
-        with pytest.raises(ValueError):
-            retype_pair(q, basis, 1, 1)  # equal indices
 
 
 class TestVanishingReport:

@@ -362,8 +362,8 @@ class TestFullGroup:
     @pytest.mark.parametrize("cap", [100, 1_400_000, sp_order(3) - 1])
     def test_cap_refused_before_tables_or_cache(self, monkeypatch, cap):
         # the enumeration counts elements: a cap below |Sp(6, 2)| is refused
-        # before any table is built (the verdict path counts chain points,
-        # see TestChain.test_cap_same_cold_and_warm)
+        # before any table is built (the verdict path is bounded by genus,
+        # see TestChain.test_genus_limit)
         def fail(*_args):
             raise AssertionError("work done past the cap")
 
@@ -508,26 +508,6 @@ def references():
     return out
 
 
-def check_cap_before_cached_base(monkeypatch, fn):
-    """With both genus-3 bases cached by ``fn``, a cap below a cached
-    chain's points is refused for standard and other forms of each Arf,
-    with no chain built and no transport."""
-    for arf in (0, 1):
-        fn(standard_form(3, arf))
-
-    def fail(*_args):
-        raise AssertionError("work done past the cap")
-
-    monkeypatch.setattr(symplectic, "_schreier_sims", fail)
-    monkeypatch.setattr(symplectic, "_transport_table", fail)
-    others = [QuadraticForm((1, 1, 0), (0, 0, 1)), QuadraticForm((1, 1, 0), (1, 0, 0))]
-    for q in [standard_form(3, 0), standard_form(3, 1), *others]:
-        with pytest.raises(
-            CapExceededError, match="^full group chain exceeded the cap of 100 stored points$"
-        ):
-            fn(q, cap=100)
-
-
 class TestStabilizer:
     def test_orders_small(self):
         # genus 1, Arf 1: q = 1 on all three nonzero classes, so the whole
@@ -573,10 +553,6 @@ class TestStabilizer:
                 result = q_orbit_partition(q)
                 assert result["orbits"] == orbits_oracle(q, stab), q
                 assert result["stabilizer_order"] == stab.size
-
-    def test_cap_checked_before_cached_stabilizer(self, no_bases, monkeypatch):
-        # the cached count refuses a cap before any chain or transport work
-        check_cap_before_cached_base(monkeypatch, q_orbit_partition)
 
     @pytest.mark.parametrize("g,per_arf", [(2, 2), (3, 1)])
     def test_warm_transcripts_equal_cold(self, no_bases, g, per_arf):
@@ -671,10 +647,6 @@ class TestStabilizer:
             assert str(err.value).split(" is not ", 1)[1] == failure
         assert no_bases == {(3, 0): entry} and not entry.labels.flags.writeable
 
-    def test_cap_checked_before_cached_admissible_closure(self, no_bases, monkeypatch):
-        # the cached count refuses a cap before any chain or transport work
-        check_cap_before_cached_base(monkeypatch, verify_transvection_generation)
-
     @pytest.mark.parametrize("g", [2, 3])
     def test_cache_independent_of_call_order(self, no_bases, references, g):
         # two call orders from an empty cache: the standard forms first,
@@ -739,7 +711,7 @@ def chain(generators, short_ok=True):
     g = generators[0].genus
     return symplectic._schreier_sims(
         "test", standard_form(g, 0), generators, ("symplectic", MatF2.is_symplectic),
-        sp_order(g), 10**9, short_ok,
+        sp_order(g), short_ok,
     )
 
 
@@ -852,27 +824,18 @@ class TestChain:
                 fn(q)
         assert no_bases == {}
 
-    @pytest.mark.parametrize("cap", [1, 100, 122])
-    def test_cap_same_cold_and_warm(self, no_bases, monkeypatch, cap):
-        # at genus 3 the full group chain stores 123 points, the largest of
-        # a base: a cap below it exits the same way cold and warm
-        q = QuadraticForm((1, 1, 0), (0, 0, 1))
-        message = f"^full group chain exceeded the cap of {cap} stored points$"
-        for fn in (verify_transvection_generation, q_orbit_partition):
-            with pytest.raises(CapExceededError, match=message):
-                fn(q, cap=cap)
-            assert no_bases == {}
-        assert verify_transvection_generation(q, cap=123)["verdict"] == "equal"
-        assert dict(no_bases[3, 0].points) == {"full group": 123, "admissible": 67}
-
-        def fail(*_args):
-            raise AssertionError("a cached base was rebuilt")
-
-        monkeypatch.setattr(symplectic, "_schreier_sims", fail)
-        for fn in (verify_transvection_generation, q_orbit_partition):
-            with pytest.raises(CapExceededError, match=message):
-                fn(q, cap=cap)
-            fn(q, cap=123)
+    def test_largest_chain_points(self):
+        # MAX_CHAIN_GENUS is the one budget of the verdicts: the chains it
+        # admits store at most 8,184 points, the full group's at genus 6
+        largest = [
+            max(
+                points
+                for arf in (0, 1)
+                for _, points in symplectic._base(standard_form(g, arf)).points
+            )
+            for g in range(1, MAX_CHAIN_GENUS + 1)
+        ]
+        assert largest == [5, 28, 123, 506, 2041, 8184]
 
     def test_verdict_path_never_enumerates(self, no_bases, monkeypatch, capsys):
         # the brute-force references stay out of every verdict, cold or warm
