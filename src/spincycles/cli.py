@@ -23,6 +23,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
+from itertools import islice
 
 from .homology import build_model
 from .polygon import (
@@ -184,12 +186,17 @@ def run_verify(args) -> tuple[dict, int]:
 
 
 def _emit(report: dict, as_json: bool, out: str | None) -> None:
-    text = json.dumps(report, indent=2)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    with open(out, "w", encoding="utf-8") if out else nullcontext() as fh:
+        sinks = ([fh] if out else []) + ([sys.stdout] if as_json else [])
+        # encoded once and streamed to every sink in batches of chunks, so
+        # the whole text is never held
+        chunks = json.JSONEncoder(indent=2).iterencode(report)
+        while sinks and (batch := "".join(islice(chunks, 4096))):
+            for sink in sinks:
+                sink.write(batch)
+        for sink in sinks:
+            sink.write("\n")
     if as_json:
-        print(text)
         return
     for key, value in report.items():
         if isinstance(value, (dict, list)):

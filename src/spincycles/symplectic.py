@@ -1,4 +1,4 @@
-"""Exact symplectic matrix engine over F2 and Z.
+"""Exact symplectic matrix engine over F2.
 
 Matrices over F2 act by columns: column j of M is the packed image of e_j,
 so M x is the XOR of the columns selected by the bits of x.  A 2g x 2g
@@ -31,17 +31,15 @@ and q(T_v x) = q0(x).  Then M -> T_v M T_v maps O(q0) onto O(q) and, as
 T_v t_c T_v = t_{T_v c}, adm(q0) onto adm(q), so q has the base's orders
 and verdict, and the O(q)-orbit of x is labelled by that of T_v x.
 
-Closures and orbits run one sequential, level-synchronous BFS over sorted
-numpy uint64 keys (``_bfs``); closure keys are packed matrices, so genus
-<= ``MAX_CLOSURE_GENUS``.  No verdict calls the closures, the enumerated
-Sp(2g, F2) or its q-filter: they are brute-force references for the tests,
-bounded by an element budget, ``DEFAULT_CAP`` unless a call passes one.
-
-Integral transvections use the right-handed convention
-x -> x + <x, c> c; the opposite sign is the inverse twist, and every
-relation-level verdict in this package is checked under both signs.  The
-dense integral matrices here (``transvection_z_power``) are the test oracle
-for ``relations.evaluate_word_z``, which needs neither them nor numpy.
+The verdicts run on Python ints and lists: the table of a matrix on the
+2^(2g) classes (``_table``) and one BFS over ints (``_orbit``), which
+labels the O(q0)-orbits and the orbits of Sp(2g, F2) on forms.  The
+brute-force references for the tests share none of that code and load
+numpy on first use: the BFS closures and orbits (``_bfs``, one sequential,
+level-synchronous BFS over sorted numpy uint64 keys; closure keys are
+packed matrices, so genus <= ``MAX_CLOSURE_GENUS``), the enumerated
+Sp(2g, F2) and its q-filter.  They are bounded by an element budget,
+``DEFAULT_CAP`` unless a call passes one.
 """
 
 from __future__ import annotations
@@ -50,19 +48,14 @@ import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
-
-from .homology import (
-    CycleClassF2,
-    CycleClassZ,
-    a_mask,
-    is_symplectic_bits,
-    swap_pairs,
-)
+from .homology import CycleClassF2, is_symplectic_bits, swap_pairs
 from .polygon import PolygonTooLargeError
 from .spin import QuadraticForm, standard_form
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: full-group enumeration and stabilizer filtering are desk-scale only
 MAX_FULL_GROUP_GENUS = 3
@@ -164,53 +157,6 @@ def transvection_f2(c: CycleClassF2) -> MatF2:
     return MatF2(n, cols)
 
 
-def symplectic_form_z(genus: int) -> np.ndarray:
-    j = np.zeros((2 * genus, 2 * genus), dtype=np.int64)
-    for i in range(genus):
-        j[2 * i, 2 * i + 1] = 1
-        j[2 * i + 1, 2 * i] = -1
-    return j
-
-
-def transvection_z(c: CycleClassZ, sign: int = 1) -> np.ndarray:
-    """Integral transvection x -> x + sign * <x, c> c.
-
-    ``sign=+1`` is the right-handed twist convention; ``sign=-1`` is its
-    inverse.
-    """
-    return transvection_z_power(c, 1, sign)
-
-
-def transvection_z_power(c: CycleClassZ, exponent: int, sign: int = 1) -> np.ndarray:
-    """transvection_z(c, sign) ** exponent = I + exponent * sign * outer(c, Jc)."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    v = np.array(c.coords, dtype=np.int64)
-    jc = symplectic_form_z(c.genus) @ v
-    return np.eye(2 * c.genus, dtype=np.int64) + (exponent * sign) * np.outer(v, jc)
-
-
-def is_symplectic_z(m: np.ndarray) -> bool:
-    n = m.shape[0]
-    if m.shape != (n, n) or n % 2 != 0:
-        return False
-    j = symplectic_form_z(n // 2)
-    return bool(np.array_equal(m.T @ j @ m, j))
-
-
-def mat_f2_from_z(m: np.ndarray) -> MatF2:
-    """Reduce an integral matrix modulo 2 into the packed representation."""
-    n = m.shape[0]
-    cols = []
-    for jcol in range(n):
-        bits = 0
-        for k in range(n):
-            if m[k, jcol] & 1:
-                bits |= 1 << k
-        cols.append(bits)
-    return MatF2(n, tuple(cols))
-
-
 def preserves_q(m: MatF2, q: QuadraticForm) -> bool:
     """Does a symplectic matrix preserve q?  Raises if m is not symplectic.
 
@@ -228,7 +174,37 @@ def preserves_q(m: MatF2, q: QuadraticForm) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# bulk engine: packed matrices in numpy uint64 arrays
+# verdict tables: Python ints and lists
+
+
+def _table(cols) -> list[int]:
+    """x -> M x over all 2^n packed vectors, from the n packed columns of M:
+    the table doubles by XOR with one column at a time."""
+    table = [0]
+    for c in cols:
+        table += [x ^ c for x in table]
+    return table
+
+
+def _orbit(start: int, moves: Callable[[int], Iterable[int]]) -> list[int]:
+    """The points reached from ``start`` by ``moves``, in BFS order."""
+    seen = {start}
+    todo = [start]
+    for x in todo:
+        for y in moves(x):
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return todo
+
+
+def q_values_table(q: QuadraticForm) -> list[int]:
+    """q over all 2^(2g) packed classes, by :meth:`QuadraticForm.eval_bits`."""
+    return [q.eval_bits(x) for x in range(1 << (2 * q.genus))]
+
+
+# ---------------------------------------------------------------------------
+# brute-force references: packed matrices in numpy uint64 arrays
 
 
 def _vector_table(cols) -> np.ndarray:
@@ -237,6 +213,8 @@ def _vector_table(cols) -> np.ndarray:
     ``cols`` holds the n packed columns of M, or those of k matrices as a
     (k, n) array, which gives one table per matrix, shape (k, 2^n).
     """
+    import numpy as np
+
     cols = np.asarray(cols, dtype=np.uint64)
     n = cols.shape[-1]
     table = np.zeros((*cols.shape[:-1], 1 << n), dtype=np.uint64)
@@ -251,6 +229,8 @@ def _apply_table_mats(packed: np.ndarray, table: np.ndarray, n: int) -> np.ndarr
     A (k, 2^n) table of k matrices gives all k x len(packed) products,
     shape (k, len(packed)).
     """
+    import numpy as np
+
     mask = np.uint64((1 << n) - 1)
     out = np.zeros((*table.shape[:-1], packed.size), dtype=np.uint64)
     for j in range(n):
@@ -261,6 +241,8 @@ def _apply_table_mats(packed: np.ndarray, table: np.ndarray, n: int) -> np.ndarr
 
 def _unique_sorted(a: np.ndarray) -> np.ndarray:
     """Sorted distinct values of a uint64 array; sorts ``a`` in place."""
+    import numpy as np
+
     a.sort()
     if a.size:
         a = a[np.concatenate(([True], a[1:] != a[:-1]))]
@@ -269,6 +251,8 @@ def _unique_sorted(a: np.ndarray) -> np.ndarray:
 
 def _setdiff_sorted(cand: np.ndarray, visited: np.ndarray) -> np.ndarray:
     """cand \\ visited for sorted unique uint64 arrays."""
+    import numpy as np
+
     if cand.size == 0 or visited.size == 0:
         return cand
     pos = np.searchsorted(visited, cand)
@@ -290,6 +274,8 @@ def _bfs(
     bound peak memory.  Returns the sorted visited keys and whether the
     search finished before ``len(visited)`` exceeded ``cap``.
     """
+    import numpy as np
+
     visited = frontier = start
     while frontier.size:
         gens = iter(step(frontier))
@@ -319,6 +305,8 @@ class GroupClosure:
         return len(self.packed)
 
     def contains_packed(self, key: int) -> bool:
+        import numpy as np
+
         pos = int(np.searchsorted(self.packed, np.uint64(key)))
         return pos < self.order and int(self.packed[pos]) == key
 
@@ -336,6 +324,8 @@ def closure(generators: list[MatF2], cap: int = DEFAULT_CAP) -> GroupClosure:
     processed synchronously.  Generators above genus ``MAX_CLOSURE_GENUS``
     raise ``ValueError``.
     """
+    import numpy as np
+
     if not generators:
         raise ValueError("need at least one generator")
     n = generators[0].n
@@ -444,6 +434,8 @@ def full_symplectic_closure(genus: int, cap: int = DEFAULT_CAP) -> GroupClosure:
     else ``RuntimeError``.  A cap below |Sp(2g, 2)| returns an incomplete
     closure at once, with no elements.
     """
+    import numpy as np
+
     if genus > MAX_FULL_GROUP_GENUS:
         raise ValueError(
             f"full-group enumeration supports genus <= {MAX_FULL_GROUP_GENUS}"
@@ -466,25 +458,12 @@ def full_symplectic_closure(genus: int, cap: int = DEFAULT_CAP) -> GroupClosure:
     return GroupClosure(genus, packed, gens, True, cap)
 
 
-def _quad_term(x: np.ndarray, genus: int) -> np.ndarray:
-    """The closed-form q kernel popcount(x & (x >> 1) & a_mask): sum_i a_i b_i
-    of packed classes (the part of q every form shares), or, for the basis
-    values of forms, sum_i q(a_i) q(b_i), whose parity is the Arf invariant."""
-    return np.bitwise_count(x & (x >> np.uint64(1)) & np.uint64(a_mask(genus)))
-
-
-def q_values_table(q: QuadraticForm) -> np.ndarray:
-    """q over all 2^(2g) packed classes (uint8), the closed form of
-    :meth:`QuadraticForm.eval_bits` applied to every class at once."""
-    x = np.arange(1 << (2 * q.genus), dtype=np.uint64)
-    lin = np.bitwise_count(x & np.uint64(q.qmask))
-    return ((lin + _quad_term(x, q.genus)) & np.uint64(1)).astype(np.uint8)
-
-
 def _filter_preserves_q(packed: np.ndarray, q: QuadraticForm) -> np.ndarray:
     """Vectorized stabilizer filter over packed symplectic matrices."""
+    import numpy as np
+
     n = 2 * q.genus
-    table = q_values_table(q)
+    table = np.array(q_values_table(q), dtype=np.uint8)
     qmask = q.qmask
     mask = np.uint64((1 << n) - 1)
     keep = np.ones(packed.size, dtype=bool)
@@ -555,7 +534,7 @@ def _schreier_sims(
                 h = coset(j, h.cols[j])[1] @ h
         else:
             return False
-        strong = (h, h.inverse(), _vector_table(h.cols).tolist())
+        strong = (h, h.inverse(), _table(h.cols))
         for orbit, gens, _ in levels[start : j + 1]:
             gens.append(strong)
             old = len(orbit)  # the new generator on old points, all on new ones
@@ -594,7 +573,7 @@ def _pair_swap(genus: int) -> MatF2:
 
 class _Base(NamedTuple):
     closure_order: int  # |<adm(q0)>|
-    labels: np.ndarray  # labels[x]: the smallest member of the O(q0)-orbit of x
+    labels: tuple[int, ...]  # labels[x]: the smallest member of the O(q0)-orbit of x
     points: tuple[tuple[str, int], ...]  # (chain, stored points), in build order
 
 
@@ -623,24 +602,24 @@ def _base(q: QuadraticForm) -> _Base:
         if chains["admissible"][0] < bound:
             gens = adm + [_pair_swap(genus)]
             chains["stabilizer"] = _schreier_sims("stabilizer", q0, gens, in_o, bound)
-        strong = list(chains.values())[-1][2]
-        labels = np.full(1 << (2 * genus), -1, dtype=np.intp)
-        while (todo := np.flatnonzero(labels < 0)).size:
-            x = int(todo[0])
-            labels[[c.bits for c in orbit(CycleClassF2(genus, x), strong)]] = x
-        labels.setflags(write=False)
+        tables = [_table(s.cols) for s in list(chains.values())[-1][2]]
+        labels = [-1] * (1 << (2 * genus))
+        for x in range(len(labels)):
+            if labels[x] < 0:  # x is the smallest member of its orbit
+                for y in _orbit(x, lambda p: [t[p] for t in tables]):
+                    labels[y] = x
         points = tuple((what, chain[1]) for what, chain in chains.items())
-        _BASES[genus, arf] = _Base(chains["admissible"][0], labels, points)
+        _BASES[genus, arf] = _Base(chains["admissible"][0], tuple(labels), points)
     return _BASES[genus, arf]
 
 
-def _transport_table(q: QuadraticForm, q0: QuadraticForm) -> np.ndarray:
+def _transport_table(q: QuadraticForm, q0: QuadraticForm) -> list[int]:
     """x -> T_v x over all 2^(2g) classes, for v = swap_pairs(q.qmask ^ q0.qmask)."""
     v = swap_pairs(q.qmask ^ q0.qmask)
-    return _vector_table(transvection_f2(CycleClassF2(q.genus, v)).cols)
+    return _table(transvection_f2(CycleClassF2(q.genus, v)).cols)
 
 
-def _certified_transport(q: QuadraticForm) -> np.ndarray:
+def _certified_transport(q: QuadraticForm) -> list[int]:
     """The table of T_v that carries the base of q's Arf to q, certified.
 
     With q0 the standard form of q's Arf, ``RuntimeError`` names every
@@ -649,12 +628,12 @@ def _certified_transport(q: QuadraticForm) -> np.ndarray:
     """
     q0 = standard_form(q.genus, q.arf())
     table = _transport_table(q, q0)
-    cols = table[1 << np.arange(2 * q.genus)]
+    cols = [table[1 << j] for j in range(2 * q.genus)]
+    q_values = q_values_table(q)
     _certify("transport", q, {
-        "symplectic": bool(np.array_equal(_vector_table(cols), table))
-        and is_symplectic_bits(cols.tolist()),
-        "an involution": bool(np.array_equal(table[table], np.arange(table.size))),
-        "q-transporting": bool(np.array_equal(q_values_table(q)[table], q_values_table(q0))),
+        "symplectic": _table(cols) == table and is_symplectic_bits(cols),
+        "an involution": [table[y] for y in table] == list(range(len(table))),
+        "q-transporting": [q_values[y] for y in table] == q_values_table(q0),
     })
     return table
 
@@ -682,6 +661,8 @@ def verify_transvection_generation(q: QuadraticForm) -> dict:
 
 def orbit(x: CycleClassF2, generators: list[MatF2]) -> set[CycleClassF2]:
     """BFS orbit of a class under the group generated by ``generators``."""
+    import numpy as np
+
     if x.genus > MAX_ORBIT_GENUS:
         raise ValueError(f"orbit computations support genus <= {MAX_ORBIT_GENUS}")
     if any(g.genus != x.genus for g in generators):
@@ -703,37 +684,31 @@ def verify_arf_classification(genus: int) -> dict:
     fixes a form q when q(c) = 1 and otherwise flips the values on the
     basis vectors pairing with c, which follows from polarization.  The
     transcript records the orbit sizes, that they partition the form
-    count, and that the Arf invariant is constant on each orbit.  Each
-    BFS level moves the frontier by all 2^(2g) - 1 transvections in one
-    broadcast array.
+    count, and that the Arf invariant is constant on each orbit.
     """
     if not 1 <= genus <= MAX_FULL_GROUP_GENUS:
         raise ValueError(f"supported for 1 <= genus <= {MAX_FULL_GROUP_GENUS}, got {genus}")
     total = 1 << (2 * genus)
-    one = np.uint64(1)
+    # q_0, the form zero on the basis, gives the part of q(c) = |c & qmask| +
+    # q_0(c) that every form shares, and on the basis values of a form,
+    # sum_i q(a_i) q(b_i), its Arf invariant
+    q_0 = QuadraticForm((0,) * genus, (0,) * genus).eval_bits
+    moves = [(c, q_0(c), swap_pairs(c)) for c in range(1, total)]
 
-    cs = np.arange(1, total, dtype=np.uint64)[:, None]
-    flips = np.array([swap_pairs(c) for c in range(1, total)], dtype=np.uint64)[:, None]
-    quads = _quad_term(cs, genus)
+    def step(form: int) -> list[int]:  # the moves of the transvections with q(c) = 0
+        return [form ^ flip for c, q0_c, flip in moves if not ((form & c).bit_count() + q0_c) & 1]
 
-    def step(front: np.ndarray):
-        qc = (np.bitwise_count(front & cs) + quads) & one
-        yield np.where(qc == one, front, front ^ flips).ravel()
-
-    remaining = np.ones(total, dtype=bool)
+    placed = [False] * total
     orbits = []
-    while remaining.any():
-        start = np.flatnonzero(remaining)[:1].astype(np.uint64)
-        visited, _ = _bfs(start, step)
-        arfs = _quad_term(visited, genus) & 1
-        orbits.append(
-            {
-                "arf": int(arfs[0]),
-                "size": int(visited.size),
-                "arf_constant": bool(np.all(arfs == arfs[0])),
-            }
-        )
-        remaining[visited.astype(np.int64)] = False
+    for start in range(total):
+        if placed[start]:
+            continue
+        visited = _orbit(start, step)
+        arfs = {q_0(form) for form in visited}
+        # start is the smallest member of its orbit
+        orbits.append({"arf": q_0(start), "size": len(visited), "arf_constant": len(arfs) == 1})
+        for form in visited:
+            placed[form] = True
     orbits.sort(key=lambda o: o["arf"])
     sizes_ok = sum(o["size"] for o in orbits) == total
     return {
@@ -756,23 +731,24 @@ def q_orbit_partition(q: QuadraticForm) -> dict:
     point).  The transcript records the orbit sizes with their q values
     and whether the expectation holds.
     """
-    labels = _base(q).labels[_certified_transport(q)]
+    base_labels = _base(q).labels
+    orbit_of = {}
+    # classes in order: orbits ordered by smallest member, members ascending
+    for x, y in enumerate(_certified_transport(q)):
+        orbit_of.setdefault(base_labels[y], []).append(x)
     n = 2 * q.genus
     table = q_values_table(q)
-    orbits = []
-    # first occurrences are smallest members: orbits ordered by smallest member
-    for x in np.sort(np.unique(labels, return_index=True)[1]):
-        members = np.flatnonzero(labels == labels[x])
-        orbits.append(
-            {
-                "q_value": sorted({int(v) for v in table[members]}),
-                "size": int(members.size),
-                "contains_zero": bool(members[0] == 0),
-            }
-        )
+    orbits = [
+        {
+            "q_value": sorted({table[x] for x in members}),
+            "size": len(members),
+            "contains_zero": members[0] == 0,
+        }
+        for members in orbit_of.values()
+    ]
     # expected orbits: {0}, the whole of q^-1(1), and q^-1(0) minus zero
     # (the last is empty for genus 1 with Arf 1)
-    ones = int(table.sum())
+    ones = sum(table)
     zeros_nonzero = (1 << n) - ones - 1
     expected = {(1, True, 0), (ones, False, 1)}
     if zeros_nonzero:

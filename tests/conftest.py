@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the library's own code paths:
 genus is recounted with Pick's theorem, symplectic group orders come from
 the classical order formula, quadratic-form values are recomputed from
-the defining identity, and closures are re-enumerated by a set BFS over
-``MatF2`` products instead of the numpy engine.
+the defining identity, closures are re-enumerated by a set BFS over
+``MatF2`` products instead of the numpy engine, and twist words are
+multiplied out as dense integral matrices.
 """
 
 from __future__ import annotations
@@ -12,9 +13,11 @@ from __future__ import annotations
 import random
 from math import gcd
 
+import numpy as np
 import pytest
 
 from spincycles import corpus
+from spincycles.homology import CycleClassZ
 from spincycles.polygon import LatticePolygon, parse_polygon
 from spincycles.symplectic import MatF2
 
@@ -92,6 +95,53 @@ def closure_reference(generators: list[MatF2]) -> list[int]:
         seen |= new
         frontier = list(new)
     return sorted(m.packed() for m in seen)
+
+
+# Dense integral transvections, the oracle for relations.evaluate_word_z.
+# sign=+1 is the right-handed twist x -> x + <x, c> c, sign=-1 its inverse.
+
+
+def symplectic_form_z(genus: int) -> np.ndarray:
+    j = np.zeros((2 * genus, 2 * genus), dtype=np.int64)
+    for i in range(genus):
+        j[2 * i, 2 * i + 1] = 1
+        j[2 * i + 1, 2 * i] = -1
+    return j
+
+
+def transvection_z(c: CycleClassZ, sign: int = 1) -> np.ndarray:
+    """Integral transvection x -> x + sign * <x, c> c."""
+    return transvection_z_power(c, 1, sign)
+
+
+def transvection_z_power(c: CycleClassZ, exponent: int, sign: int = 1) -> np.ndarray:
+    """transvection_z(c, sign) ** exponent = I + exponent * sign * outer(c, Jc)."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    v = np.array(c.coords, dtype=np.int64)
+    jc = symplectic_form_z(c.genus) @ v
+    return np.eye(2 * c.genus, dtype=np.int64) + (exponent * sign) * np.outer(v, jc)
+
+
+def is_symplectic_z(m: np.ndarray) -> bool:
+    n = m.shape[0]
+    if m.shape != (n, n) or n % 2 != 0:
+        return False
+    j = symplectic_form_z(n // 2)
+    return bool(np.array_equal(m.T @ j @ m, j))
+
+
+def mat_f2_from_z(m: np.ndarray) -> MatF2:
+    """Reduce an integral matrix modulo 2 into the packed representation."""
+    n = m.shape[0]
+    cols = []
+    for jcol in range(n):
+        bits = 0
+        for k in range(n):
+            if m[k, jcol] & 1:
+                bits |= 1 << k
+        cols.append(bits)
+    return MatF2(n, tuple(cols))
 
 
 def pick_genus(p: LatticePolygon) -> int:

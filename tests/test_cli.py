@@ -227,8 +227,8 @@ class TestVerify:
 
 class TestNumpyBoundary:
     def test_polygon_commands_run_without_numpy(self, tmp_path):
-        # only the group verdicts (symplectic) may load numpy, and the
-        # generation verdict loads no relation check
+        # no command or verdict loads numpy, only the brute-force references
+        # do; the generation verdict loads no relation check
         spin = corpus_file(tmp_path, "quintic")
         hyper = corpus_file(tmp_path, "rect_4x2")
         script = (
@@ -249,11 +249,25 @@ class TestNumpyBoundary:
             "import sys\n"
             "from spincycles.cli import main\n"
             "assert main(['verify', 'generation', '--genus', '2', '--arf', '1']) == 0\n"
-            "assert 'numpy' in sys.modules\n"
+            "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+            "assert main(['verify', 'generation', '--genus', '6', '--arf', '0']) == 0\n"
+            "assert 'numpy' not in sys.modules, 'numpy imported'\n"
             "assert 'spincycles.relations' not in sys.modules, 'relations imported'\n"
         )
+        references = (
+            "import sys\n"
+            "from spincycles import symplectic\n"
+            "from spincycles.spin import standard_form\n"
+            "q = standard_form(3, 1)\n"
+            "symplectic.verify_transvection_generation(q)\n"
+            "symplectic.q_orbit_partition(q)\n"
+            "symplectic.verify_arf_classification(3)\n"
+            "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+            "assert symplectic.closure(symplectic.chain_transvections(1)).order == 6\n"
+            "assert 'numpy' in sys.modules\n"
+        )
         env = {**os.environ, "PYTHONPATH": str(Path(spincycles.__file__).parents[1])}
-        for code in (script, generation):
+        for code in (script, generation, references):
             proc = subprocess.run(
                 [sys.executable, "-c", code],
                 capture_output=True, text=True, timeout=60, env=env,

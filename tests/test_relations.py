@@ -21,9 +21,8 @@ from spincycles.relations import (
     verify_hyperelliptic_word,
 )
 from spincycles.spin import canonical_q
-from spincycles.symplectic import mat_f2_from_z, transvection_z, transvection_z_power
 
-from conftest import polygon_from
+from conftest import mat_f2_from_z, polygon_from, transvection_z, transvection_z_power
 
 
 def simple_system():

@@ -86,7 +86,7 @@ class TestEval:
         # q(x+y) = q(x) + q(y) + <x,y> over all pairs, g <= 3 (vectorized)
         for g in (1, 2, 3):
             q = standard_form(g, g % 2)
-            table = q_values_table(q).astype(np.uint8)
+            table = np.array(q_values_table(q), dtype=np.uint8)
             n = 1 << (2 * g)
             xs = np.arange(n, dtype=np.uint64)
             ma = np.uint64(sum(1 << (2 * i) for i in range(g)))

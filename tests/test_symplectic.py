@@ -22,23 +22,27 @@ from spincycles.symplectic import (
     chain_transvections,
     closure,
     full_symplectic_closure,
-    is_symplectic_z,
-    mat_f2_from_z,
     membership,
     orbit,
     preserves_q,
     q_orbit_partition,
     q_stabilizer_bruteforce,
     q_values_table,
-    symplectic_form_z,
     transvection_f2,
-    transvection_z,
-    transvection_z_power,
     verify_arf_classification,
     verify_transvection_generation,
 )
 
-from conftest import closure_reference, o_order, sp_order
+from conftest import (
+    closure_reference,
+    is_symplectic_z,
+    mat_f2_from_z,
+    o_order,
+    sp_order,
+    symplectic_form_z,
+    transvection_z,
+    transvection_z_power,
+)
 
 
 def rand_class_f2(rng, g):
@@ -619,25 +623,25 @@ class TestStabilizer:
         t_v = transvection_f2(CycleClassF2(3, v))
         if mutation == "wrong_v":
             # q0(b_1) = 1: T_b1 lies in O(q0), so q o T_b1 = q, not q0
-            table = symplectic._vector_table(transvection_f2(CycleClassF2(3, 0b10)).cols)
+            table = symplectic._table(transvection_f2(CycleClassF2(3, 0b10)).cols)
         elif mutation == "not_involution":
             # T_b1 lies in O(q0), so T_v T_b1 carries q to q0, but <v, b_1> = 1:
             # the two transvections do not commute and the product has order 3
             m = t_v @ transvection_f2(CycleClassF2(3, 0b10))
             assert (m @ m).packed() != MatF2.identity(3).packed()
-            table = symplectic._vector_table(m.cols)
+            table = symplectic._table(m.cols)
         elif mutation == "not_transporting":
             # c = a_2 has q0(c) = 0 and <v, c> = 0: T_v T_c is a symplectic
             # involution, but q(T_v T_c x) = q0(x) + <x, c>
             c = transvection_f2(CycleClassF2(3, 0b100))
-            table = symplectic._vector_table((t_v @ c).cols)
+            table = symplectic._table((t_v @ c).cols)
         else:
             # a_1 + a_2 and a_1 + a_3 are fixed by T_v with q0 = 0 on both:
             # swapping them keeps an involution carrying q to q0, not linear
-            table = symplectic._vector_table(t_v.cols).copy()
+            table = symplectic._table(t_v.cols)
             assert table[0b101] == 0b101 and table[0b10001] == 0b10001
             assert q0.eval_bits(0b101) == q0.eval_bits(0b10001) == 0
-            table[[0b101, 0b10001]] = table[[0b10001, 0b101]]
+            table[0b101], table[0b10001] = table[0b10001], table[0b101]
         monkeypatch.setattr(symplectic, "_transport_table", lambda form, base: table)
         for fn in (verify_transvection_generation, q_orbit_partition):
             with pytest.raises(
@@ -645,7 +649,7 @@ class TestStabilizer:
             ) as err:
                 fn(q)
             assert str(err.value).split(" is not ", 1)[1] == failure
-        assert no_bases == {(3, 0): entry} and not entry.labels.flags.writeable
+        assert no_bases == {(3, 0): entry} and isinstance(entry.labels, tuple)
 
     @pytest.mark.parametrize("g", [2, 3])
     def test_cache_independent_of_call_order(self, no_bases, references, g):
@@ -671,7 +675,7 @@ class TestStabilizer:
             for (_, arf), base in no_bases.items():
                 stab0, adm0 = references[bases[arf]]
                 assert base.closure_order == adm0.size and o_order(g, arf) == stab0.size
-                assert base.labels.tolist() == level_labels(bases[arf])
+                assert list(base.labels) == level_labels(bases[arf])
 
     def test_warm_g3_generation_fast(self, no_bases):
         # regression gate: 20 warm calls on distinct non-base forms took
@@ -843,12 +847,14 @@ class TestChain:
             raise AssertionError("a verdict called a brute-force reference")
 
         for name in ("full_symplectic_closure", "closure", "_filter_preserves_q",
-                     "q_stabilizer_bruteforce"):
+                     "q_stabilizer_bruteforce", "_vector_table", "_apply_table_mats",
+                     "_bfs", "orbit"):
             monkeypatch.setattr(symplectic, name, fail)
         for g in (1, 2, 3):
             for q in all_forms(g):
                 verify_transvection_generation(q)
                 q_orbit_partition(q)
+            verify_arf_classification(g)
         no_bases.clear()
         for g in range(1, MAX_CHAIN_GENUS + 1):
             for arf in ("0", "1"):
