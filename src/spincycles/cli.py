@@ -26,7 +26,6 @@ import sys
 from contextlib import nullcontext
 from itertools import islice
 
-from .homology import build_model
 from .polygon import (
     SPIN_REGIMES,
     REGIME_HYPERELLIPTIC,
@@ -75,7 +74,7 @@ def build_classify_report(p: LatticePolygon) -> dict:
         "root_order": d.root_order,
     }
     if regime in SPIN_REGIMES:
-        q = canonical_q(build_model(p))
+        q = canonical_q(p)
         report["arf"] = q.arf()
         report["even_points"] = [
             list(pt) for pt, even in sorted(even_points(p).items()) if even
@@ -87,7 +86,7 @@ def build_classify_report(p: LatticePolygon) -> dict:
 
 
 def build_qtable_report(p: LatticePolygon) -> dict:
-    q = canonical_q(build_model(p))  # raises RegimeError outside spin regimes
+    q = canonical_q(p)  # raises RegimeError outside spin regimes
     report = q.to_json_dict()
     report["even_points"] = [
         list(pt) for pt, even in sorted(even_points(p).items()) if even

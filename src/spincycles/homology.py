@@ -373,7 +373,9 @@ def validate_forest(p: LatticePolygon, forest: Forest) -> None:
 def build_model(p: LatticePolygon, forest: Forest | None = None) -> SurfaceModel:
     """Construct the homology model; genus 0 raises :class:`GenusZeroError`.
 
-    The default forest walks each interior point to the smallest hull
+    Only the forest-reading ``q-consistency`` suite needs a model: the
+    basis alone comes from ``interior_data(p).interior_points``.  The
+    default forest walks each interior point to the smallest hull
     vertex and exits over one primitive step; any forest accepted by
     :func:`validate_forest` may be supplied instead.  A genus over
     ``MAX_MODEL_GENUS`` raises :class:`PolygonTooLargeError` before any scan.
@@ -388,7 +390,7 @@ def build_model(p: LatticePolygon, forest: Forest | None = None) -> SurfaceModel
     return SurfaceModel(p, d.genus, points, index, forest)
 
 
-def hyperelliptic_chain(m: SurfaceModel) -> list[CycleClassZ]:
+def hyperelliptic_chain(p: LatticePolygon) -> list[CycleClassZ]:
     """Integral classes of the 2g+1 chain cycles of a width-2 strip.
 
     For interior points v_1..v_g ordered along their common line, the
@@ -398,11 +400,14 @@ def hyperelliptic_chain(m: SurfaceModel) -> list[CycleClassZ]:
 
         sigma_0 -> -b_1,  v_i -> a_i,  sigma_i -> b_i - b_{i+1},
         sigma_g -> b_g.
+
+    The classes are read in the model basis, so no spanning forest is
+    built; genus 0 raises :class:`GenusZeroError`.
     """
-    d = interior_data(m.polygon)
+    d = interior_data(p)
     if d.dimension != 1:
         raise RegimeError("hyperelliptic chain requires a segment interior hull")
-    g = m.genus
+    g = d.genus
     chain: list[CycleClassZ] = [-CycleClassZ.basis_b(g, 1)]
     for i in range(1, g + 1):
         chain.append(CycleClassZ.basis_a(g, i))

@@ -31,11 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .homology import (
-    CycleClassZ,
-    build_model,
-    hyperelliptic_chain,
-)
+from .homology import CycleClassZ, hyperelliptic_chain
 from .polygon import (
     REGIME_HYPERELLIPTIC,
     LatticePolygon,
@@ -195,7 +191,6 @@ def evaluate_word_z(
     word: TwistWord,
     classes: dict[str, CycleClassZ],
     sign: int = 1,
-    genus: int | None = None,
 ) -> Matrix:
     """Ordered product of integral transvections; leftmost letter acts last.
 
@@ -204,22 +199,18 @@ def evaluate_word_z(
     The product is kept by columns: w = out c sums the columns in supp(c),
     and column j gains e*sign*(Jc)_j*w for each j in supp(Jc), where
     (Jc)_{2i} = c_{2i+1} and (Jc)_{2i+1} = -c_{2i}.  Entries are Python
-    ints, so the product is exact; it is returned as a list of rows.
+    ints, so the product is exact; it is returned as a list of rows.  The
+    genus is that of the classes, so an empty ``classes`` raises
+    ``ValueError``.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     for name, _ in word.letters:
         if name not in classes:
             raise ValueError(f"no homology class assigned to curve {name!r}")
-        if genus is None:
-            genus = classes[name].genus
-    if genus is None:
-        for c in classes.values():
-            genus = c.genus
-            break
-    if genus is None:
+    if not classes:
         raise ValueError("cannot infer genus from an empty word and no classes")
-    n = 2 * genus
+    n = 2 * next(iter(classes.values())).genus
     cols = _identity(n)  # the identity is its own transpose
     for name, exp in word.letters:
         support = [(k, x) for k, x in enumerate(classes[name].coords) if x]
@@ -469,14 +460,15 @@ def verify_hyperelliptic_word(p: LatticePolygon) -> dict:
 
     The word runs once up the chain and once back down (the top twist
     doubled); its integral action must be -identity, under both global
-    twist-sign conventions.
+    twist-sign conventions.  A genus over ``MAX_MODEL_GENUS`` raises
+    :class:`PolygonTooLargeError`.
     """
     regime = classify_regime(p)
     if regime != REGIME_HYPERELLIPTIC:
         raise RegimeError(f"expected the hyperelliptic regime, got {regime!r}")
-    m = build_model(p)
-    chain = hyperelliptic_chain(m)
-    g = m.genus
+    check_model_genus(p.pick_counts()[0])
+    chain = hyperelliptic_chain(p)
+    g = chain[0].genus
     names = []
     classes = {}
     for k, cz in enumerate(chain):

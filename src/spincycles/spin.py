@@ -21,25 +21,18 @@ from math import gcd
 
 from .homology import (
     CycleClassF2,
-    SurfaceModel,
     a_mask,
     build_model,
     default_forest,
-    is_symplectic_bits,
     vertex_forest,
 )
 from .polygon import (
     SPIN_REGIMES,
-    REGIME_DIM0,
-    REGIME_HIGHER_ROOT_ODD,
-    REGIME_HYPERELLIPTIC,
-    REGIME_SPIN,
-    REGIME_UNOBSTRUCTED,
     LatticePolygon,
     RegimeError,
+    check_model_genus,
     classify_regime,
     enumerate_segments,
-    even_points,
     interior_data,
     segment_on_boundary,
 )
@@ -89,12 +82,6 @@ class QuadraticForm:
     def arf(self) -> int:
         return sum(a * b for a, b in zip(self.q_a, self.q_b)) & 1
 
-    def is_admissible(self, x: CycleClassF2) -> bool:
-        """Nonzero class with q(x) = 1 (the mod-2 admissibility criterion)."""
-        if x.genus != self.genus:
-            raise ValueError("genus mismatch")
-        return bool(x.bits) and self.eval(x) == 1
-
     def count_admissible(self) -> int:
         """|{x != 0 : q(x) = 1}|, by the Arf closed form in the module docstring."""
         half = 1 << (2 * self.genus - 1)
@@ -110,18 +97,25 @@ class QuadraticForm:
         }
 
 
-def canonical_q(m: SurfaceModel) -> QuadraticForm:
-    """Canonical spin form of a polygon in the spin/algebraic_even regime."""
-    regime = classify_regime(m.polygon)
+def canonical_q(p: LatticePolygon) -> QuadraticForm:
+    """Canonical spin form of a polygon in the spin/algebraic_even regime.
+
+    The basis is the model's, one (a_i, b_i) pair per interior point in
+    lexicographic order, and q needs no spanning forest.  Refusals come in
+    this order: a genus over ``MAX_MODEL_GENUS``
+    (:class:`PolygonTooLargeError`), genus 0 (:class:`GenusZeroError`),
+    then a polygon outside the spin regimes (:class:`RegimeError`).
+    """
+    check_model_genus(p.pick_counts()[0])
+    d = interior_data(p)  # raises GenusZeroError
+    regime = classify_regime(p)
     if regime not in SPIN_REGIMES:
         raise RegimeError(
             f"no canonical spin form in regime {regime!r} "
             f"(requires one of {', '.join(SPIN_REGIMES)})"
         )
-    parity = even_points(m.polygon)
-    q_a = (1,) * m.genus
-    q_b = tuple(1 if parity[v] else 0 for v in m.points)
-    return QuadraticForm(q_a, q_b)
+    q_b = tuple(1 if d.is_even(v) else 0 for v in d.interior_points)
+    return QuadraticForm((1,) * d.genus, q_b)
 
 
 def standard_form(genus: int, arf: int) -> QuadraticForm:
@@ -134,68 +128,6 @@ def standard_form(genus: int, arf: int) -> QuadraticForm:
     q_a = tuple(1 if (arf and i == 0) else 0 for i in range(genus))
     q_b = (1,) * genus
     return QuadraticForm(q_a, q_b)
-
-
-def standard_basis(genus: int) -> list[CycleClassF2]:
-    out = []
-    for i in range(1, genus + 1):
-        out.append(CycleClassF2.basis_a(genus, i))
-        out.append(CycleClassF2.basis_b(genus, i))
-    return out
-
-
-def is_symplectic_basis(basis: list[CycleClassF2]) -> bool:
-    """Pairs (basis[2i], basis[2i+1]) pair to 1; all other pairings vanish."""
-    if not basis:
-        return False
-    g = basis[0].genus
-    if len(basis) != 2 * g or any(b.genus != g for b in basis):
-        return False
-    return is_symplectic_bits([b.bits for b in basis])
-
-
-def basis_types(q: QuadraticForm, basis: list[CycleClassF2]) -> tuple[int, ...]:
-    """Per-pair types of a q-symplectic basis.
-
-    Pair i has type 1 when (q(a_i), q(b_i)) = (1, 1) and type 0 when
-    (0, 1); any other value pattern means the basis is not q-symplectic.
-    """
-    types = []
-    for i in range(q.genus):
-        va, vb = q.eval(basis[2 * i]), q.eval(basis[2 * i + 1])
-        if (va, vb) == (1, 1):
-            types.append(1)
-        elif (va, vb) == (0, 1):
-            types.append(0)
-        else:
-            raise ValueError(f"basis pair {i} has values {(va, vb)}: not q-symplectic")
-    return tuple(types)
-
-
-def q_symplectic_basis(
-    q: QuadraticForm, basis: list[CycleClassF2] | None = None
-) -> tuple[list[CycleClassF2], tuple[int, ...]]:
-    """Adjust a symplectic basis pair by pair into q-symplectic form.
-
-    Within each pair: swap a and b when (1,0), replace b by a+b when
-    (0,0).  Neither move touches other pairs, so the basis stays
-    symplectic.  Returns the new basis and its types.
-    """
-    basis = list(basis) if basis is not None else standard_basis(q.genus)
-    if not is_symplectic_basis(basis):
-        raise ValueError("input basis is not symplectic")
-    out = list(basis)
-    for i in range(q.genus):
-        a, b = out[2 * i], out[2 * i + 1]
-        va, vb = q.eval(a), q.eval(b)
-        if (va, vb) == (1, 0):
-            a, b = b, a
-        elif (va, vb) == (0, 0):
-            b = a + b
-        elif (va, vb) == (1, 1) or (va, vb) == (0, 1):
-            pass
-        out[2 * i], out[2 * i + 1] = a, b
-    return out, basis_types(q, out)
 
 
 def consistency_forests(p: LatticePolygon) -> list:
@@ -212,15 +144,24 @@ def consistency_forests(p: LatticePolygon) -> list:
 def verify_q_consistency(p: LatticePolygon) -> dict:
     """Cross-check the canonical form against the segment parity rule.
 
-    Three checks on a spin/algebraic_even polygon:
+    Four checks on a spin/algebraic_even polygon, over the models of the
+    spanning forests of :func:`consistency_forests`:
 
-    * forest independence: models built over distinct spanning forests
-      assign the same q value to every primitive segment class;
+    * forest independence: every model assigns the same q value to every
+      primitive segment class;
+    * telescoping: in every model, the segment classes along the forest
+      path of v_i sum to b_i;
     * parity rule: for every primitive segment parallel to an edge of the
       interior hull and not contained in the polygon boundary, q of its
       class is 1 iff exactly one endpoint is even;
     * bridge admissibility: every bridge ending at a vertex of the
       interior hull has q = 1 (hull vertices are even points).
+
+    ``pass`` is the conjunction of the four.  The transcript also reports
+    ``forests``, the number of distinct forests built; it does not gate
+    ``pass``, because a segment class depends on its endpoints alone, so
+    the count says nothing about q (a lattice image of a polygon can make
+    two of the forests coincide).
     """
     regime = classify_regime(p)
     if regime not in SPIN_REGIMES:
@@ -230,7 +171,7 @@ def verify_q_consistency(p: LatticePolygon) -> dict:
     forests = consistency_forests(p)
     models = [build_model(p, f) for f in forests]
     distinct_forests = len({tuple(sorted(f.items())) for f in forests})
-    q = canonical_q(models[0])
+    q = canonical_q(p)
     segments = enumerate_segments(p)
 
     forest_independent = True
@@ -280,13 +221,7 @@ def verify_q_consistency(p: LatticePolygon) -> dict:
         bridges_checked += 1
         if q.eval(m.segment_class(seg)) != 1:
             bridges_ok = False
-    ok = (
-        forest_independent
-        and telescoping
-        and parity_rule
-        and bridges_ok
-        and distinct_forests >= 3
-    )
+    ok = forest_independent and telescoping and parity_rule and bridges_ok
     return {
         "suite": "q-consistency",
         "regime": regime,
@@ -301,78 +236,3 @@ def verify_q_consistency(p: LatticePolygon) -> dict:
         "vertex_bridges_admissible": bridges_ok,
         "pass": ok,
     }
-
-
-def vanishing_cycle_report(p: LatticePolygon, x: CycleClassF2 | str = "all") -> dict:
-    """Regime-dependent homology-level verdict on (classes of) vanishing cycles.
-
-    The verdicts live at the level of mod-2 homology classes: a class may
-    contain many isotopy classes of curves, and for regimes whose
-    obstruction is invisible on homology the report says so instead of
-    overclaiming.
-    """
-    regime = classify_regime(p)
-    m = build_model(p)
-    g = m.genus
-    if isinstance(x, CycleClassF2) and x.genus != g:
-        raise ValueError(f"class has genus {x.genus}, polygon has genus {g}")
-
-    report: dict = {"regime": regime, "genus": g, "level": "mod2_class"}
-    if x == "all":
-        report["query"] = "all"
-    else:
-        report["query"] = list(x.coords)
-
-    if regime in (REGIME_DIM0, REGIME_HIGHER_ROOT_ODD):
-        report["verdict"] = "out_of_scope"
-        report["note"] = "no classification is modelled for this regime"
-        return report
-
-    if regime == REGIME_HYPERELLIPTIC:
-        report["verdict"] = "no_homological_obstruction"
-        report["note"] = (
-            "the hyperelliptic involution acts as -identity on H1, fixing "
-            "every mod-2 class; the invariance obstruction is invisible at "
-            "this level"
-        )
-        if isinstance(x, CycleClassF2):
-            report["nonzero_class"] = bool(x)
-        return report
-
-    if regime == REGIME_UNOBSTRUCTED:
-        report["note"] = (
-            "root order 1: every nonzero mod-2 class is the class of a "
-            "vanishing cycle"
-        )
-        if x == "all":
-            report["vanishing_count"] = (1 << (2 * g)) - 1
-            report["class_count"] = 1 << (2 * g)
-        else:
-            report["vanishing"] = bool(x)
-            if not x:
-                report["note"] = "the zero class contains no non-separating curve"
-        return report
-
-    # spin / algebraic_even: the q = 1 condition on nonzero classes
-    q = canonical_q(m)
-    report["arf"] = q.arf()
-    if regime == REGIME_SPIN:
-        report["criterion"] = "admissible"
-        report["caveat"] = (
-            "homology-level verdict: admissibility classifies mod-2 "
-            "classes exactly, individual curves within a class are not "
-            "distinguished"
-        )
-    else:
-        report["criterion"] = "algebraic_monodromy_constraint"
-        report["caveat"] = (
-            "even root order > 2: the q = 1 condition describes the image "
-            "of the algebraic monodromy only"
-        )
-    if x == "all":
-        count = q.count_admissible()
-        report["vanishing_count"] = count
-        report["class_count"] = 1 << (2 * g)
-    else:
-        report["vanishing"] = q.is_admissible(x)
-    return report

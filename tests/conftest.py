@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from spincycles import corpus
-from spincycles.homology import CycleClassZ
+from spincycles.homology import CycleClassF2, CycleClassZ, is_symplectic_bits
 from spincycles.polygon import LatticePolygon, parse_polygon
 from spincycles.symplectic import MatF2
 
@@ -179,6 +179,70 @@ def brute_q(q_bits_a, q_bits_b, x_bits: int) -> int:
             if l == k + 1 and k % 2 == 0:
                 total += 1
     return total & 1
+
+
+# q-symplectic bases: the Arf invariant recounted as the number of type-1
+# pairs of a diagonalized basis, never through QuadraticForm.arf.
+
+
+def standard_basis(genus: int) -> list[CycleClassF2]:
+    out = []
+    for i in range(1, genus + 1):
+        out.append(CycleClassF2.basis_a(genus, i))
+        out.append(CycleClassF2.basis_b(genus, i))
+    return out
+
+
+def is_symplectic_basis(basis: list[CycleClassF2]) -> bool:
+    """Pairs (basis[2i], basis[2i+1]) pair to 1; all other pairings vanish."""
+    if not basis:
+        return False
+    g = basis[0].genus
+    if len(basis) != 2 * g or any(b.genus != g for b in basis):
+        return False
+    return is_symplectic_bits([b.bits for b in basis])
+
+
+def basis_types(q, basis: list[CycleClassF2]) -> tuple[int, ...]:
+    """Per-pair types of a q-symplectic basis.
+
+    Pair i has type 1 when (q(a_i), q(b_i)) = (1, 1) and type 0 when
+    (0, 1); any other value pattern means the basis is not q-symplectic.
+    """
+    types = []
+    for i in range(q.genus):
+        va, vb = q.eval(basis[2 * i]), q.eval(basis[2 * i + 1])
+        if (va, vb) == (1, 1):
+            types.append(1)
+        elif (va, vb) == (0, 1):
+            types.append(0)
+        else:
+            raise ValueError(f"basis pair {i} has values {(va, vb)}: not q-symplectic")
+    return tuple(types)
+
+
+def q_symplectic_basis(
+    q, basis: list[CycleClassF2] | None = None
+) -> tuple[list[CycleClassF2], tuple[int, ...]]:
+    """Adjust a symplectic basis pair by pair into q-symplectic form.
+
+    Within each pair: swap a and b when (1,0), replace b by a+b when
+    (0,0).  Neither move touches other pairs, so the basis stays
+    symplectic.  Returns the new basis and its types.
+    """
+    basis = list(basis) if basis is not None else standard_basis(q.genus)
+    if not is_symplectic_basis(basis):
+        raise ValueError("input basis is not symplectic")
+    out = list(basis)
+    for i in range(q.genus):
+        a, b = out[2 * i], out[2 * i + 1]
+        va, vb = q.eval(a), q.eval(b)
+        if (va, vb) == (1, 0):
+            a, b = b, a
+        elif (va, vb) == (0, 0):
+            b = a + b
+        out[2 * i], out[2 * i + 1] = a, b
+    return out, basis_types(q, out)
 
 
 # ---------------------------------------------------------------------------

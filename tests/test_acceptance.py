@@ -74,7 +74,7 @@ def test_criterion_2_spin_form():
     start = time.time()
     d5 = corpus.load("quintic")
     m = build_model(d5)
-    q = canonical_q(m)
+    q = canonical_q(d5)
     assert q.q_a == (1,) * 6
     even = {(1, 1), (1, 3), (3, 1)}
     assert q.q_b == tuple(1 if v in even else 0 for v in m.points)
@@ -87,7 +87,7 @@ def test_criterion_2_spin_form():
     )
     assert q.count_admissible() == brute == 2080
     d7 = corpus.load("d7")
-    assert canonical_q(build_model(d7)).arf() == 0
+    assert canonical_q(d7).arf() == 0
     elapsed = time.time() - start
     assert elapsed < 1.0
     _report(2, elapsed, "quintic q-table, Arf 1, 2080 admissible; degree-7 Arf 0")

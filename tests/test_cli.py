@@ -198,12 +198,65 @@ class TestVerify:
         code = main(["verify", "q-consistency", corpus_file(tmp_path, "rect_4x2")])
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "vertices",
+        [
+            [[-14, 14], [-9, 9], [11, -6]],  # forests: 1
+            [[-4, -2], [6, 3], [1, 3]],  # x -> 2x+y-4, y -> x+y-2; forests: 2
+        ],
+    )
+    def test_q_consistency_lattice_images(self, tmp_path, capsys, vertices):
+        # fewer distinct forests than on the quintic, same checks: still a pass
+        assert main(["verify", "q-consistency", corpus_file(tmp_path, "quintic"), "--json"]) == 0
+        expected = json.loads(capsys.readouterr().out)
+        path = tmp_path / "image.json"
+        path.write_text(json.dumps({"vertices": vertices}))
+        assert main(["verify", "q-consistency", str(path), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report.pop("forests") < expected.pop("forests") == 3
+        assert report == expected
+        assert main(["verify", "all", str(path)]) == 0
+
+    def test_q_consistency_corrupted_form_exit_1(self, tmp_path, capsys, monkeypatch):
+        # flipping q at the even point (1, 1) breaks the parity rule
+        from spincycles import spin
+
+        canonical_q = spin.canonical_q
+
+        def corrupted(p):
+            q = canonical_q(p)
+            return spin.QuadraticForm(q.q_a, (1 - q.q_b[0],) + q.q_b[1:])
+
+        monkeypatch.setattr(spin, "canonical_q", corrupted)
+        code = main(["verify", "q-consistency", corpus_file(tmp_path, "quintic"), "--json"])
+        assert code == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["parity_rule_holds"] is False and report["pass"] is False
+
+    @pytest.mark.parametrize("suite", ["hyperelliptic-word", "q-consistency"])
+    def test_suite_needs_polygon_file_exit_3(self, capsys, suite):
+        assert main(["verify", suite]) == 3
+        assert f"{suite} needs a polygon file" in capsys.readouterr().err
+
     def test_all_on_polygon(self, tmp_path, capsys):
         code = main(["verify", "all", corpus_file(tmp_path, "quintic"), "--json"])
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         suites = [r["suite"] for r in report["results"]]
         assert "q-consistency" in suites and "chrel2" in suites
+
+    @pytest.mark.parametrize(
+        "name, args, suites",
+        [
+            ("rect_4x2", [], ["hyperelliptic-word", "chain-relation", "chrel2"]),
+            (None, ["--genus", "3", "--arf", "1"], ["generation", "chain-relation", "chrel2"]),
+        ],
+    )
+    def test_all_runs_applicable_suites(self, tmp_path, capsys, name, args, suites):
+        files = [corpus_file(tmp_path, name)] if name else []
+        assert main(["verify", "all", *files, *args, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [r["suite"] for r in report["results"]] == suites
 
     @pytest.mark.parametrize("option, value", [("--parts", "4"), ("--cap", "10")])
     def test_removed_parts_option_exit_2(self, option, value):

@@ -214,6 +214,21 @@ class TestForests:
         with pytest.raises(ValueError):
             validate_forest(d5, broken)
 
+    def test_straight_segment_fallback(self):
+        # a lattice image of the quintic where axis steps reach only (-8, 9):
+        # the other five paths are the straight-segment fallback
+        p = polygon_from([(-14, 14), (-9, 9), (11, -6)])
+        forest = default_forest(p)
+        straight = {
+            v for v, path in forest.items()
+            if any(abs(a[0] - b[0]) + abs(a[1] - b[1]) != 1 for a, b in path)
+        }
+        assert straight == set(forest) - {(-8, 9)} and len(straight) == 5
+        validate_forest(p, forest)
+        m = build_model(p, forest)
+        for v in m.points:
+            assert m.path_class_sum(v) == m.b_class(v)
+
 
 class TestHyperellipticChain:
     def chain_matrix(self, chain):
@@ -225,7 +240,7 @@ class TestHyperellipticChain:
     def test_chain_pattern(self, rect_4x2, trapezoid_g2, trapezoid_g2_cut):
         for p in (rect_4x2, trapezoid_g2, trapezoid_g2_cut):
             m = build_model(p)
-            chain = hyperelliptic_chain(m)
+            chain = hyperelliptic_chain(p)
             g = m.genus
             assert len(chain) == 2 * g + 1
             mat = self.chain_matrix(chain)
@@ -239,8 +254,7 @@ class TestHyperellipticChain:
                         assert mat[i][j] == 0
 
     def test_spec_example_pairings(self, rect_4x2):
-        m = build_model(rect_4x2)
-        chain = hyperelliptic_chain(m)
+        chain = hyperelliptic_chain(rect_4x2)
         sigma0, v1, sigma1 = chain[0], chain[1], chain[2]
         v2 = chain[3]
         assert pairing_z(sigma0, v1) == 1
@@ -249,4 +263,4 @@ class TestHyperellipticChain:
 
     def test_wrong_regime(self, d5):
         with pytest.raises(RegimeError):
-            hyperelliptic_chain(build_model(d5))
+            hyperelliptic_chain(d5)

@@ -104,7 +104,7 @@ class TestRewrite:
 
 class TestEvaluate:
     def test_empty_word(self):
-        out = evaluate_word_z(TwistWord(()), {}, genus=2)
+        out = evaluate_word_z(TwistWord(()), {"c": CycleClassZ.basis_a(2, 1)})
         assert np.array_equal(out, np.eye(4, dtype=np.int64))
 
     def test_cancelling_pair(self):
@@ -215,7 +215,7 @@ class TestChainRelation:
     def test_square_of_twist_trivial_mod2(self, d5):
         # twists along q = 0 classes still square to the identity mod 2
         m = build_model(d5)
-        q = canonical_q(m)
+        q = canonical_q(d5)
         d = m.b_class((2, 1))
         assert q.eval(d) == 0
         lift = CycleClassZ(6, d.coords)

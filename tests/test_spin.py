@@ -11,32 +11,29 @@ from spincycles.spin import (
     QuadraticForm,
     canonical_q,
     consistency_forests,
-    is_symplectic_basis,
-    q_symplectic_basis,
     standard_form,
-    vanishing_cycle_report,
     verify_q_consistency,
 )
 from spincycles.symplectic import q_values_table
 
-from conftest import brute_q, polygon_from
+from conftest import brute_q, is_symplectic_basis, q_symplectic_basis
 
 
 class TestCanonicalQ:
     def test_d5(self, d5):
-        q = canonical_q(build_model(d5))
+        q = canonical_q(d5)
         assert q.q_a == (1,) * 6
         assert q.q_b == (1, 0, 1, 0, 0, 1)
 
     def test_d7(self, d7):
-        q = canonical_q(build_model(d7))
+        q = canonical_q(d7)
         assert q.q_a == (1,) * 15
         assert sum(q.q_b) == 6
 
     def test_wrong_regime(self, square_3x3, rect_4x2):
         for p in (square_3x3, rect_4x2):
             with pytest.raises(RegimeError):
-                canonical_q(build_model(p))
+                canonical_q(p)
 
 
 class TestEval:
@@ -45,14 +42,14 @@ class TestEval:
         assert q.eval(CycleClassF2.zero(3)) == 0
 
     def test_polarization_example(self, d5):
-        q = canonical_q(build_model(d5))
+        q = canonical_q(d5)
         m = build_model(d5)
         x = m.a_class((1, 1)) + m.b_class((1, 1))
         assert q.eval(x) == 1  # 1 + 1 + <a1,b1>
 
     def test_segment_parity_example(self, d5):
         m = build_model(d5)
-        q = canonical_q(m)
+        q = canonical_q(d5)
         s = m.segment_class(((1, 1), (2, 1)))
         assert q.eval(s) == 1
         d = interior_data(d5)
@@ -69,7 +66,7 @@ class TestEval:
                     assert q.eval_bits(bits) == brute_q(q_a, q_b, bits)
 
     def test_values_table_matches_eval(self, d5):
-        q = canonical_q(build_model(d5))
+        q = canonical_q(d5)
         table = q_values_table(q)
         rng = random.Random(3)
         for _ in range(2000):
@@ -100,7 +97,7 @@ class TestEval:
 
     def test_polarization_identity_random_large(self, d5):
         # >= 1e5 random pairs at genus 6
-        q = canonical_q(build_model(d5))
+        q = canonical_q(d5)
         rng = random.Random(41)
         for _ in range(100_000):
             x = rng.randrange(1 << 12)
@@ -110,15 +107,15 @@ class TestEval:
             assert lhs == (q.eval_bits(x) ^ q.eval_bits(y) ^ pair)
 
     def test_genus_mismatch(self, d5):
-        q = canonical_q(build_model(d5))
+        q = canonical_q(d5)
         with pytest.raises(ValueError):
             q.eval(CycleClassF2.zero(3))
 
 
 class TestArf:
     def test_corpus_values(self, d5, d7):
-        assert canonical_q(build_model(d5)).arf() == 1
-        assert canonical_q(build_model(d7)).arf() == 0
+        assert canonical_q(d5).arf() == 1
+        assert canonical_q(d7).arf() == 0
 
     def test_trivial_product(self):
         assert QuadraticForm((0,), (1,)).arf() == 0
@@ -128,7 +125,7 @@ class TestArf:
         from spincycles.polygon import even_points
 
         for p in (d5, d7):
-            q = canonical_q(build_model(p))
+            q = canonical_q(p)
             evens = sum(1 for e in even_points(p).values() if e)
             assert q.arf() == evens % 2
 
@@ -146,7 +143,7 @@ class TestArf:
 
     def test_count_census_oracle(self, d5):
         # brute-force census over all classes vs count_admissible
-        q5 = canonical_q(build_model(d5))
+        q5 = canonical_q(d5)
         brute = sum(
             1 for bits in range(1, 1 << 12) if q5.eval_bits(bits) == 1
         )
@@ -179,15 +176,6 @@ class TestArf:
                 assert q.count_admissible() == int(table.sum()), (g, q)
 
 
-class TestAdmissible:
-    def test_examples(self, d5):
-        m = build_model(d5)
-        q = canonical_q(m)
-        assert q.is_admissible(m.a_class((1, 1)))
-        assert not q.is_admissible(m.b_class((2, 1)))
-        assert not q.is_admissible(CycleClassF2.zero(6))
-
-
 class TestQSymplecticBasis:
     def test_standard_already_diagonal(self):
         q = standard_form(2, 1)
@@ -217,47 +205,6 @@ class TestQSymplecticBasis:
         assert not is_symplectic_basis([a1, CycleClassF2.basis_b(2, 1)])  # mixed genera
 
 
-class TestVanishingReport:
-    def test_spin_classes(self, d5):
-        m = build_model(d5)
-        assert vanishing_cycle_report(d5, m.a_class((1, 1)))["vanishing"] is True
-        assert vanishing_cycle_report(d5, m.b_class((2, 1)))["vanishing"] is False
-
-    def test_spin_all(self, d5):
-        r = vanishing_cycle_report(d5, "all")
-        assert r["vanishing_count"] == 2080
-        assert r["class_count"] == 4096
-        assert "caveat" in r
-
-    def test_hyperelliptic(self, rect_4x2):
-        x = CycleClassF2.basis_a(3, 1)
-        r = vanishing_cycle_report(rect_4x2, x)
-        assert r["verdict"] == "no_homological_obstruction"
-        assert "involution" in r["note"]
-
-    def test_unobstructed(self, square_3x3):
-        r = vanishing_cycle_report(square_3x3, CycleClassF2.basis_b(4, 2))
-        assert r["vanishing"] is True
-        assert vanishing_cycle_report(square_3x3, CycleClassF2.zero(4))[
-            "vanishing"
-        ] is False
-
-    def test_out_of_scope(self, triangle_d3):
-        assert vanishing_cycle_report(triangle_d3, "all")["verdict"] == "out_of_scope"
-        d6 = polygon_from([(0, 0), (6, 0), (0, 6)])
-        assert vanishing_cycle_report(d6, "all")["verdict"] == "out_of_scope"
-
-    def test_genus_mismatch(self, d5):
-        with pytest.raises(ValueError):
-            vanishing_cycle_report(d5, CycleClassF2.basis_a(3, 1))
-
-    def test_algebraic_even(self, d7):
-        m = build_model(d7)
-        r = vanishing_cycle_report(d7, m.a_class((1, 1)))
-        assert r["criterion"] == "algebraic_monodromy_constraint"
-        assert r["vanishing"] is True
-
-
 class TestQConsistency:
     def test_corpus(self, d5, d7):
         for p in (d5, d7):
@@ -269,7 +216,7 @@ class TestQConsistency:
 
     def test_forest_values_agree_segment_by_segment(self, d5):
         models = [build_model(d5, f) for f in consistency_forests(d5)]
-        q = canonical_q(models[0])
+        q = canonical_q(d5)
         for seg in enumerate_segments(d5):
             vals = {q.eval(m.segment_class(seg)) for m in models}
             assert len(vals) == 1
