@@ -15,7 +15,9 @@ error, 3 suite/operation inapplicable, 4 resource cap exhausted
 ``polygon`` budget: box points, segment pairs, or model or ``--genus``
 genus).  Output is human-readable by default; ``--json`` switches to
 the JSON schemas, and ``--out`` always writes the JSON transcript.
-Transcripts are byte-identical across runs.
+Transcripts are byte-identical across runs: the text of
+``json.dumps(report, indent=2)``, streamed in chunks, with segment rows
+built as they are written.
 """
 
 from __future__ import annotations
@@ -95,6 +97,21 @@ def build_qtable_report(p: LatticePolygon) -> dict:
     return report
 
 
+class _SegmentRows:
+    """Re-iterable rows of a segment list, each built as it is read."""
+
+    def __init__(self, segs):
+        self.segs = segs
+
+    def __len__(self) -> int:
+        return len(self.segs)
+
+    def __iter__(self):
+        for s in self.segs:
+            a, b = s.endpoints
+            yield {"endpoints": [list(a), list(b)], "is_bridge": s.is_bridge}
+
+
 def build_segments_report(p: LatticePolygon, bridges_only: bool) -> dict:
     segs = enumerate_segments(p)
     if bridges_only:
@@ -103,11 +120,7 @@ def build_segments_report(p: LatticePolygon, bridges_only: bool) -> dict:
         "polygon": [list(v) for v in p.vertices],
         "count": len(segs),
         "bridges_only": bridges_only,
-        "segments": [
-            {"endpoints": [list(s.endpoints[0]), list(s.endpoints[1])],
-             "is_bridge": s.is_bridge}
-            for s in segs
-        ],
+        "segments": _SegmentRows(segs),
     }
 
 
@@ -184,12 +197,63 @@ def run_verify(args) -> tuple[dict, int]:
     return transcript, code
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _render(value, indent: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it at ``indent``.
+
+    Object keys must be str, as in every transcript.
+    """
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if value and isinstance(value, (list, tuple, dict)):
+        inner = indent + "  "
+        if isinstance(value, dict):
+            items = [f"{_encode_str(k)}: {_render(v, inner)}" for k, v in value.items()]
+            opening, closing = "{", "}"
+        else:
+            items = [_render(v, inner) for v in value]
+            opening, closing = "[", "]"
+        return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closing}"
+    return json.dumps(value)
+
+
+def _chunks(report: dict):
+    """The text of ``json.dumps(report, indent=2)``: one chunk per top-level
+    member, and one per item of a top-level row sequence."""
+    if not report:
+        yield "{}"
+        return
+    sep = "{\n  "
+    for key, value in report.items():
+        yield f"{sep}{_encode_str(key)}: "
+        sep = ",\n  "
+        if not isinstance(value, (list, tuple, _SegmentRows)):
+            yield _render(value, "  ")
+            continue
+        item_sep = "[\n    "
+        for item in value:
+            yield item_sep + _render(item, "    ")
+            item_sep = ",\n    "
+        yield "\n  ]" if value else "[]"
+    yield "\n}"
+
+
 def _emit(report: dict, as_json: bool, out: str | None) -> None:
     with open(out, "w", encoding="utf-8") if out else nullcontext() as fh:
         sinks = ([fh] if out else []) + ([sys.stdout] if as_json else [])
-        # encoded once and streamed to every sink in batches of chunks, so
-        # the whole text is never held
-        chunks = json.JSONEncoder(indent=2).iterencode(report)
+        # written once and streamed to every sink in batches of chunks, so
+        # neither the whole text nor every row is ever held
+        chunks = _chunks(report)
         while sinks and (batch := "".join(islice(chunks, 4096))):
             for sink in sinks:
                 sink.write(batch)
@@ -198,7 +262,9 @@ def _emit(report: dict, as_json: bool, out: str | None) -> None:
     if as_json:
         return
     for key, value in report.items():
-        if isinstance(value, (dict, list)):
+        if isinstance(value, _SegmentRows):  # json.dumps(list(value)), row by row
+            print(f"{key}: [{', '.join(map(json.dumps, value))}]")
+        elif isinstance(value, (dict, list)):
             print(f"{key}: {json.dumps(value)}")
         else:
             print(f"{key}: {value}")

@@ -5,12 +5,12 @@ starting at the lexicographically smallest vertex, with no repeated or
 collinear-consecutive vertices.  The constructor accepts a cycle only if it
 equals its own strict convex hull in that form; ``parse_polygon`` brings
 any convex cycle to it, and one hull check (``_convex_cycle``) decides
-convexity for both.  All predicates use integer (or Fraction)
-arithmetic only; lattice points are enumerated column by column over the
-bounding box.  Work is budgeted from the vertices alone (Pick's theorem),
-before any scan: a box over ``MAX_BOX_POINTS`` lattice points, segment
-enumeration over ``MAX_SEGMENT_PAIRS`` point pairs, or a homology model
-over genus ``MAX_MODEL_GENUS`` raises :class:`PolygonTooLargeError`.
+convexity for both.  All predicates use integer arithmetic only; lattice
+points are enumerated column by column over the bounding box.  Work is
+budgeted from the vertices alone (Pick's theorem), before any scan: a box
+over ``MAX_BOX_POINTS`` lattice points, segment enumeration over
+``MAX_SEGMENT_PAIRS`` point pairs, or a homology model over genus
+``MAX_MODEL_GENUS`` raises :class:`PolygonTooLargeError`.
 
 Terminology used throughout the package:
 
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 Point = tuple[int, int]
@@ -53,12 +52,13 @@ SPIN_REGIMES = (REGIME_SPIN, REGIME_ALGEBRAIC_EVEN)
 MAX_BOX_POINTS = 250_000
 
 #: lattice-point pairs enumerate_segments may test, N(N - 1)/2 for N points;
-#: ``spincycles segments --json`` at this size takes about 4 s (2-core Xeon)
+#: ``spincycles segments --json`` at this size takes 1.5-2.3 s and 36 MB
+#: (2-core Xeon)
 MAX_SEGMENT_PAIRS = 250_000
 
 #: interior points of a homology model, also the largest abstract genus a
 #: relation check accepts; ``verify hyperelliptic-word`` (quadratic in the
-#: genus) on a genus-300 strip takes about 0.7 s (2-core Xeon)
+#: genus) on a genus-300 strip takes 0.4-0.6 s (2-core Xeon)
 MAX_MODEL_GENUS = 300
 
 
@@ -387,7 +387,7 @@ def even_points(p: LatticePolygon) -> dict[Point, bool]:
     return {pt: d.is_even(pt) for pt in d.interior_points}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
     """Primitive integer segment of the polygon; endpoints in lex order."""
 
@@ -408,21 +408,24 @@ def _open_segment_meets_interior(
     """Exact test: does the open segment (a, b) meet the open hull region?
 
     Clips the parametrized segment against every strict half-plane of the
-    hull with Fraction arithmetic; touching the hull boundary is allowed.
+    hull; the clip ends lo = ln/ld and hi = hn/hd keep positive
+    denominators and are compared by integer cross-multiplication.
+    Touching the hull boundary is allowed.
     """
-    lo, hi = Fraction(0), Fraction(1)
+    ln, ld, hn, hd = 0, 1, 1, 1
     for u, w in hull.edges():
         # strict side value along the segment: s(t) = base + t * slope > 0
         base = _cross(u, w, a)
         slope = _cross(u, w, b) - base
-        if slope == 0:
-            if base <= 0:
-                return False
-        elif slope > 0:
-            lo = max(lo, Fraction(-base, slope))
-        else:
-            hi = min(hi, Fraction(-base, slope))
-    return lo < hi
+        if slope > 0:  # t > -base / slope
+            if -base * ld > ln * slope:
+                ln, ld = -base, slope
+        elif slope < 0:  # t < base / -slope
+            if base * hd < hn * -slope:
+                hn, hd = base, -slope
+        elif base <= 0:
+            return False
+    return ln * hd < hn * ld
 
 
 def segment_on_boundary(p: LatticePolygon, a: Point, b: Point) -> bool:
@@ -463,7 +466,7 @@ def enumerate_segments(p: LatticePolygon) -> list[Segment]:
     out = []
     for i, a in enumerate(all_pts):
         for b in all_pts[i + 1 :]:
-            if integer_length(a, b) != 1:
+            if gcd(b[0] - a[0], b[1] - a[1]) != 1:
                 continue
             bridge = False
             for u, w in ((a, b), (b, a)):

@@ -4,13 +4,15 @@ The oracles here deliberately avoid the library's own code paths:
 genus is recounted with Pick's theorem, symplectic group orders come from
 the classical order formula, quadratic-form values are recomputed from
 the defining identity, closures are re-enumerated by a set BFS over
-``MatF2`` products instead of the numpy engine, and twist words are
-multiplied out as dense integral matrices.
+``MatF2`` products instead of the numpy engine, twist words are
+multiplied out as dense integral matrices, and bridge clips are redone in
+``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -161,6 +163,30 @@ def pick_genus(p: LatticePolygon) -> int:
     )
     assert (twice_area - boundary) % 2 == 0
     return (twice_area - boundary + 2) // 2
+
+
+def open_segment_meets_interior_reference(hull: LatticePolygon, a, b) -> bool:
+    """Does the open segment (a, b) meet the open hull?  Fraction clip.
+
+    The parameter t of a + t (b - a) is clipped to (0, 1) against each
+    strict half-plane of the CCW hull, with exact rational bounds.
+    """
+    lo, hi = Fraction(0), Fraction(1)
+    v = hull.vertices
+    for u, w in zip(v, v[1:] + v[:1]):
+        def side(q):
+            return (w[0] - u[0]) * (q[1] - u[1]) - (w[1] - u[1]) * (q[0] - u[0])
+
+        base = side(a)
+        slope = side(b) - base
+        if slope == 0:
+            if base <= 0:
+                return False
+        elif slope > 0:
+            lo = max(lo, Fraction(-base, slope))
+        else:
+            hi = min(hi, Fraction(-base, slope))
+    return lo < hi
 
 
 def brute_q(q_bits_a, q_bits_b, x_bits: int) -> int:

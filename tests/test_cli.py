@@ -1,16 +1,19 @@
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import spincycles
-from spincycles import corpus
+from spincycles import cli, corpus
 from spincycles.cli import main
 from spincycles.symplectic import MAX_CHAIN_GENUS
 
@@ -130,6 +133,39 @@ class TestSegments:
         assert {"endpoints": [[0, 1], [1, 1]], "is_bridge": True} in bridges[
             "segments"
         ]
+
+    @pytest.mark.parametrize("bridges", [[], ["--bridges"]])
+    def test_human_mode_lists_every_row(self, tmp_path, capsys, bridges):
+        # the rows are read twice with --out: once for the file, once for
+        # the listing
+        path = corpus_file(tmp_path, "quintic")
+        assert main(["segments", path, *bridges, "--json"]) == 0
+        transcript = capsys.readouterr().out
+        rows = json.loads(transcript)["segments"]
+        out = tmp_path / "segments.json"
+        for extra in ([], ["--out", str(out)]):
+            assert main(["segments", path, *bridges, *extra]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            listed = [line for line in lines if line.startswith("segments: ")]
+            assert len(listed) == 1
+            assert json.loads(listed[0][len("segments: "):]) == rows
+        assert out.read_text() == transcript
+
+    def test_rows_are_never_all_held(self, tmp_path):
+        # 19,551 rows of the d = 21 triangle; holding every row dict (or
+        # the whole text) peaks above 10 MB
+        path = tmp_path / "tri21.json"
+        path.write_text('{"vertices": [[0, 0], [21, 0], [0, 21]]}')
+        out = tmp_path / "segments.json"
+        tracemalloc.start()
+        try:
+            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                assert main(["segments", str(path), "--json", "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert json.loads(out.read_text())["count"] == 19551
+        assert peak < 8 << 20, peak
 
 
 class TestVerify:
@@ -327,6 +363,23 @@ class TestNumpyBoundary:
             )
             assert proc.returncode == 0, proc.stderr
 
+    def test_polygon_commands_load_no_fractions(self, tmp_path):
+        # the bridge clip is integer arithmetic: neither fractions nor the
+        # decimal module it loads is imported by the CLI or a segments run
+        script = (
+            "import sys\n"
+            "import spincycles.cli\n"
+            "assert not {'fractions', 'decimal'} & set(sys.modules), 'imported'\n"
+            f"assert spincycles.cli.main(['segments', {corpus_file(tmp_path, 'quintic')!r}]) == 0\n"
+            "assert not {'fractions', 'decimal'} & set(sys.modules), 'imported by segments'\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(spincycles.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_symplectic_starts_no_thread_pool(self):
         # the BFS runs on one thread: no executor module is imported
         script = (
@@ -353,6 +406,7 @@ class TestDeterminism:
 
 
 GOLDEN = Path(__file__).parent / "golden"
+CORPUS = Path(corpus.__file__).parent
 
 
 class TestGoldenTranscripts:
@@ -365,6 +419,18 @@ class TestGoldenTranscripts:
             f"generation_g{g}_arf{arf}": ["verify", "generation", "--genus", str(g), "--arf", arf]
             for g in range(3, MAX_CHAIN_GENUS + 1)
             for arf in ("0", "1")
+        },
+        # qtable on rect_4x2 is inapplicable (exit 3), so it has no transcript
+        **{
+            f"{name}_{polygon}": [*argv, str(CORPUS / f"{polygon}.json")]
+            for polygon in ("quintic", "rect_4x2")
+            for name, argv in (
+                ("classify", ["classify"]),
+                ("qtable", ["qtable"]),
+                ("segments", ["segments"]),
+                ("bridges", ["segments", "--bridges"]),
+            )
+            if (name, polygon) != ("qtable", "rect_4x2")
         },
     }
 
@@ -386,3 +452,80 @@ class TestGoldenTranscripts:
                 assert main(self.ARGV[golden] + ["--out", str(out)]) == 0, value
                 assert out.read_bytes() == (GOLDEN / f"{golden}.json").read_bytes()
         capsys.readouterr()
+
+
+def _seeded_value(rng: random.Random, depth: int):
+    """A random JSON-encodable value with the scalars json.dumps special-cases."""
+    strings = (
+        "", "plain", 'quote " backslash \\ slash /', "tab\tnewline\ncontrol\x01",
+        "caf\u00e9 \u2603 \U0001d11e", "\u2028",
+    )
+    scalars = (0, -7, 2**64 + 3, -(2**70), True, False, None, 1.5, -0.0, 1e300, *strings)
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(scalars)
+    size = rng.randrange(4)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return {rng.choice(strings) + str(i): _seeded_value(rng, depth - 1) for i in range(size)}
+    items = [_seeded_value(rng, depth - 1) for _ in range(size)]
+    return items if kind == 1 else tuple(items)
+
+
+class TestWriter:
+    """``_emit`` writes exactly ``json.dumps(report, indent=2) + "\\n"``."""
+
+    ARGV = [
+        ["verify", "generation", "--genus", "3", "--arf", "1"],
+        ["verify", "chain-relation", "--genus", "3"],
+        ["verify", "chrel2"],
+        ["verify", "all", "--genus", "2", "--arf", "0"],
+    ]
+    FILE_ARGV = [
+        ["classify"], ["qtable"], ["segments"], ["segments", "--bridges"],
+        ["verify", "hyperelliptic-word"], ["verify", "q-consistency"], ["verify", "all"],
+    ]
+
+    @pytest.mark.parametrize("name", [*corpus.names(), None])
+    def test_every_transcript(self, tmp_path, capsys, monkeypatch, name):
+        reports = []
+        emit = cli._emit
+
+        def recording(report, as_json, out):
+            reports.append(report)
+            emit(report, as_json, out)
+
+        monkeypatch.setattr(cli, "_emit", recording)
+        if name is None:
+            runs = self.ARGV
+        else:
+            path = corpus_file(tmp_path, name)
+            runs = [[*argv, path] for argv in self.FILE_ARGV]
+        out = tmp_path / "out.json"
+        written = 0
+        for argv in runs:
+            reports.clear()
+            main([*argv, "--json", "--out", str(out)])
+            stdout = capsys.readouterr().out
+            if not reports:  # an input error or an inapplicable suite
+                assert stdout == ""
+                continue
+            # the lazy segment rows are not a list; default=list reads them
+            expected = json.dumps(reports[0], indent=2, default=list) + "\n"
+            assert stdout == expected, argv
+            assert out.read_text() == expected, argv
+            written += 1
+        assert written or name == "bad"
+
+    def test_seeded_values(self, tmp_path, capsys):
+        rng = random.Random(26)
+        out = tmp_path / "out.json"
+        reports = [{}, {"empty": [], "also": {}, "tuple": ()}]
+        reports += [
+            {f"k{i}": _seeded_value(rng, 4) for i in range(rng.randrange(6))}
+            for _ in range(300)
+        ]
+        for report in reports:
+            cli._emit(report, True, str(out))
+            expected = json.dumps(report, indent=2) + "\n"
+            assert capsys.readouterr().out == expected
+            assert out.read_text() == expected

@@ -30,7 +30,12 @@ from spincycles.polygon import (
 from spincycles.homology import build_model, default_forest, vertex_forest
 from spincycles.relations import verify_chain_relation_homology
 
-from conftest import pick_genus, polygon_from, random_smooth_polygon
+from conftest import (
+    open_segment_meets_interior_reference,
+    pick_genus,
+    polygon_from,
+    random_smooth_polygon,
+)
 
 
 class TestParse:
@@ -366,6 +371,40 @@ class TestEvenPoints:
 
 
 class TestSegments:
+    def test_bridge_clip_matches_fraction_reference(self):
+        # the integer clip against a Fraction re-derivation, on seeded hulls;
+        # the draws include segments parallel to an edge (slope 0), along an
+        # edge, and from a hull vertex or edge point (touching)
+        rng = random.Random(26)
+        seen = {"meets": 0, "avoids": 0, "parallel": 0, "touching": 0}
+        for _ in range(300):
+            cloud = [(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(rng.randint(3, 9))]
+            corners = polygon._hull_ccw(cloud)
+            if len(corners) < 3:
+                continue
+            hull = LatticePolygon(tuple(corners))
+            edges = hull.edges()
+            for _ in range(30):
+                u, w = rng.choice(edges)
+                step = rng.randint(-3, 3)
+                a = rng.choice([(rng.randint(-8, 8), rng.randint(-8, 8)), u, w])
+                kind = rng.randrange(3)
+                if kind == 0:
+                    b = (rng.randint(-8, 8), rng.randint(-8, 8))
+                elif kind == 1:  # parallel to the edge (u, w)
+                    b = (a[0] + step * (w[0] - u[0]), a[1] + step * (w[1] - u[1]))
+                else:  # ends at a point of the edge (u, w)
+                    b = (u[0] + (w[0] - u[0]) * abs(step) // 3,
+                         u[1] + (w[1] - u[1]) * abs(step) // 3)
+                if a == b:
+                    continue
+                got = polygon._open_segment_meets_interior(hull, a, b)
+                assert got == open_segment_meets_interior_reference(hull, a, b), (corners, a, b)
+                seen["meets" if got else "avoids"] += 1
+                seen["parallel"] += kind == 1
+                seen["touching"] += hull.on_boundary(a) or hull.on_boundary(b)
+        assert min(seen.values()) > 100, seen
+
     def test_d5_examples(self, d5):
         segs = {s.endpoints: s.is_bridge for s in enumerate_segments(d5)}
         assert segs[((0, 1), (1, 1))] is True
