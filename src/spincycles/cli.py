@@ -17,7 +17,10 @@ genus).  Output is human-readable by default; ``--json`` switches to
 the JSON schemas, and ``--out`` always writes the JSON transcript.
 Transcripts are byte-identical across runs: the text of
 ``json.dumps(report, indent=2)``, streamed in chunks, with segment rows
-built as they are written.
+built as they are written, each from one fixed template.  A command
+imports only the layers it reads: ``spin`` (and the ``homology`` model
+behind it) loads in the branches that read a spin form, so ``segments``,
+non-spin ``classify`` and ``hyperelliptic-word`` start without it.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from .polygon import (
     interior_data,
     parse_polygon,
 )
-from .spin import canonical_q, standard_form, verify_q_consistency
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -76,6 +78,8 @@ def build_classify_report(p: LatticePolygon) -> dict:
         "root_order": d.root_order,
     }
     if regime in SPIN_REGIMES:
+        from .spin import canonical_q
+
         q = canonical_q(p)
         report["arf"] = q.arf()
         report["even_points"] = [
@@ -88,6 +92,8 @@ def build_classify_report(p: LatticePolygon) -> dict:
 
 
 def build_qtable_report(p: LatticePolygon) -> dict:
+    from .spin import canonical_q
+
     q = canonical_q(p)  # raises RegimeError outside spin regimes
     report = q.to_json_dict()
     report["even_points"] = [
@@ -111,6 +117,17 @@ class _SegmentRows:
             a, b = s.endpoints
             yield {"endpoints": [list(a), list(b)], "is_bridge": s.is_bridge}
 
+    def texts(self):
+        """Each row as ``json.dumps(report, indent=2)`` writes it, from one
+        template: a top-level member's item, at indent 4."""
+        for s in self.segs:
+            (ax, ay), (bx, by) = s.endpoints
+            yield (
+                f'{{\n      "endpoints": [\n        [\n          {ax},\n          {ay}'
+                f'\n        ],\n        [\n          {bx},\n          {by}\n        ]'
+                f'\n      ],\n      "is_bridge": {"true" if s.is_bridge else "false"}\n    }}'
+            )
+
 
 def build_segments_report(p: LatticePolygon, bridges_only: bool) -> dict:
     segs = enumerate_segments(p)
@@ -125,6 +142,7 @@ def build_segments_report(p: LatticePolygon, bridges_only: bool) -> dict:
 
 
 def _generation_transcript(genus: int, arf: int) -> dict:
+    from .spin import standard_form
     from .symplectic import MAX_CHAIN_GENUS, verify_transvection_generation
 
     if genus > MAX_CHAIN_GENUS:  # refused before the form's tuples are built
@@ -167,6 +185,8 @@ def run_suite(
     if suite == "q-consistency":
         if p is None:
             raise RegimeError("q-consistency needs a polygon file")
+        from .spin import verify_q_consistency
+
         return verify_q_consistency(p)
     raise RegimeError(f"unknown suite {suite!r}")
 
@@ -240,9 +260,13 @@ def _chunks(report: dict):
         if not isinstance(value, (list, tuple, _SegmentRows)):
             yield _render(value, "  ")
             continue
+        if isinstance(value, _SegmentRows):
+            items = value.texts()
+        else:
+            items = (_render(item, "    ") for item in value)
         item_sep = "[\n    "
-        for item in value:
-            yield item_sep + _render(item, "    ")
+        for item in items:
+            yield item_sep + item
             item_sep = ",\n    "
         yield "\n  ]" if value else "[]"
     yield "\n}"

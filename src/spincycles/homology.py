@@ -24,11 +24,11 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 from .polygon import (
     LatticePolygon,
     Point,
+    Record,
     RegimeError,
     Segment,
     check_model_genus,
@@ -37,22 +37,27 @@ from .polygon import (
 )
 
 
+_set = object.__setattr__
+
+
 def _pair_index(i: int, which: str) -> int:
     return 2 * i + (0 if which == "a" else 1)
 
 
-@dataclass(frozen=True)
-class CycleClassF2:
+class CycleClassF2(Record):
     """Element of H1 over F2, packed as a bit mask of length 2g."""
 
     genus: int
     bits: int
+    _fields = ("genus", "bits")
 
-    def __post_init__(self):
-        if self.genus < 1:
+    def __init__(self, genus: int, bits: int):
+        if genus < 1:
             raise ValueError("genus must be positive")
-        if not 0 <= self.bits < 1 << (2 * self.genus):
+        if not 0 <= bits < 1 << (2 * genus):
             raise ValueError("bit mask out of range for this genus")
+        _set(self, "genus", genus)
+        _set(self, "bits", bits)
 
     @classmethod
     def zero(cls, genus: int) -> "CycleClassF2":
@@ -104,17 +109,19 @@ class CycleClassF2:
         return "+".join(parts)
 
 
-@dataclass(frozen=True)
-class CycleClassZ:
+class CycleClassZ(Record):
     """Element of H1 over Z in the same interleaved basis order."""
 
     genus: int
     coords: tuple[int, ...]
+    _fields = ("genus", "coords")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
-        if len(self.coords) != 2 * self.genus:
+    def __init__(self, genus: int, coords: Sequence[int]):
+        coords = tuple(map(int, coords))
+        if len(coords) != 2 * genus:
             raise ValueError("coordinate vector must have length 2g")
+        _set(self, "genus", genus)
+        _set(self, "coords", coords)
 
     @classmethod
     def zero(cls, genus: int) -> "CycleClassZ":
@@ -201,15 +208,22 @@ PathSeg = tuple[Point, Point]
 Forest = dict[Point, tuple[PathSeg, ...]]
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
+class SurfaceModel(Record):
     """Homology model of the curve over a polygon of genus >= 1."""
 
     polygon: LatticePolygon
     genus: int
     points: tuple[Point, ...]  # interior points, lexicographic
-    index: dict[Point, int] = field(repr=False)  # 0-based rank
-    forest: Forest = field(repr=False)
+    index: dict[Point, int]  # 0-based rank
+    forest: Forest
+    _fields = ("polygon", "genus", "points", "index", "forest")
+
+    def __init__(self, polygon, genus, points, index, forest):
+        _set(self, "polygon", polygon)
+        _set(self, "genus", genus)
+        _set(self, "points", points)
+        _set(self, "index", index)
+        _set(self, "forest", forest)
 
     def rank(self, v: Point) -> int:
         """1-based index of an interior point."""

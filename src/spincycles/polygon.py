@@ -12,6 +12,13 @@ over ``MAX_BOX_POINTS`` lattice points, segment enumeration over
 ``MAX_SEGMENT_PAIRS`` point pairs, or a homology model over genus
 ``MAX_MODEL_GENUS`` raises :class:`PolygonTooLargeError`.
 
+The package's value types (here and in ``homology``, ``spin`` and
+``relations``) are immutable :class:`Record` subclasses: each has an
+explicit constructor that checks its arguments, and the base gives
+equality and hash over the field tuple, a repr, and assignment that raises
+``AttributeError``.  A record costs no generated code at import, which a
+cold CLI start would otherwise pay before any command runs.
+
 Terminology used throughout the package:
 
 * interior hull -- convex hull of the interior lattice points (a polygon,
@@ -33,7 +40,6 @@ Terminology used throughout the package:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from math import gcd
 
 Point = tuple[int, int]
@@ -52,13 +58,13 @@ SPIN_REGIMES = (REGIME_SPIN, REGIME_ALGEBRAIC_EVEN)
 MAX_BOX_POINTS = 250_000
 
 #: lattice-point pairs enumerate_segments may test, N(N - 1)/2 for N points;
-#: ``spincycles segments --json`` at this size takes 1.5-2.3 s and 36 MB
+#: ``spincycles segments --json`` at this size takes 0.5-0.7 s and 35 MB
 #: (2-core Xeon)
 MAX_SEGMENT_PAIRS = 250_000
 
 #: interior points of a homology model, also the largest abstract genus a
 #: relation check accepts; ``verify hyperelliptic-word`` (quadratic in the
-#: genus) on a genus-300 strip takes 0.4-0.6 s (2-core Xeon)
+#: genus) on a genus-300 strip takes 0.5-0.6 s (2-core Xeon)
 MAX_MODEL_GENUS = 300
 
 
@@ -91,6 +97,43 @@ class RegimeError(ValueError):
 
 class PolygonTooLargeError(RuntimeError):
     """An input over a work budget."""
+
+
+_set = object.__setattr__
+
+
+class Record:
+    """Immutable record over the field names in ``_fields``.
+
+    A subclass's ``__init__`` checks its arguments and stores each field
+    with ``object.__setattr__``; a subclass built in hot loops may declare
+    ``__slots__``.  Records of one class compare and hash as their field
+    tuples.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def check_model_genus(genus: int) -> None:
@@ -139,8 +182,7 @@ def _hull_ccw(points: list[Point]) -> list[Point]:
     return lower[:-1] + upper[:-1]
 
 
-@dataclass(frozen=True)
-class LatticePolygon:
+class LatticePolygon(Record):
     """Convex lattice polygon; vertices CCW from the lex-smallest vertex.
 
     ``vertices`` is accepted only if every vertex is a pair of ints
@@ -151,9 +193,10 @@ class LatticePolygon:
     """
 
     vertices: tuple[Point, ...]
+    _fields = ("vertices",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", _validate(self.vertices))
+    def __init__(self, vertices: tuple[Point, ...]):
+        _set(self, "vertices", _validate(vertices))
 
     def edges(self) -> list[tuple[Point, Point]]:
         v = self.vertices
@@ -161,10 +204,20 @@ class LatticePolygon:
 
     def contains(self, p: Point) -> bool:
         """Closed membership test."""
-        return all(_cross(a, b, p) >= 0 for a, b in self.edges())
+        a = self.vertices[-1]
+        for b in self.vertices:
+            if _cross(a, b, p) < 0:
+                return False
+            a = b
+        return True
 
     def strictly_contains(self, p: Point) -> bool:
-        return all(_cross(a, b, p) > 0 for a, b in self.edges())
+        a = self.vertices[-1]
+        for b in self.vertices:
+            if _cross(a, b, p) <= 0:
+                return False
+            a = b
+        return True
 
     def on_boundary(self, p: Point) -> bool:
         return self.contains(p) and not self.strictly_contains(p)
@@ -323,8 +376,7 @@ def is_smooth(p: LatticePolygon) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class InteriorData:
+class InteriorData(Record):
     """Interior lattice points of a polygon together with their hull."""
 
     interior_points: tuple[Point, ...]  # lexicographic order
@@ -332,6 +384,14 @@ class InteriorData:
     dimension: int  # 0, 1 or 2
     genus: int
     root_order: int | None  # None when dimension < 2
+    _fields = ("interior_points", "hull_vertices", "dimension", "genus", "root_order")
+
+    def __init__(self, interior_points, hull_vertices, dimension, genus, root_order):
+        _set(self, "interior_points", interior_points)
+        _set(self, "hull_vertices", hull_vertices)
+        _set(self, "dimension", dimension)
+        _set(self, "genus", genus)
+        _set(self, "root_order", root_order)
 
     @property
     def hull_polygon(self) -> LatticePolygon:
@@ -387,19 +447,27 @@ def even_points(p: LatticePolygon) -> dict[Point, bool]:
     return {pt: d.is_even(pt) for pt in d.interior_points}
 
 
-@dataclass(frozen=True, slots=True)
-class Segment:
+class Segment(Record):
     """Primitive integer segment of the polygon; endpoints in lex order."""
 
     endpoints: tuple[Point, Point]
     is_bridge: bool
+    __slots__ = _fields = ("endpoints", "is_bridge")
 
-    def __post_init__(self):
-        a, b = self.endpoints
+    def __init__(self, endpoints: tuple[Point, Point], is_bridge: bool):
+        a, b = endpoints
         if integer_length(a, b) != 1:
             raise ValueError(f"segment {a}-{b} is not primitive")
-        if a > b:
-            object.__setattr__(self, "endpoints", (b, a))
+        _set(self, "endpoints", (b, a) if a > b else endpoints)
+        _set(self, "is_bridge", is_bridge)
+
+    @classmethod
+    def _checked(cls, endpoints: tuple[Point, Point], is_bridge: bool) -> Segment:
+        """A segment whose endpoints are already primitive and in lex order."""
+        s = object.__new__(cls)
+        _set(s, "endpoints", endpoints)
+        _set(s, "is_bridge", is_bridge)
+        return s
 
 
 def _open_segment_meets_interior(
@@ -474,21 +542,23 @@ def enumerate_segments(p: LatticePolygon) -> list[Segment]:
                     if hull is None or not _open_segment_meets_interior(hull, u, w):
                         bridge = True
                     break
-            out.append(Segment((a, b), bridge))
+            out.append(Segment._checked((a, b), bridge))
     return out
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(Record):
     """Affine lattice map x -> L x + t with integer L of determinant +-1."""
 
     linear: tuple[tuple[int, int], tuple[int, int]]
     translation: Point
+    _fields = ("linear", "translation")
 
-    def __post_init__(self):
-        (a, b), (c, d) = self.linear
+    def __init__(self, linear, translation: Point):
+        (a, b), (c, d) = linear
         if abs(a * d - b * c) != 1:
             raise ValueError("linear part must have determinant +-1")
+        _set(self, "linear", linear)
+        _set(self, "translation", translation)
 
     def apply(self, p: Point) -> Point:
         (a, b), (c, d) = self.linear
@@ -530,8 +600,7 @@ CASE_ONE_BLOWUP = "one_blowup"
 CASE_TWO_BLOWUPS = "two_blowups"
 
 
-@dataclass(frozen=True)
-class HirzebruchClassification:
+class HirzebruchClassification(Record):
     """Width-2 strip data (alpha, n) with alpha + n - 1 = genus.
 
     ``case`` counts the unit corner truncations of the underlying
@@ -544,6 +613,12 @@ class HirzebruchClassification:
     alpha: int
     n: int
     case: str
+    _fields = ("alpha", "n", "case")
+
+    def __init__(self, alpha: int, n: int, case: str):
+        _set(self, "alpha", alpha)
+        _set(self, "n", n)
+        _set(self, "case", case)
 
 
 def _row_range(poly: LatticePolygon, y: int) -> tuple[int, int]:

@@ -29,34 +29,37 @@ transcript, and one loop undoes them in reverse order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .homology import CycleClassZ, hyperelliptic_chain
 from .polygon import (
     REGIME_HYPERELLIPTIC,
     LatticePolygon,
+    Record,
     RegimeError,
     check_model_genus,
     classify_regime,
 )
 
+_set = object.__setattr__
 Matrix = list[list[int]]
 
 
-@dataclass(frozen=True)
-class CurveSystem:
+class CurveSystem(Record):
     """Named abstract curves with a symmetric 0/1 intersection table."""
 
     curves: tuple[str, ...]
-    intersections: dict[frozenset, int] = field(repr=False)
-    classes: dict[str, CycleClassZ] | None = field(default=None, repr=False)
+    intersections: dict[frozenset, int]
+    classes: dict[str, CycleClassZ] | None
+    _fields = ("curves", "intersections", "classes")
 
-    def __post_init__(self):
-        for key, value in self.intersections.items():
-            if len(key) != 2 or not key <= set(self.curves):
+    def __init__(self, curves, intersections, classes=None):
+        for key, value in intersections.items():
+            if len(key) != 2 or not key <= set(curves):
                 raise ValueError(f"bad intersection key {set(key)}")
             if value < 0:
                 raise ValueError("intersection numbers are nonnegative")
+        _set(self, "curves", curves)
+        _set(self, "intersections", intersections)
+        _set(self, "classes", classes)
 
     @classmethod
     def build(
@@ -80,18 +83,17 @@ class CurveSystem:
 Letter = tuple[str, int]
 
 
-@dataclass(frozen=True)
-class TwistWord:
+class TwistWord(Record):
     """Sequence of (curve, exponent) letters; exponent 0 is not allowed."""
 
     letters: tuple[Letter, ...]
+    _fields = ("letters",)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "letters", tuple((str(n), int(e)) for n, e in self.letters)
-        )
-        if any(e == 0 for _, e in self.letters):
+    def __init__(self, letters):
+        letters = tuple((str(n), int(e)) for n, e in letters)
+        if any(e == 0 for _, e in letters):
             raise ValueError("zero exponents are not letters")
+        _set(self, "letters", letters)
 
     @classmethod
     def from_names(cls, names: list[str]) -> "TwistWord":

@@ -15,7 +15,6 @@ to the symplectic group action, and q has 2^(2g-1) + 2^(g-1) admissible
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
@@ -29,6 +28,7 @@ from .homology import (
 from .polygon import (
     SPIN_REGIMES,
     LatticePolygon,
+    Record,
     RegimeError,
     check_model_genus,
     classify_regime,
@@ -38,18 +38,23 @@ from .polygon import (
 )
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
+_set = object.__setattr__
+
+
+class QuadraticForm(Record):
     """Quadratic refinement of the mod-2 intersection pairing."""
 
     q_a: tuple[int, ...]
     q_b: tuple[int, ...]
+    _fields = ("q_a", "q_b")
 
-    def __post_init__(self):
-        object.__setattr__(self, "q_a", tuple(int(v) & 1 for v in self.q_a))
-        object.__setattr__(self, "q_b", tuple(int(v) & 1 for v in self.q_b))
-        if len(self.q_a) != len(self.q_b) or not self.q_a:
+    def __init__(self, q_a, q_b):
+        q_a = tuple(int(v) & 1 for v in q_a)
+        q_b = tuple(int(v) & 1 for v in q_b)
+        if len(q_a) != len(q_b) or not q_a:
             raise ValueError("q_a and q_b must have equal positive length g")
+        _set(self, "q_a", q_a)
+        _set(self, "q_b", q_b)
 
     @property
     def genus(self) -> int:

@@ -380,6 +380,35 @@ class TestNumpyBoundary:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_cli_start_loads_only_what_its_command_reads(self, tmp_path):
+        # the records need no dataclasses, and cli loads the spin form (and
+        # the homology model behind it) only in the branches that read one
+        quintic = corpus_file(tmp_path, "quintic")
+        rect = corpus_file(tmp_path, "rect_4x2")
+        out = str(tmp_path / "out.json")
+        script = (
+            "import sys\n"
+            "import spincycles.cli\n"
+            "unloaded = lambda *names: not set(names) & set(sys.modules)\n"
+            "assert unloaded('dataclasses', 'spincycles.spin', 'spincycles.homology',\n"
+            "                'spincycles.relations', 'spincycles.symplectic'), 'import'\n"
+            f"assert spincycles.cli.main(['segments', {quintic!r}, '--json', '--out', {out!r}]) == 0\n"
+            f"assert spincycles.cli.main(['segments', {quintic!r}, '--bridges']) == 0\n"
+            f"assert spincycles.cli.main(['classify', {rect!r}, '--json']) == 0\n"
+            "assert unloaded('spincycles.spin', 'spincycles.homology'), 'segments, classify'\n"
+            f"assert spincycles.cli.main(['verify', 'hyperelliptic-word', {rect!r}]) == 0\n"
+            "assert unloaded('spincycles.spin', 'dataclasses'), 'hyperelliptic-word'\n"
+            f"assert spincycles.cli.main(['classify', {quintic!r}]) == 0\n"
+            "assert not unloaded('spincycles.spin'), 'the spin branch reads the form'\n"
+            "assert unloaded('dataclasses'), 'spin'\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(spincycles.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_symplectic_starts_no_thread_pool(self):
         # the BFS runs on one thread: no executor module is imported
         script = (
@@ -485,7 +514,14 @@ class TestWriter:
         ["verify", "hyperelliptic-word"], ["verify", "q-consistency"], ["verify", "all"],
     ]
 
-    @pytest.mark.parametrize("name", [*corpus.names(), None])
+    # translates of the quintic and of the degree-7 triangle into negative
+    # coordinates: segment rows with signs, and with both is_bridge values
+    TRANSLATED = {
+        "quintic_moved": [[-7, -3], [-2, -3], [-7, 2]],
+        "triangle_d7_moved": [[-4, -9], [3, -9], [-4, -2]],
+    }
+
+    @pytest.mark.parametrize("name", [*corpus.names(), *TRANSLATED, None])
     def test_every_transcript(self, tmp_path, capsys, monkeypatch, name):
         reports = []
         emit = cli._emit
@@ -497,6 +533,10 @@ class TestWriter:
         monkeypatch.setattr(cli, "_emit", recording)
         if name is None:
             runs = self.ARGV
+        elif name in self.TRANSLATED:
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"vertices": self.TRANSLATED[name]}))
+            runs = [[*argv, str(path)] for argv in self.FILE_ARGV]
         else:
             path = corpus_file(tmp_path, name)
             runs = [[*argv, path] for argv in self.FILE_ARGV]

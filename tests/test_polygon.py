@@ -248,6 +248,26 @@ class TestScanBudget:
             if interior and interior_data(p).dimension == 2:
                 assert interior_data(p).hull_vertices == tuple(polygon._hull_ccw(interior))
 
+    def test_membership_matches_edge_half_planes(self):
+        # contains/strictly_contains walk the vertex cycle; the reference
+        # reads the same half-planes through edges(), on the box points and
+        # one step beyond
+        rng = random.Random(27)
+        count = 0
+        while count < 200:
+            cloud = [(rng.randint(-7, 7), rng.randint(-7, 7)) for _ in range(rng.randint(3, 8))]
+            corners = polygon._hull_ccw(cloud)
+            if len(corners) < 3:
+                continue
+            count += 1
+            p = LatticePolygon(tuple(corners))
+            xs, ys = [v[0] for v in corners], [v[1] for v in corners]
+            for x in range(min(xs) - 1, max(xs) + 2):
+                for y in range(min(ys) - 1, max(ys) + 2):
+                    sides = [polygon._cross(a, b, (x, y)) for a, b in p.edges()]
+                    assert p.contains((x, y)) == all(s >= 0 for s in sides)
+                    assert p.strictly_contains((x, y)) == all(s > 0 for s in sides)
+
     def test_budget_is_on_box_points(self, monkeypatch):
         monkeypatch.setattr(polygon, "MAX_BOX_POINTS", 16)
         assert interior_data(polygon_from([(0, 0), (3, 0), (3, 3), (0, 3)])).genus == 4

@@ -1,0 +1,219 @@
+"""The value types are immutable records (``polygon.Record``).
+
+For every record class: equality and hash are those of the field tuple,
+assigning or deleting a field raises ``AttributeError``, and the
+constructor's checks and normalizations are those of the frozen
+dataclasses the records replaced.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from spincycles.homology import CycleClassF2, CycleClassZ, SurfaceModel
+from spincycles.polygon import (
+    AffineMap,
+    HirzebruchClassification,
+    InteriorData,
+    LatticePolygon,
+    PolygonError,
+    Record,
+    Segment,
+    enumerate_segments,
+)
+from spincycles.relations import CurveSystem, TwistWord
+from spincycles.spin import QuadraticForm
+
+from conftest import polygon_from
+
+TRIANGLE = ((0, 0), (3, 0), (0, 3))
+
+# per class: three constructions, the first two with equal fields
+SAMPLES = {
+    LatticePolygon: lambda: [
+        LatticePolygon(TRIANGLE), LatticePolygon(TRIANGLE),
+        LatticePolygon(((0, 0), (2, 0), (0, 2))),
+    ],
+    InteriorData: lambda: [
+        InteriorData(((1, 1),), ((1, 1),), 0, 1, None),
+        InteriorData(((1, 1),), ((1, 1),), 0, 1, None),
+        InteriorData(((1, 1), (2, 1)), ((1, 1), (2, 1)), 1, 2, None),
+    ],
+    Segment: lambda: [
+        Segment(((0, 0), (1, 0)), True), Segment(((1, 0), (0, 0)), True),
+        Segment(((0, 0), (1, 0)), False),
+    ],
+    AffineMap: lambda: [
+        AffineMap(((1, 0), (0, 1)), (2, 3)), AffineMap(((1, 0), (0, 1)), (2, 3)),
+        AffineMap(((0, 1), (1, 0)), (2, 3)),
+    ],
+    HirzebruchClassification: lambda: [
+        HirzebruchClassification(1, 2, "isomorphism"),
+        HirzebruchClassification(1, 2, "isomorphism"),
+        HirzebruchClassification(2, 1, "isomorphism"),
+    ],
+    CycleClassF2: lambda: [CycleClassF2(2, 5), CycleClassF2(2, 5), CycleClassF2(3, 5)],
+    CycleClassZ: lambda: [
+        CycleClassZ(1, (1, -2)), CycleClassZ(1, [1.0, -2]), CycleClassZ(1, (1, 2)),
+    ],
+    SurfaceModel: lambda: [
+        SurfaceModel(LatticePolygon(TRIANGLE), 1, ((1, 1),), {(1, 1): 0}, {}),
+        SurfaceModel(LatticePolygon(TRIANGLE), 1, ((1, 1),), {(1, 1): 0}, {}),
+        SurfaceModel(LatticePolygon(TRIANGLE), 1, ((1, 1),), {(1, 1): 0}, {(1, 1): ()}),
+    ],
+    QuadraticForm: lambda: [
+        QuadraticForm((1, 0), (1, 1)), QuadraticForm([3, 2], (1, -1)),
+        QuadraticForm((0, 0), (1, 1)),
+    ],
+    CurveSystem: lambda: [
+        CurveSystem(("a", "b"), {frozenset("ab"): 1}),
+        CurveSystem(("a", "b"), {frozenset("ab"): 1}, None),
+        CurveSystem(("a", "b"), {frozenset("ab"): 0}),
+    ],
+    TwistWord: lambda: [
+        TwistWord((("a", 1), ("b", -2))), TwistWord([("a", 1.0), ("b", -2)]),
+        TwistWord((("b", -2), ("a", 1))),
+    ],
+}
+
+HASHABLE = set(SAMPLES) - {SurfaceModel, CurveSystem}  # these hold dicts
+
+
+def fields(record) -> tuple:
+    return tuple(getattr(record, name) for name in record._fields)
+
+
+@pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda c: c.__name__)
+class TestRecordSemantics:
+    def test_is_a_record_without_dataclass(self, cls):
+        assert issubclass(cls, Record)
+        assert not hasattr(cls, "__dataclass_fields__")
+
+    def test_equality_and_hash_follow_the_field_tuple(self, cls):
+        first, same, other = SAMPLES[cls]()
+        for x in (first, same, other):
+            for y in (first, same, other):
+                assert (x == y) == (fields(x) == fields(y))
+                assert (x != y) == (fields(x) != fields(y))
+        assert first == same and first != other
+        assert first != fields(first)  # another class never compares equal
+        if cls in HASHABLE:
+            assert hash(first) == hash(fields(first)) == hash(same)
+            assert len({first, same, other}) == 2
+        else:  # the field tuple holds a dict, as with the dataclasses
+            with pytest.raises(TypeError):
+                hash(first)
+
+    def test_fields_cannot_be_assigned_or_deleted(self, cls):
+        record = SAMPLES[cls]()[0]
+        for name in record._fields:
+            before = getattr(record, name)
+            with pytest.raises(AttributeError):
+                setattr(record, name, before)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+            assert getattr(record, name) is before
+        with pytest.raises(AttributeError):
+            record.not_a_field = 1
+
+    def test_repr_names_the_fields(self, cls):
+        record = SAMPLES[cls]()[0]
+        text = repr(record)
+        assert text.startswith(f"{cls.__name__}(")
+        for name in record._fields:
+            assert f"{name}={getattr(record, name)!r}" in text
+
+
+class TestValidation:
+    """The constructors' checks and normalizations, messages included."""
+
+    def test_lattice_polygon(self):
+        with pytest.raises(PolygonError, match="start at the lexicographically smallest"):
+            LatticePolygon(((3, 0), (0, 3), (0, 0)))
+        with pytest.raises(PolygonError, match="not a pair of integers"):
+            LatticePolygon(((0, 0), (3, 0), (0, 3.0)))
+        assert LatticePolygon([[0, 0], [3, 0], [0, 3]]).vertices == TRIANGLE
+
+    def test_segment(self):
+        with pytest.raises(ValueError, match=r"segment \(0, 0\)-\(2, 0\) is not primitive"):
+            Segment(((0, 0), (2, 0)), False)
+        with pytest.raises(ValueError, match="not primitive"):
+            Segment(((2, 2), (0, 0)), True)
+        s = Segment(((1, 1), (0, 0)), True)
+        assert s.endpoints == ((0, 0), (1, 1)) and s.is_bridge is True
+        assert Segment(endpoints=((0, 0), (0, 1)), is_bridge=False).endpoints == ((0, 0), (0, 1))
+        assert not hasattr(s, "__dict__")  # slotted: built once per point pair
+
+    def test_enumerated_segments_equal_checked_construction(self):
+        # enumerate_segments skips the constructor's check; its segments must
+        # be exactly what the checking constructor builds from them
+        p = polygon_from([(-3, -2), (4, -2), (-3, 5)])
+        segs = enumerate_segments(p)
+        assert segs and any(s.is_bridge for s in segs)
+        for s in segs:
+            a, b = s.endpoints
+            assert a < b
+            assert Segment((b, a), s.is_bridge) == s
+
+    def test_affine_map(self):
+        with pytest.raises(ValueError, match=r"determinant \+-1"):
+            AffineMap(((2, 0), (0, 1)), (0, 0))
+        assert AffineMap(((0, 1), (1, 0)), (1, 2)).apply((3, 4)) == (5, 5)
+
+    def test_cycle_class_f2(self):
+        with pytest.raises(ValueError, match="genus must be positive"):
+            CycleClassF2(0, 0)
+        with pytest.raises(ValueError, match="bit mask out of range"):
+            CycleClassF2(1, 4)
+        with pytest.raises(ValueError, match="bit mask out of range"):
+            CycleClassF2(1, -1)
+
+    def test_cycle_class_z(self):
+        with pytest.raises(ValueError, match="length 2g"):
+            CycleClassZ(2, (1, 0, 0))
+        z = CycleClassZ(1, [True, -2.0])
+        assert z.coords == (1, -2) and all(type(c) is int for c in z.coords)
+
+    def test_quadratic_form(self):
+        with pytest.raises(ValueError, match="equal positive length"):
+            QuadraticForm((1,), (1, 0))
+        with pytest.raises(ValueError, match="equal positive length"):
+            QuadraticForm((), ())
+        assert QuadraticForm([3, -2], (True, 5)) == QuadraticForm((1, 0), (1, 1))
+
+    def test_quadratic_form_qmask_computed_once(self, monkeypatch):
+        calls = []
+        compute = QuadraticForm.qmask.func
+
+        def counting(q):
+            calls.append(q)
+            return compute(q)
+
+        monkeypatch.setattr(QuadraticForm.qmask, "func", counting)
+        q = QuadraticForm((1, 0, 1), (0, 1, 1))
+        assert q.qmask == 0b111001
+        assert [q.eval_bits(x) for x in range(64)] == [q.eval_bits(x) for x in range(64)]
+        assert q.qmask == 0b111001
+        assert calls == [q]
+
+    def test_curve_system(self):
+        with pytest.raises(ValueError, match="bad intersection key"):
+            CurveSystem(("a", "b"), {frozenset("ac"): 1})
+        with pytest.raises(ValueError, match="nonnegative"):
+            CurveSystem(("a", "b"), {frozenset("ab"): -1})
+        assert CurveSystem(("a", "b"), {}).classes is None
+
+    def test_twist_word(self):
+        with pytest.raises(ValueError, match="zero exponents"):
+            TwistWord((("a", 1), ("b", 0)))
+        assert TwistWord([(7, 2.0)]).letters == (("7", 2),)
+
+    def test_unvalidated_records_keep_their_arguments(self):
+        pts = ((1, 1), (2, 1))
+        d = InteriorData(pts, pts, 1, 2, None)
+        assert (d.interior_points, d.hull_vertices, d.dimension, d.genus, d.root_order) == (
+            pts, pts, 1, 2, None,
+        )
+        h = HirzebruchClassification(alpha=0, n=3, case="one_blowup")
+        assert (h.alpha, h.n, h.case) == (0, 3, "one_blowup")
+
