@@ -18,9 +18,10 @@ the JSON schemas, and ``--out`` always writes the JSON transcript.
 Transcripts are byte-identical across runs: the text of
 ``json.dumps(report, indent=2)``, streamed in chunks, with segment rows
 built as they are written, each from one fixed template.  A command
-imports only the layers it reads: ``spin`` (and the ``homology`` model
-behind it) loads in the branches that read a spin form, so ``segments``,
-non-spin ``classify`` and ``hyperelliptic-word`` start without it.
+imports only the layers it reads: ``spin`` loads in the branches that read
+a spin form, so ``segments``, non-spin ``classify`` and
+``hyperelliptic-word`` start without it, and spin ``classify`` and
+``qtable`` start without ``homology``.
 """
 
 from __future__ import annotations

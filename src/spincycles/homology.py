@@ -31,6 +31,7 @@ from .polygon import (
     Record,
     RegimeError,
     Segment,
+    a_mask,
     check_model_genus,
     integer_length,
     interior_data,
@@ -161,11 +162,6 @@ def pairing_f2(x: CycleClassF2, y: CycleClassF2) -> int:
     if x.genus != y.genus:
         raise ValueError("genus mismatch")
     return pairing_f2_bits(x.bits, y.bits)
-
-
-def a_mask(genus: int) -> int:
-    """Mask of the a-positions (bits 0, 2, ..., 2g-2) of a packed class."""
-    return ((1 << (2 * genus)) - 1) // 3
 
 
 def swap_pairs(bits: int) -> int:
@@ -422,10 +418,14 @@ def hyperelliptic_chain(p: LatticePolygon) -> list[CycleClassZ]:
     if d.dimension != 1:
         raise RegimeError("hyperelliptic chain requires a segment interior hull")
     g = d.genus
-    chain: list[CycleClassZ] = [-CycleClassZ.basis_b(g, 1)]
-    for i in range(1, g + 1):
-        chain.append(CycleClassZ.basis_a(g, i))
-        if i < g:
-            chain.append(CycleClassZ.basis_b(g, i) - CycleClassZ.basis_b(g, i + 1))
-    chain.append(CycleClassZ.basis_b(g, g))
+    # with a_i at coordinate 2i - 2 and b_i at 2i - 1, the m-th chain class
+    # is +1 at coordinate m - 1 and, for even m < 2g, -1 at m + 1
+    chain = []
+    for m in range(2 * g + 1):
+        coords = [0] * (2 * g)
+        if m:
+            coords[m - 1] = 1
+        if m % 2 == 0 and m < 2 * g:
+            coords[m + 1] = -1
+        chain.append(CycleClassZ(g, coords))
     return chain

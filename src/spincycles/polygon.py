@@ -10,7 +10,9 @@ points are enumerated column by column over the bounding box.  Work is
 budgeted from the vertices alone (Pick's theorem), before any scan: a box
 over ``MAX_BOX_POINTS`` lattice points, segment enumeration over
 ``MAX_SEGMENT_PAIRS`` point pairs, or a homology model over genus
-``MAX_MODEL_GENUS`` raises :class:`PolygonTooLargeError`.
+``MAX_MODEL_GENUS`` raises :class:`PolygonTooLargeError`.  The
+Hirzebruch data of a width-2 strip (``classify_onedim``) is read in closed
+form from the vertices: no lattice map, rebuilt polygon or row scan.
 
 The package's value types (here and in ``homology``, ``spin`` and
 ``relations``) are immutable :class:`Record` subclasses: each has an
@@ -64,7 +66,7 @@ MAX_SEGMENT_PAIRS = 250_000
 
 #: interior points of a homology model, also the largest abstract genus a
 #: relation check accepts; ``verify hyperelliptic-word`` (quadratic in the
-#: genus) on a genus-300 strip takes 0.5-0.6 s (2-core Xeon)
+#: genus) on a genus-300 strip takes 0.3-0.4 s (2-core Xeon)
 MAX_MODEL_GENUS = 300
 
 
@@ -142,6 +144,12 @@ def check_model_genus(genus: int) -> None:
         raise PolygonTooLargeError(
             f"genus {genus} is over the model budget MAX_MODEL_GENUS = {MAX_MODEL_GENUS}"
         )
+
+
+def a_mask(genus: int) -> int:
+    """Mask of the a-positions (bits 0, 2, ..., 2g-2) of a packed homology
+    class; here so that ``spin`` reads it without loading ``homology``."""
+    return ((1 << (2 * genus)) - 1) // 3
 
 
 def _cross(o: Point, a: Point, b: Point) -> int:
@@ -546,30 +554,6 @@ def enumerate_segments(p: LatticePolygon) -> list[Segment]:
     return out
 
 
-class AffineMap(Record):
-    """Affine lattice map x -> L x + t with integer L of determinant +-1."""
-
-    linear: tuple[tuple[int, int], tuple[int, int]]
-    translation: Point
-    _fields = ("linear", "translation")
-
-    def __init__(self, linear, translation: Point):
-        (a, b), (c, d) = linear
-        if abs(a * d - b * c) != 1:
-            raise ValueError("linear part must have determinant +-1")
-        _set(self, "linear", linear)
-        _set(self, "translation", translation)
-
-    def apply(self, p: Point) -> Point:
-        (a, b), (c, d) = self.linear
-        return (a * p[0] + b * p[1] + self.translation[0],
-                c * p[0] + d * p[1] + self.translation[1])
-
-    def apply_polygon(self, p: LatticePolygon) -> LatticePolygon:
-        verts = [self.apply(v) for v in p.vertices]
-        return LatticePolygon(_canonicalize(verts))
-
-
 def classify_regime(p: LatticePolygon) -> str:
     """Obstruction regime of a smooth polygon with genus >= 1.
 
@@ -605,9 +589,10 @@ class HirzebruchClassification(Record):
 
     ``case`` counts the unit corner truncations of the underlying
     trapezoid: ``isomorphism`` (none), ``one_blowup``, ``two_blowups``.
-    The detection pattern is reconstructed from the strip normal form;
-    when several (alpha, n) readings rebuild the same polygon (blow-ups of
-    different strips can coincide) the one with maximal alpha is reported.
+    Blow-ups of different strips can coincide, so a strip may have several
+    readings (alpha, n); the one with maximal alpha is reported, which
+    :func:`classify_onedim` reads in closed form from two edge lengths and
+    a vertex count.
     """
 
     alpha: int
@@ -621,119 +606,34 @@ class HirzebruchClassification(Record):
         _set(self, "case", case)
 
 
-def _row_range(poly: LatticePolygon, y: int) -> tuple[int, int]:
-    xs = [q[0] for q in poly.lattice_points() if q[1] == y]
-    return min(xs), max(xs)
-
-
 def classify_onedim(p: LatticePolygon) -> HirzebruchClassification:
     """Classify a smooth polygon whose interior hull is a segment.
 
-    Normalizes the interior points to (1,1)..(g,1); the polygon then lives
-    in the strip 0 <= y <= 2 and is a trapezoid with vertices (e,0), (r,0),
-    (s,2), (-e,2) with at most two unit corner truncations.  Reads off
-    alpha = (r-s)/2 - e and n = s + e, rebuilding the polygon from each
-    candidate reading as verification.
+    With u the primitive direction of the interior segment from v0, every
+    vertex v has height u x (v - v0) in {-1, 0, 1}: the polygon is a
+    trapezoid with outer rows of widths w_-1 and w_1, cut at k unit
+    corners, one per vertex of height 0.  Its readings are
+    alpha = w - g - 1 + j for either width w and 0 <= j <= k (each cut may
+    truncate either row), with n = g + 1 - alpha >= 1 and alpha >= 0; the
+    maximal alpha is reported.  Since w_-1 + w_1 = 2(g + 1) - k and
+    smoothness makes each width at least 1, that is
+    alpha = max(w_-1, w_1) + k - g - 1, which lies in [k/2, g].
     """
     if not is_smooth(p):
         raise NotSmoothError("classification requires a smooth polygon")
     d = interior_data(p)
     if d.dimension != 1:
         raise RegimeError("polygon is not of one-dimensional interior type")
-    g = d.genus
-    pts = list(d.interior_points)
-    direction = _primitive(_sub(pts[-1], pts[0]))
-    # unimodular map sending the segment direction to (1, 0)
-    dx, dy = direction
-    _, xa, xb = _xgcd(dx, dy)
-    li = ((xa, xb), (-dy, dx))
-    base = AffineMap(li, (0, 0))
-    first = base.apply(pts[0])
-    amap = AffineMap(li, (1 - first[0], 1 - first[1]))
-    q = amap.apply_polygon(p)
-    ys = [v[1] for v in q.vertices]
-    if min(ys) != 0 or max(ys) != 2:
-        raise RegimeError("unrecognized one-dimensional polygon (not a width-2 strip)")
-    xl = min(x for (x, y) in q.lattice_points() if y == 1)
-    shift = AffineMap(((1, 0), (0, 1)), (-xl, 0))
-    q = shift.apply_polygon(q)
-    if not q.on_boundary((0, 1)) or not q.on_boundary((g + 1, 1)):
-        raise RegimeError("unrecognized one-dimensional polygon (slice mismatch)")
-    flip = AffineMap(((1, 0), (0, -1)), (0, 2))  # keeps the y = 1 row fixed
-    best: tuple[int, int, int] | None = None
-    for variant in (q, flip.apply_polygon(q)):
-        for alpha, n, cuts in _strip_readings(variant, g):
-            if best is None or (alpha, n) > best[:2]:
-                best = (alpha, n, cuts)
-    if best is None:
-        raise RegimeError("unrecognized one-dimensional polygon (no strip reading)")
-    alpha, n, cuts = best
-    case = (CASE_ISOMORPHISM, CASE_ONE_BLOWUP, CASE_TWO_BLOWUPS)[cuts]
-    return HirzebruchClassification(alpha, n, case)
-
-
-def _strip_readings(q: LatticePolygon, g: int) -> list[tuple[int, int, int]]:
-    """All (alpha, n, cuts) readings of a slice-normalized strip polygon."""
-    b0, b1 = _row_range(q, 0)
-    t0, t1 = _row_range(q, 2)
-    left_cuts = b0 + t0
-    right_cuts = 2 * (g + 1) - (b1 + t1)
-    if left_cuts not in (0, 1) or right_cuts not in (0, 1):
-        return []
-    left_options = [(b0, None)] if left_cuts == 0 else [(b0 - 1, "bottom"), (b0, "top")]
-    right_options = (
-        [(b1, None)] if right_cuts == 0 else [(b1 + 1, "bottom"), (b1, "top")]
-    )
-    readings = []
-    for e, lcut in left_options:
-        for r, rcut in right_options:
-            s = 2 * (g + 1) - r
-            alpha = (r - s) // 2 - e
-            n = s + e
-            if alpha < 0 or n < 1:
-                continue
-            if _rebuild_strip(e, r, s, g, lcut, rcut) == q.vertices:
-                readings.append((alpha, n, left_cuts + right_cuts))
-    return readings
-
-
-def _rebuild_strip(
-    e: int, r: int, s: int, g: int, lcut: str | None, rcut: str | None
-) -> tuple[Point, ...] | None:
-    """Vertex cycle of the trapezoid (e,0),(r,0),(s,2),(-e,2) with cuts."""
-    bottom: list[Point] = [(e, 0), (r, 0)]
-    top: list[Point] = [(s, 2), (-e, 2)]
-    left_mid: list[Point] = []
-    right_mid: list[Point] = []
-    if lcut == "bottom":
-        bottom[0] = (e + 1, 0)
-        left_mid = [(0, 1)]
-    elif lcut == "top":
-        top[1] = (-e + 1, 2)
-        left_mid = [(0, 1)]
-    if rcut == "bottom":
-        bottom[1] = (r - 1, 0)
-        right_mid = [(g + 1, 1)]
-    elif rcut == "top":
-        top[0] = (s - 1, 2)
-        right_mid = [(g + 1, 1)]
-    cycle = bottom + right_mid + top + left_mid
-    try:
-        return tuple(_canonicalize(cycle))
-    except PolygonError:
-        return None
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_s, s = s, old_s - quot * s
-        old_t, t = t, old_t - quot * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+    v0, v1 = d.hull_vertices
+    u = _primitive(_sub(v1, v0))
+    rows: dict[int, list[Point]] = {-1: [], 0: [], 1: []}
+    for v in p.vertices:
+        row = rows.get(u[0] * (v[1] - v0[1]) - u[1] * (v[0] - v0[0]))
+        if row is None:
+            raise RegimeError("unrecognized one-dimensional polygon (not a width-2 strip)")
+        row.append(v)
+    k = len(rows[0])
+    width = max(integer_length(r[0], r[-1]) for r in (rows[-1], rows[1]))
+    alpha = width + k - d.genus - 1
+    case = (CASE_ISOMORPHISM, CASE_ONE_BLOWUP, CASE_TWO_BLOWUPS)[k]
+    return HirzebruchClassification(alpha, d.genus + 1 - alpha, case)

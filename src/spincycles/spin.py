@@ -17,25 +17,23 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import gcd
+from typing import TYPE_CHECKING
 
-from .homology import (
-    CycleClassF2,
-    a_mask,
-    build_model,
-    default_forest,
-    vertex_forest,
-)
 from .polygon import (
     SPIN_REGIMES,
     LatticePolygon,
     Record,
     RegimeError,
+    a_mask,
     check_model_genus,
     classify_regime,
     enumerate_segments,
     interior_data,
     segment_on_boundary,
 )
+
+if TYPE_CHECKING:
+    from .homology import CycleClassF2
 
 
 _set = object.__setattr__
@@ -137,6 +135,8 @@ def standard_form(genus: int, arf: int) -> QuadraticForm:
 
 def consistency_forests(p: LatticePolygon) -> list:
     """Three structurally different spanning forests for cross-checks."""
+    from .homology import default_forest, vertex_forest
+
     return [
         default_forest(p),
         default_forest(
@@ -168,6 +168,8 @@ def verify_q_consistency(p: LatticePolygon) -> dict:
     the count says nothing about q (a lattice image of a polygon can make
     two of the forests coincide).
     """
+    from .homology import build_model
+
     regime = classify_regime(p)
     if regime not in SPIN_REGIMES:
         raise RegimeError(

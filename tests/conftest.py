@@ -315,15 +315,8 @@ for _alpha in range(0, 4):
         )
 
 
-def random_smooth_polygon(rng: random.Random) -> LatticePolygon | None:
-    """A random smooth polygon of genus >= 1, or None when the draw fails."""
-    verts = [tuple(v) for v in rng.choice(BASE_FAMILIES)]
-    for _ in range(rng.randrange(3)):
-        i = rng.randrange(len(verts))
-        cut = cut_corner(verts, i)
-        if cut is not None:
-            verts = cut
-    # random unimodular map and translation
+def unimodular_image(verts, rng: random.Random) -> list:
+    """The vertices under a random unimodular map and translation."""
     mats = [
         ((1, rng.randint(-2, 2)), (0, 1)),
         ((1, 0), (rng.randint(-2, 2), 1)),
@@ -338,11 +331,19 @@ def random_smooth_polygon(rng: random.Random) -> LatticePolygon | None:
             (c * la[0] + d * lb[0], c * la[1] + d * lb[1]),
         )
     tx, ty = rng.randint(-5, 5), rng.randint(-5, 5)
-    moved = [
-        (la[0] * x + la[1] * y + tx, lb[0] * x + lb[1] * y + ty) for x, y in verts
-    ]
+    return [(la[0] * x + la[1] * y + tx, lb[0] * x + lb[1] * y + ty) for x, y in verts]
+
+
+def random_smooth_polygon(rng: random.Random) -> LatticePolygon | None:
+    """A random smooth polygon of genus >= 1, or None when the draw fails."""
+    verts = [tuple(v) for v in rng.choice(BASE_FAMILIES)]
+    for _ in range(rng.randrange(3)):
+        i = rng.randrange(len(verts))
+        cut = cut_corner(verts, i)
+        if cut is not None:
+            verts = cut
     try:
-        p = polygon_from(moved)
+        p = polygon_from(unimodular_image(verts, rng))
     except Exception:
         return None
     from spincycles.polygon import GenusZeroError, interior_data, is_smooth

@@ -381,33 +381,43 @@ class TestNumpyBoundary:
         assert proc.returncode == 0, proc.stderr
 
     def test_cli_start_loads_only_what_its_command_reads(self, tmp_path):
-        # the records need no dataclasses, and cli loads the spin form (and
-        # the homology model behind it) only in the branches that read one
+        # the records need no dataclasses, cli loads the spin form only in
+        # the branches that read one, and the spin form loads the homology
+        # model only where q-consistency reads its forests
         quintic = corpus_file(tmp_path, "quintic")
         rect = corpus_file(tmp_path, "rect_4x2")
         out = str(tmp_path / "out.json")
-        script = (
+        start = (
             "import sys\n"
             "import spincycles.cli\n"
             "unloaded = lambda *names: not set(names) & set(sys.modules)\n"
             "assert unloaded('dataclasses', 'spincycles.spin', 'spincycles.homology',\n"
             "                'spincycles.relations', 'spincycles.symplectic'), 'import'\n"
+        )
+        polygon_commands = start + (
             f"assert spincycles.cli.main(['segments', {quintic!r}, '--json', '--out', {out!r}]) == 0\n"
             f"assert spincycles.cli.main(['segments', {quintic!r}, '--bridges']) == 0\n"
             f"assert spincycles.cli.main(['classify', {rect!r}, '--json']) == 0\n"
             "assert unloaded('spincycles.spin', 'spincycles.homology'), 'segments, classify'\n"
             f"assert spincycles.cli.main(['verify', 'hyperelliptic-word', {rect!r}]) == 0\n"
             "assert unloaded('spincycles.spin', 'dataclasses'), 'hyperelliptic-word'\n"
+        )
+        spin_commands = start + (
             f"assert spincycles.cli.main(['classify', {quintic!r}]) == 0\n"
             "assert not unloaded('spincycles.spin'), 'the spin branch reads the form'\n"
-            "assert unloaded('dataclasses'), 'spin'\n"
+            "assert unloaded('dataclasses', 'spincycles.homology'), 'spin classify'\n"
+            f"assert spincycles.cli.main(['qtable', {quintic!r}]) == 0\n"
+            "assert unloaded('spincycles.homology'), 'qtable'\n"
+            f"assert spincycles.cli.main(['verify', 'q-consistency', {quintic!r}]) == 0\n"
+            "assert not unloaded('spincycles.homology'), 'q-consistency reads forests'\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(spincycles.__file__).parents[1])}
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True, text=True, timeout=60, env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
+        for script in (polygon_commands, spin_commands):
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True, text=True, timeout=60, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
 
     def test_symplectic_starts_no_thread_pool(self):
         # the BFS runs on one thread: no executor module is imported

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +36,7 @@ from conftest import (
     pick_genus,
     polygon_from,
     random_smooth_polygon,
+    unimodular_image,
 )
 
 
@@ -583,6 +585,48 @@ class TestOnedim:
             moved = polygon_from([(y, x) for (x, y) in sheared])
             h = classify_onedim(moved)
             assert (h.alpha, h.n) == expected
+
+
+STRIPS = Path(__file__).parent / "golden" / "strips.json"
+
+
+def smooth_strips(genus: int):
+    """Every smooth width-2 strip with interior points (1,1)..(g,1) and
+    bottom row [0, B1], one per shear class fixing the interior line.
+
+    The rows y = 0 and y = 2 have two ends each.  A vertex (0, 1) cuts the
+    left corner when the top row starts at 1, a vertex (g + 1, 1) the
+    right corner when B1 + T1 = 2g + 1.
+    """
+    for t0 in (0, 1):
+        for cut in (0, 1):
+            for b1 in range(1, 2 * genus + 2 - cut - t0):
+                t1 = 2 * genus + 2 - cut - b1
+                yield polygon_from(
+                    [(0, 0), (b1, 0)] + [(genus + 1, 1)] * cut
+                    + [(t1, 2), (t0, 2)] + [(0, 1)] * t0
+                )
+
+
+class TestGoldenStrips:
+    """``tests/golden/strips.json`` pins (alpha, n, case) of every smooth
+    strip of genus 2-10 with bottom row starting at the origin, as read by
+    the former search over affine normal-form rebuilds."""
+
+    rows = json.loads(STRIPS.read_text())["rows"]
+
+    def test_table_covers_every_strip(self):
+        table = {tuple(map(tuple, verts)) for verts, *_ in self.rows}
+        expected = {p.vertices for g in range(2, 11) for p in smooth_strips(g)}
+        assert len(self.rows) == len(table) == 432
+        assert table == expected
+
+    def test_rows_and_their_lattice_images(self):
+        rng = random.Random(30)
+        for verts, alpha, n, case in self.rows:
+            for image in (verts, unimodular_image(verts, rng), unimodular_image(verts, rng)):
+                h = classify_onedim(polygon_from(image))
+                assert (h.alpha, h.n, h.case) == (alpha, n, case), image
 
 
 class TestEvenPointHelper:

@@ -12,7 +12,6 @@ import pytest
 
 from spincycles.homology import CycleClassF2, CycleClassZ, SurfaceModel
 from spincycles.polygon import (
-    AffineMap,
     HirzebruchClassification,
     InteriorData,
     LatticePolygon,
@@ -42,10 +41,6 @@ SAMPLES = {
     Segment: lambda: [
         Segment(((0, 0), (1, 0)), True), Segment(((1, 0), (0, 0)), True),
         Segment(((0, 0), (1, 0)), False),
-    ],
-    AffineMap: lambda: [
-        AffineMap(((1, 0), (0, 1)), (2, 3)), AffineMap(((1, 0), (0, 1)), (2, 3)),
-        AffineMap(((0, 1), (1, 0)), (2, 3)),
     ],
     HirzebruchClassification: lambda: [
         HirzebruchClassification(1, 2, "isomorphism"),
@@ -154,11 +149,6 @@ class TestValidation:
             a, b = s.endpoints
             assert a < b
             assert Segment((b, a), s.is_bridge) == s
-
-    def test_affine_map(self):
-        with pytest.raises(ValueError, match=r"determinant \+-1"):
-            AffineMap(((2, 0), (0, 1)), (0, 0))
-        assert AffineMap(((0, 1), (1, 0)), (1, 2)).apply((3, 4)) == (5, 5)
 
     def test_cycle_class_f2(self):
         with pytest.raises(ValueError, match="genus must be positive"):
