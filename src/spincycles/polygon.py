@@ -14,12 +14,12 @@ over ``MAX_BOX_POINTS`` lattice points, segment enumeration over
 Hirzebruch data of a width-2 strip (``classify_onedim``) is read in closed
 form from the vertices: no lattice map, rebuilt polygon or row scan.
 
-The package's value types (here and in ``homology``, ``spin`` and
-``relations``) are immutable :class:`Record` subclasses: each has an
-explicit constructor that checks its arguments, and the base gives
-equality and hash over the field tuple, a repr, and assignment that raises
-``AttributeError``.  A record costs no generated code at import, which a
-cold CLI start would otherwise pay before any command runs.
+The package's value types (here and in ``homology``, ``spin``,
+``relations`` and ``symplectic``) are immutable :class:`Record`
+subclasses: each has an explicit constructor that checks its arguments,
+and the base gives equality and hash over the field tuple, a repr, and
+assignment that raises ``AttributeError``.  A record costs no generated
+code at import, which a cold CLI start would otherwise pay first.
 
 Terminology used throughout the package:
 
@@ -363,7 +363,10 @@ def parse_polygon(text: str | bytes | dict) -> LatticePolygon:
     specific ``code`` for non-integer coordinates, too few distinct
     vertices, collinear triples, or non-convex input.
     """
-    doc = json.loads(text) if not isinstance(text, dict) else text
+    try:
+        doc = json.loads(text) if not isinstance(text, dict) else text
+    except RecursionError:
+        raise PolygonError("JSON nested too deeply", code="format") from None
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise PolygonError('expected an object with a "vertices" array', code="format")
     raw = doc["vertices"]

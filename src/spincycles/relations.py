@@ -251,13 +251,13 @@ def chain_instance(genus_ambient: int) -> dict[str, CycleClassZ]:
     return {"a": a, "b": b, "c": c, "alpha": d, "beta": d}
 
 
-def chrel2_system(i_ac: int = 0) -> CurveSystem:
-    """Curve system of the chain-relation rewriting (perturbable for tests)."""
+def chrel2_system() -> CurveSystem:
+    """Curve system of the chain-relation rewriting."""
     classes = chain_instance(2)
     pairs = {
         ("a", "b"): 1,
         ("b", "c"): 1,
-        ("a", "c"): i_ac,
+        ("a", "c"): 0,
         ("b", "alpha"): 0,
         ("b", "beta"): 0,
         ("alpha", "beta"): 0,

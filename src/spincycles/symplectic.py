@@ -25,9 +25,11 @@ of the verdicts: the largest chain there, at genus 6, stores 8,184 points
 6, its two chains 1.5 s at genus 7.
 
 Every form q of an Arf (the standard form too, v = 0) is q0 + <v, .> =
-q0 o T_v (Johnson 1980).  A verdict builds only the table of T_v on the
-2^(2g) classes and certifies it: linear and symplectic, an involution,
-and q(T_v x) = q0(x).  Then M -> T_v M T_v maps O(q0) onto O(q) and, as
+q0 o T_v (Johnson 1980).  A verdict certifies the matrix T_v on the 2g
+basis vectors: symplectic, an involution, and q(T_v e_k) = q0(e_k).  Both
+q o T_v and q0 refine the intersection form, and polarization, q(x + y) =
+q(x) + q(y) + <x, y>, fixes such a form by its basis values, so q o T_v =
+q0 on every class.  Then M -> T_v M T_v maps O(q0) onto O(q) and, as
 T_v t_c T_v = t_{T_v c}, adm(q0) onto adm(q), so q has the base's orders
 and verdict, and the O(q)-orbit of x is labelled by that of T_v x.
 
@@ -46,12 +48,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
 from itertools import islice
 from typing import TYPE_CHECKING, NamedTuple
 
 from .homology import CycleClassF2, is_symplectic_bits, swap_pairs
-from .polygon import PolygonTooLargeError
+from .polygon import PolygonTooLargeError, Record
 from .spin import QuadraticForm, standard_form
 
 if TYPE_CHECKING:
@@ -75,6 +76,8 @@ MAX_ORBIT_GENUS = 6
 
 _GEN_BATCH = 16  # generators deduplicated together, caps peak memory
 
+_set = object.__setattr__
+
 
 class NotSymplecticError(ValueError):
     """A matrix expected to preserve the intersection form does not."""
@@ -84,20 +87,20 @@ class CapExceededError(PolygonTooLargeError):
     """A brute-force reference outgrew its cap, or a chain its genus limit."""
 
 
-@dataclass(frozen=True)
-class MatF2:
+class MatF2(Record):
     """2g x 2g matrix over F2, packed columns, acting as M @ x."""
 
     n: int  # dimension 2g
     cols: tuple[int, ...]
+    __slots__ = _fields = ("n", "cols")
 
-    def __post_init__(self):
-        if self.n < 2 or self.n % 2 != 0:
+    def __init__(self, n: int, cols: tuple[int, ...]):
+        if n < 2 or n % 2 != 0:
             raise ValueError("dimension must be even and >= 2")
-        if len(self.cols) != self.n or any(
-            not 0 <= c < (1 << self.n) for c in self.cols
-        ):
+        if len(cols) != n or any(not 0 <= c < (1 << n) for c in cols):
             raise ValueError("need n packed columns of n bits each")
+        _set(self, "n", n)
+        _set(self, "cols", cols)
 
     @classmethod
     def identity(cls, genus: int) -> "MatF2":
@@ -110,11 +113,10 @@ class MatF2:
 
     def apply_bits(self, x: int) -> int:
         out = 0
-        rest = x
-        while rest:
-            j = (rest & -rest).bit_length() - 1
+        while x:
+            j = (x & -x).bit_length() - 1
             out ^= self.cols[j]
-            rest &= rest - 1
+            x &= x - 1
         return out
 
     def apply(self, x: CycleClassF2) -> CycleClassF2:
@@ -157,20 +159,22 @@ def transvection_f2(c: CycleClassF2) -> MatF2:
     return MatF2(n, cols)
 
 
+def _basis_values(m: MatF2, q: QuadraticForm) -> int:
+    """q(M e_k) for k < 2g, packed like ``q.qmask``: they fix q o M if M is symplectic."""
+    return sum(q.eval_bits(c) << k for k, c in enumerate(m.cols))
+
+
 def preserves_q(m: MatF2, q: QuadraticForm) -> bool:
     """Does a symplectic matrix preserve q?  Raises if m is not symplectic.
 
     Checking q(M e_k) = q(e_k) on the basis suffices: polarization then
-    propagates the equality to every class.
+    propagates the equality to every class (``_basis_values``).
     """
     if m.genus != q.genus:
         raise ValueError("genus mismatch")
     if not m.is_symplectic():
         raise NotSymplecticError("matrix does not preserve the intersection form")
-    qmask = q.qmask
-    return all(
-        q.eval_bits(m.cols[k]) == (qmask >> k) & 1 for k in range(m.n)
-    )
+    return _basis_values(m, q) == q.qmask
 
 
 # ---------------------------------------------------------------------------
@@ -290,15 +294,19 @@ def _bfs(
     return visited, True
 
 
-@dataclass
-class GroupClosure:
+class GroupClosure(Record):
     """Deterministic closure result: sorted canonical encodings."""
 
     genus: int
-    packed: np.ndarray = field(repr=False)  # sorted distinct uint64 keys
-    generators: list[MatF2] = field(repr=False)
-    completed: bool = True
-    cap: int = DEFAULT_CAP
+    packed: np.ndarray  # sorted distinct uint64 keys
+    generators: list[MatF2]
+    completed: bool
+    cap: int
+    _fields = ("genus", "packed", "generators", "completed", "cap")
+
+    def __init__(self, genus, packed, generators, completed, cap):
+        for name, value in zip(self._fields, (genus, packed, generators, completed, cap)):
+            _set(self, name, value)
 
     @property
     def order(self) -> int:
@@ -613,29 +621,26 @@ def _base(q: QuadraticForm) -> _Base:
     return _BASES[genus, arf]
 
 
-def _transport_table(q: QuadraticForm, q0: QuadraticForm) -> list[int]:
-    """x -> T_v x over all 2^(2g) classes, for v = swap_pairs(q.qmask ^ q0.qmask)."""
-    v = swap_pairs(q.qmask ^ q0.qmask)
-    return _table(transvection_f2(CycleClassF2(q.genus, v)).cols)
+def _transport(q: QuadraticForm, q0: QuadraticForm) -> MatF2:
+    """T_v for v = swap_pairs(q.qmask ^ q0.qmask)."""
+    return transvection_f2(CycleClassF2(q.genus, swap_pairs(q.qmask ^ q0.qmask)))
 
 
-def _certified_transport(q: QuadraticForm) -> list[int]:
-    """The table of T_v that carries the base of q's Arf to q, certified.
+def _certified_transport(q: QuadraticForm) -> MatF2:
+    """T_v, which carries the base of q's Arf to q, certified.
 
     With q0 the standard form of q's Arf, ``RuntimeError`` names every
-    failed check: the table is linear and symplectic, an involution, and
-    q-transporting, q(T_v x) = q0(x) for every class x.
+    failed check: T_v is symplectic, an involution, and q-transporting,
+    q(T_v e_k) = q0(e_k) on the basis, so q o T_v = q0 by polarization.
     """
     q0 = standard_form(q.genus, q.arf())
-    table = _transport_table(q, q0)
-    cols = [table[1 << j] for j in range(2 * q.genus)]
-    q_values = q_values_table(q)
+    m = _transport(q, q0)
     _certify("transport", q, {
-        "symplectic": _table(cols) == table and is_symplectic_bits(cols),
-        "an involution": [table[y] for y in table] == list(range(len(table))),
-        "q-transporting": [q_values[y] for y in table] == q_values_table(q0),
+        "symplectic": m.is_symplectic(),
+        "an involution": m @ m == MatF2.identity(q.genus),
+        "q-transporting": _basis_values(m, q) == q0.qmask,
     })
-    return table
+    return m
 
 
 def verify_transvection_generation(q: QuadraticForm) -> dict:
@@ -734,9 +739,8 @@ def q_orbit_partition(q: QuadraticForm) -> dict:
     base_labels = _base(q).labels
     orbit_of = {}
     # classes in order: orbits ordered by smallest member, members ascending
-    for x, y in enumerate(_certified_transport(q)):
+    for x, y in enumerate(_table(_certified_transport(q).cols)):
         orbit_of.setdefault(base_labels[y], []).append(x)
-    n = 2 * q.genus
     table = q_values_table(q)
     orbits = [
         {
@@ -749,7 +753,7 @@ def q_orbit_partition(q: QuadraticForm) -> dict:
     # expected orbits: {0}, the whole of q^-1(1), and q^-1(0) minus zero
     # (the last is empty for genus 1 with Arf 1)
     ones = sum(table)
-    zeros_nonzero = (1 << n) - ones - 1
+    zeros_nonzero = len(table) - ones - 1
     expected = {(1, True, 0), (ones, False, 1)}
     if zeros_nonzero:
         expected.add((zeros_nonzero, False, 0))

@@ -55,6 +55,18 @@ class TestClassify:
         path.write_text("{not json")
         assert main(["classify", str(path)]) == 2
 
+    def test_deeply_nested_json_exit_2(self, tmp_path):
+        # json.loads raises RecursionError, not JSONDecodeError, on this
+        path = tmp_path / "nested.json"
+        path.write_text('{"vertices": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        env = {**os.environ, "PYTHONPATH": str(Path(spincycles.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "spincycles.cli", "classify", str(path)],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["input error: JSON nested too deeply"]
+
     def test_huge_polygon_exit_4_fast(self, tmp_path):
         # a bounding-box scan over ~10^16 points would never finish
         path = tmp_path / "huge.json"
@@ -410,6 +422,8 @@ class TestNumpyBoundary:
             "assert unloaded('spincycles.homology'), 'qtable'\n"
             f"assert spincycles.cli.main(['verify', 'q-consistency', {quintic!r}]) == 0\n"
             "assert not unloaded('spincycles.homology'), 'q-consistency reads forests'\n"
+            "assert spincycles.cli.main(['verify', 'generation', '--genus', '3', '--arf', '1']) == 0\n"
+            "assert unloaded('dataclasses'), 'the group verdicts use records too'\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(spincycles.__file__).parents[1])}
         for script in (polygon_commands, spin_commands):

@@ -22,6 +22,7 @@ from spincycles.polygon import (
 )
 from spincycles.relations import CurveSystem, TwistWord
 from spincycles.spin import QuadraticForm
+from spincycles.symplectic import GroupClosure, MatF2, closure
 
 from conftest import polygon_from
 
@@ -69,9 +70,16 @@ SAMPLES = {
         TwistWord((("a", 1), ("b", -2))), TwistWord([("a", 1.0), ("b", -2)]),
         TwistWord((("b", -2), ("a", 1))),
     ],
+    MatF2: lambda: [MatF2.identity(1), MatF2(2, (1, 2)), MatF2(2, (2, 1))],
+    # the trivial group: one packed key, so the arrays compare as one bool
+    GroupClosure: lambda: [
+        closure([MatF2.identity(1)]), closure([MatF2.identity(1)]),
+        closure([MatF2.identity(2)]),
+    ],
 }
 
-HASHABLE = set(SAMPLES) - {SurfaceModel, CurveSystem}  # these hold dicts
+# these hold dicts, or a list and an array
+HASHABLE = set(SAMPLES) - {SurfaceModel, CurveSystem, GroupClosure}
 
 
 def fields(record) -> tuple:
@@ -95,7 +103,7 @@ class TestRecordSemantics:
         if cls in HASHABLE:
             assert hash(first) == hash(fields(first)) == hash(same)
             assert len({first, same, other}) == 2
-        else:  # the field tuple holds a dict, as with the dataclasses
+        else:  # the field tuple holds a dict or a list, as with the dataclasses
             with pytest.raises(TypeError):
                 hash(first)
 
@@ -192,6 +200,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="nonnegative"):
             CurveSystem(("a", "b"), {frozenset("ab"): -1})
         assert CurveSystem(("a", "b"), {}).classes is None
+
+    def test_mat_f2(self):
+        with pytest.raises(ValueError, match="dimension must be even and >= 2"):
+            MatF2(3, (1, 2, 4))
+        with pytest.raises(ValueError, match="need n packed columns of n bits each"):
+            MatF2(2, (1, 4))
+        with pytest.raises(ValueError, match="need n packed columns of n bits each"):
+            MatF2(2, (1,))
+        assert not hasattr(MatF2.identity(1), "__dict__")  # slotted: built in chain sifts
 
     def test_twist_word(self):
         with pytest.raises(ValueError, match="zero exponents"):

@@ -240,8 +240,13 @@ class TestChrel2:
             assert step["matches_expected_line"] is True
 
     def test_perturbed_system_fails(self):
+        # the same system, except that a and c now meet once
+        sys = chrel2_system()
+        perturbed = CurveSystem(
+            sys.curves, {**sys.intersections, frozenset("ac"): 1}, sys.classes
+        )
         with pytest.raises(RuleError):
-            verify_chrel2_derivation(chrel2_system(i_ac=1))
+            verify_chrel2_derivation(perturbed)
 
     def test_system_without_classes_refused(self):
         # soundness is only claimed for lines that were evaluated

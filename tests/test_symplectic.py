@@ -606,7 +606,7 @@ class TestStabilizer:
             ("wrong_v", "q-transporting"),
             ("not_involution", "an involution"),
             ("not_transporting", "q-transporting"),
-            ("not_linear", "symplectic"),
+            ("not_symplectic", "symplectic"),
         ],
     )
     def test_certification_rejects_bad_transport(
@@ -622,27 +622,27 @@ class TestStabilizer:
         entry = no_bases[3, 0]
         t_v = transvection_f2(CycleClassF2(3, v))
         if mutation == "wrong_v":
-            # q0(b_1) = 1: T_b1 lies in O(q0), so q o T_b1 = q, not q0
-            table = symplectic._table(transvection_f2(CycleClassF2(3, 0b10)).cols)
+            # q(b_1) = 0, so q o T_b1 = q + <b_1, .>, which is not q0 = q + <a_1, .>
+            m = transvection_f2(CycleClassF2(3, 0b10))
         elif mutation == "not_involution":
             # T_b1 lies in O(q0), so T_v T_b1 carries q to q0, but <v, b_1> = 1:
             # the two transvections do not commute and the product has order 3
             m = t_v @ transvection_f2(CycleClassF2(3, 0b10))
-            assert (m @ m).packed() != MatF2.identity(3).packed()
-            table = symplectic._table(m.cols)
+            assert m @ m != MatF2.identity(3)
         elif mutation == "not_transporting":
             # c = a_2 has q0(c) = 0 and <v, c> = 0: T_v T_c is a symplectic
             # involution, but q(T_v T_c x) = q0(x) + <x, c>
-            c = transvection_f2(CycleClassF2(3, 0b100))
-            table = symplectic._table((t_v @ c).cols)
+            m = t_v @ transvection_f2(CycleClassF2(3, 0b100))
         else:
-            # a_1 + a_2 and a_1 + a_3 are fixed by T_v with q0 = 0 on both:
-            # swapping them keeps an involution carrying q to q0, not linear
-            table = symplectic._table(t_v.cols)
-            assert table[0b101] == 0b101 and table[0b10001] == 0b10001
-            assert q0.eval_bits(0b101) == q0.eval_bits(0b10001) == 0
-            table[0b101], table[0b10001] = table[0b10001], table[0b101]
-        monkeypatch.setattr(symplectic, "_transport_table", lambda form, base: table)
+            # T_v composed with the swap a_2 <-> a_3 is an involution with
+            # q(m e_k) = q0(e_k) on the basis (q0(a_2) = q0(a_3) = 0), but it
+            # sends <a_2, b_2> = 1 to <a_3, b_2> = 0: not symplectic
+            cols = list(t_v.cols)
+            cols[2], cols[4] = cols[4], cols[2]
+            m = MatF2(6, tuple(cols))
+            assert q0.eval_bits(0b100) == q0.eval_bits(0b10000) == 0
+            assert not m.is_symplectic() and m @ m == MatF2.identity(3)
+        monkeypatch.setattr(symplectic, "_transport", lambda form, base: m)
         for fn in (verify_transvection_generation, q_orbit_partition):
             with pytest.raises(
                 RuntimeError, match=f"^transport of qmask {q.qmask:#x} is not "
@@ -707,6 +707,36 @@ class TestStabilizer:
             for gen, orbits in results
         )
         assert elapsed < 0.25, f"128 warm genus-3 verdicts took {elapsed:.2f} s"
+
+    def test_warm_verdicts_tabulate_q_at_most_once(self, monkeypatch):
+        # T_v is certified on the basis: a warm generation verdict builds no
+        # q table, and an orbit partition builds only its own q's
+        rng = random.Random(36)
+        forms = [
+            q for g, arfs in ((3, (0, 1)), (6, (1,))) for arf in arfs
+            for q in sample_forms(rng, g, arf, 5) if q != standard_form(g, arf)
+        ]
+        for q in forms:
+            verify_transvection_generation(standard_form(q.genus, q.arf()))
+        real = symplectic.q_values_table
+
+        def refuse(q):
+            raise AssertionError(f"q table built for qmask {q.qmask:#x}")
+
+        monkeypatch.setattr(symplectic, "q_values_table", refuse)
+        for q in forms:
+            g, arf = q.genus, q.arf()
+            assert verify_transvection_generation(q) == {
+                "genus": g, "arf": arf, "closure_order": o_order(g, arf),
+                "stabilizer_order": o_order(g, arf), "full_group_order": sp_order(g),
+                "closure_is_subset": True, "verdict": "equal",
+            }
+        built = []
+        monkeypatch.setattr(symplectic, "q_values_table", lambda q: built.append(q) or real(q))
+        for q in forms:
+            built.clear()
+            assert q_orbit_partition(q)["matches_expected_partition"]
+            assert built == [q]
 
 
 def chain(generators, short_ok=True):
