@@ -15,9 +15,9 @@ error, 3 suite/operation inapplicable, 4 resource cap exhausted
 ``polygon`` budget: box points, segment pairs, or model or ``--genus``
 genus).  Output is human-readable by default; ``--json`` switches to
 the JSON schemas, and ``--out`` always writes the JSON transcript.
-Transcripts are byte-identical across runs: the text of
-``json.dumps(report, indent=2)``, streamed in chunks, with segment rows
-built as they are written, each from one fixed template.  A command
+Transcript text is the stdlib's ``json.dumps(report, indent=2)``, built
+member by member; segment rows, built as they are written, are the one
+stream with their own template.  A command
 imports only the layers it reads: ``spin`` loads in the branches that read
 a spin form, so ``segments``, non-spin ``classify`` and
 ``hyperelliptic-word`` start without it, and spin ``classify`` and
@@ -119,8 +119,8 @@ class _SegmentRows:
             yield {"endpoints": [list(a), list(b)], "is_bridge": s.is_bridge}
 
     def texts(self):
-        """Each row as ``json.dumps(report, indent=2)`` writes it, from one
-        template: a top-level member's item, at indent 4."""
+        """Each row as ``json.dumps(report, indent=2)`` writes a top-level
+        member's item, from one template: the one JSON value the encoder does not write."""
         for s in self.segs:
             (ax, ay), (bx, by) = s.endpoints
             yield (
@@ -218,57 +218,24 @@ def run_verify(args) -> tuple[dict, int]:
     return transcript, code
 
 
-_encode_str = json.encoder.encode_basestring_ascii
-
-
-def _render(value, indent: str) -> str:
-    """``value`` as ``json.dumps(value, indent=2)`` writes it at ``indent``.
-
-    Object keys must be str, as in every transcript.
-    """
-    if isinstance(value, str):
-        return _encode_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if value and isinstance(value, (list, tuple, dict)):
-        inner = indent + "  "
-        if isinstance(value, dict):
-            items = [f"{_encode_str(k)}: {_render(v, inner)}" for k, v in value.items()]
-            opening, closing = "{", "}"
-        else:
-            items = [_render(v, inner) for v in value]
-            opening, closing = "[", "]"
-        return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closing}"
-    return json.dumps(value)
-
-
 def _chunks(report: dict):
-    """The text of ``json.dumps(report, indent=2)``: one chunk per top-level
-    member, and one per item of a top-level row sequence."""
+    """The text of ``json.dumps(report, indent=2)``, member by member: the
+    stdlib's text of each value one level in (it escapes every newline in a
+    string), but segment rows one chunk per row, from their template."""
     if not report:
         yield "{}"
         return
     sep = "{\n  "
     for key, value in report.items():
-        yield f"{sep}{_encode_str(key)}: "
+        yield f"{sep}{json.dumps(key)}: "
         sep = ",\n  "
-        if not isinstance(value, (list, tuple, _SegmentRows)):
-            yield _render(value, "  ")
+        if not isinstance(value, _SegmentRows):
+            yield json.dumps(value, indent=2).replace("\n", "\n  ")
             continue
-        if isinstance(value, _SegmentRows):
-            items = value.texts()
-        else:
-            items = (_render(item, "    ") for item in value)
-        item_sep = "[\n    "
-        for item in items:
-            yield item_sep + item
-            item_sep = ",\n    "
+        row_sep = "[\n    "
+        for row in value.texts():
+            yield row_sep + row
+            row_sep = ",\n    "
         yield "\n  ]" if value else "[]"
     yield "\n}"
 

@@ -270,9 +270,11 @@ def verify_chain_relation_homology(genus_ambient: int = 2) -> dict:
 
     Uses the three-chain instance above; also records the mod-2
     consistency of both sides, invariance under the global twist-sign
-    flip, and the bounding-pair shadow (twists along equal classes give
-    the identity word t_alpha t_beta^-1 -> I).  An ambient genus over
-    ``MAX_MODEL_GENUS`` raises :class:`PolygonTooLargeError`.
+    flip, and ``bounding_pair_identity``: the homology shadow
+    t_alpha t_beta^-1 -> I of a bounding-pair map, not an identity in
+    Mod(Sigma_g).  Homology is fixed by the Torelli group, so the false
+    "(t_a t_b)^6 = 1" passes on ``chain_instance(2)`` too.  An ambient
+    genus over ``MAX_MODEL_GENUS`` raises :class:`PolygonTooLargeError`.
     """
     if genus_ambient < 2:
         raise ValueError("need ambient genus >= 2")
@@ -388,7 +390,9 @@ def verify_chrel2_derivation(system: CurveSystem | None = None) -> dict:
     Every primitive move is validated against the intersection table, and
     each line is compared with the expected word and evaluated over Z
     against the value of the starting word (rewriting soundness), so a
-    system without homology classes raises ``ValueError``.  Finally the
+    system without homology classes raises ``ValueError``; that value is
+    a homology shadow, blind to Torelli elements (see
+    :func:`verify_chain_relation_homology`).  Finally the
     moves are undone in reverse order, and each undo must give back the
     word the move was applied to.
     """
@@ -462,7 +466,8 @@ def verify_hyperelliptic_word(p: LatticePolygon) -> dict:
 
     The word runs once up the chain and once back down (the top twist
     doubled); its integral action must be -identity, under both global
-    twist-sign conventions.  A genus over ``MAX_MODEL_GENUS`` raises
+    twist-sign conventions.  That is a homology shadow: a word off by a
+    Torelli element passes too.  A genus over ``MAX_MODEL_GENUS`` raises
     :class:`PolygonTooLargeError`.
     """
     regime = classify_regime(p)

@@ -308,6 +308,9 @@ class GroupClosure(Record):
         for name, value in zip(self._fields, (genus, packed, generators, completed, cap)):
             _set(self, name, value)
 
+    def _key(self) -> tuple:  # packed by value; the generator list stays unhashable
+        return (self.genus, self.packed.tobytes(), self.generators, self.completed, self.cap)
+
     @property
     def order(self) -> int:
         return len(self.packed)

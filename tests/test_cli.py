@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -15,6 +16,7 @@ import pytest
 import spincycles
 from spincycles import cli, corpus
 from spincycles.cli import main
+from spincycles.polygon import Segment
 from spincycles.symplectic import MAX_CHAIN_GENUS
 
 QUINTIC = corpus.read_text("quintic")
@@ -485,6 +487,14 @@ class TestGoldenTranscripts:
             )
             if (name, polygon) != ("qtable", "rect_4x2")
         },
+        "hyperelliptic_word_rect_4x2": [
+            "verify", "hyperelliptic-word", str(CORPUS / "rect_4x2.json"),
+        ],
+        "q_consistency_quintic": ["verify", "q-consistency", str(CORPUS / "quintic.json")],
+        # its `results` list nests whole suite transcripts
+        "all_quintic_g3_arf1": [
+            "verify", "all", str(CORPUS / "quintic.json"), "--genus", "3", "--arf", "1",
+        ],
     }
 
     @pytest.mark.parametrize("golden", list(ARGV))
@@ -593,3 +603,31 @@ class TestWriter:
             expected = json.dumps(report, indent=2) + "\n"
             assert capsys.readouterr().out == expected
             assert out.read_text() == expected
+
+    def test_seeded_segment_rows(self, tmp_path, capsys):
+        # row sets, empty ones included, at any member position among
+        # seeded values
+        rng = random.Random(38)
+        out = tmp_path / "out.json"
+
+        def segment():
+            while True:
+                dx, dy = rng.randrange(-9, 10), rng.randrange(-9, 10)
+                if math.gcd(dx, dy) == 1:
+                    break
+            a = (rng.randrange(-99, 100), rng.randrange(-99, 100))
+            return Segment((a, (a[0] + dx, a[1] + dy)), rng.random() < 0.5)
+
+        empty = 0
+        for _ in range(200):
+            members = [_seeded_value(rng, 3) for _ in range(rng.randrange(5))]
+            for _ in range(rng.randrange(1, 3)):
+                rows = cli._SegmentRows([segment() for _ in range(rng.choice((0, 1, 5)))])
+                empty += not rows
+                members.insert(rng.randrange(len(members) + 1), rows)
+            report = {f"k{i}": value for i, value in enumerate(members)}
+            cli._emit(report, True, str(out))
+            expected = json.dumps(report, indent=2, default=list) + "\n"
+            assert capsys.readouterr().out == expected
+            assert out.read_text() == expected
+        assert empty

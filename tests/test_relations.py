@@ -199,6 +199,17 @@ class TestChainRelation:
             assert r["flip_invariant"]
             assert r["bounding_pair_identity"]
 
+    def test_homology_shadow_is_blind_to_torelli(self):
+        # ROADMAP item 4 pins this blind spot: integral homology is fixed by
+        # the Torelli group, so the false relation (t_a t_b)^6 = 1 of
+        # Mod(Sigma_2) and the bounding-pair map t_alpha t_beta^-1 both
+        # evaluate to the identity; a faithful braid check is to reject them
+        cls = chain_instance(2)
+        identity = evaluate_word_z(TwistWord(()), cls)
+        assert evaluate_word_z(TwistWord.from_names(["a", "b"] * 6), cls) == identity
+        assert evaluate_word_z(TwistWord((("alpha", 1), ("beta", -1))), cls) == identity
+        assert verify_chain_relation_homology(2)["bounding_pair_identity"]
+
     def test_instance_intersection_pattern(self):
         from spincycles.homology import pairing_z
 

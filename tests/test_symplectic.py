@@ -14,6 +14,7 @@ from spincycles.cli import main
 from spincycles.symplectic import (
     MAX_CHAIN_GENUS,
     CapExceededError,
+    GroupClosure,
     MatF2,
     NotSymplecticError,
     _filter_preserves_q,
@@ -217,6 +218,16 @@ class TestClosure:
         assert not membership(transvection_f2(CycleClassF2.basis_a(4, 1)), c)
         capped = closure(chain_transvections(4), cap=1000)
         assert not capped.completed
+
+    def test_equality_compares_packed_by_value(self):
+        c = closure(chain_transvections(1))
+        assert c.order == 6 and c == closure(chain_transvections(1))
+        assert c != closure(chain_transvections(1)[:1])
+        g, packed, gens = c.genus, c.packed, c.generators
+        assert c != GroupClosure(g, packed[:-1], gens, c.completed, c.cap)
+        assert c != GroupClosure(g, packed, gens[::-1], c.completed, c.cap)
+        with pytest.raises(TypeError):  # the generator list is unhashable
+            hash(c)
 
     def test_rejects_non_symplectic_generator(self):
         with pytest.raises(NotSymplecticError):
