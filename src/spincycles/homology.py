@@ -98,18 +98,6 @@ class CycleClassF2(Record):
     def __bool__(self) -> bool:
         return self.bits != 0
 
-    def __str__(self) -> str:
-        if not self.bits:
-            return "0"
-        parts = []
-        for i in range(self.genus):
-            if (self.bits >> (2 * i)) & 1:
-                parts.append(f"a{i + 1}")
-            if (self.bits >> (2 * i + 1)) & 1:
-                parts.append(f"b{i + 1}")
-        return "+".join(parts)
-
-
 class CycleClassZ(Record):
     """Element of H1 over Z in the same interleaved basis order."""
 

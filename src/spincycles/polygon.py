@@ -34,9 +34,12 @@ Terminology used throughout the package:
   of vertex does not matter).
 * primitive segment -- segment between two lattice points of the polygon
   whose difference is a primitive vector (integer length one).
-* bridge -- primitive segment joining a boundary lattice point of the
-  polygon to a boundary lattice point of the interior hull whose open
-  segment avoids the hull's 2-dimensional interior.
+* bridge -- primitive segment joining a boundary lattice point u of the
+  polygon to a boundary lattice point w of the interior hull whose open
+  segment avoids the hull's 2-dimensional interior.  It meets that
+  interior iff u lies strictly on the inner side of every hull edge
+  through w: such an edge (s, t) has side value tau * cross(s, t, u) at
+  w + tau (u - w), and every other edge has w strictly inside.
 """
 
 from __future__ import annotations
@@ -472,56 +475,25 @@ class Segment(Record):
         _set(self, "endpoints", (b, a) if a > b else endpoints)
         _set(self, "is_bridge", is_bridge)
 
-    @classmethod
-    def _checked(cls, endpoints: tuple[Point, Point], is_bridge: bool) -> Segment:
-        """A segment whose endpoints are already primitive and in lex order."""
-        s = object.__new__(cls)
-        _set(s, "endpoints", endpoints)
-        _set(s, "is_bridge", is_bridge)
-        return s
-
-
-def _open_segment_meets_interior(
-    hull: LatticePolygon, a: Point, b: Point
-) -> bool:
-    """Exact test: does the open segment (a, b) meet the open hull region?
-
-    Clips the parametrized segment against every strict half-plane of the
-    hull; the clip ends lo = ln/ld and hi = hn/hd keep positive
-    denominators and are compared by integer cross-multiplication.
-    Touching the hull boundary is allowed.
-    """
-    ln, ld, hn, hd = 0, 1, 1, 1
-    for u, w in hull.edges():
-        # strict side value along the segment: s(t) = base + t * slope > 0
-        base = _cross(u, w, a)
-        slope = _cross(u, w, b) - base
-        if slope > 0:  # t > -base / slope
-            if -base * ld > ln * slope:
-                ln, ld = -base, slope
-        elif slope < 0:  # t < base / -slope
-            if base * hd < hn * -slope:
-                hn, hd = base, -slope
-        elif base <= 0:
-            return False
-    return ln * hd < hn * ld
-
 
 def segment_on_boundary(p: LatticePolygon, a: Point, b: Point) -> bool:
     """Is the whole segment [a, b] contained in the polygon boundary?"""
-    for u, w in p.edges():
-        if _cross(u, w, a) == 0 and _cross(u, w, b) == 0:
-            if p.contains(a) and p.contains(b):
-                return True
-    return False
+    if not (p.contains(a) and p.contains(b)):
+        return False
+    return any(_cross(u, w, a) == 0 and _cross(u, w, b) == 0 for u, w in p.edges())
 
 
 def enumerate_segments(p: LatticePolygon) -> list[Segment]:
     """All primitive integer segments of the polygon, bridges flagged.
 
-    A bridge joins a boundary lattice point of the polygon to a boundary
-    lattice point of the interior hull and avoids the hull's open interior
-    (touching the hull boundary is allowed).  Requires genus >= 1; more
+    A bridge joins a boundary lattice point u of the polygon to a boundary
+    lattice point w of the interior hull and avoids the hull's open interior
+    (touching the hull boundary is allowed).  The open segment (u, w) meets
+    that interior iff u lies strictly on the inner side of every hull edge
+    (s, t) through w: along w + tau (u - w) the side value of such an edge
+    is tau * cross(s, t, u), and every other edge has w strictly inside, so
+    small tau > 0 stays inside.  A 0- or 1-dimensional hull has no interior,
+    so there every such segment is a bridge.  Requires genus >= 1; more
     than ``MAX_SEGMENT_PAIRS`` lattice-point pairs raise
     :class:`PolygonTooLargeError` before any scan.
     """
@@ -534,14 +506,14 @@ def enumerate_segments(p: LatticePolygon) -> list[Segment]:
         )
     d = interior_data(p)  # raises on genus 0
     interior = set(d.interior_points)
+    # each hull-boundary point -> the hull edges through it (none below 2-D)
+    hull_edges = d.hull_polygon.edges() if d.dimension == 2 else []
+    through = {}
+    for q in d.interior_points:
+        edges = [(s, t) for s, t in hull_edges if _cross(s, t, q) == 0]
+        if edges or d.dimension < 2:
+            through[q] = edges
     all_pts = p.lattice_points()
-    boundary = [q for q in all_pts if q not in interior]
-    if d.dimension == 2:
-        hull = d.hull_polygon
-        hull_boundary = {q for q in d.interior_points if hull.on_boundary(q)}
-    else:
-        hull = None
-        hull_boundary = set(d.interior_points)
     out = []
     for i, a in enumerate(all_pts):
         for b in all_pts[i + 1 :]:
@@ -549,11 +521,11 @@ def enumerate_segments(p: LatticePolygon) -> list[Segment]:
                 continue
             bridge = False
             for u, w in ((a, b), (b, a)):
-                if u not in interior and w in hull_boundary:
-                    if hull is None or not _open_segment_meets_interior(hull, u, w):
-                        bridge = True
+                if u not in interior and w in through:
+                    edges = through[w]
+                    bridge = not (edges and all(_cross(s, t, u) > 0 for s, t in edges))
                     break
-            out.append(Segment._checked((a, b), bridge))
+            out.append(Segment((a, b), bridge))
     return out
 
 

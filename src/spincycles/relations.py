@@ -112,12 +112,6 @@ class TwistWord(Record):
                 out.append((name, exp))
         return TwistWord(tuple(out))
 
-    def inverse(self) -> "TwistWord":
-        return TwistWord(tuple((n, -e) for n, e in reversed(self.letters)))
-
-    def __mul__(self, other: "TwistWord") -> "TwistWord":
-        return TwistWord(self.letters + other.letters)
-
     def __len__(self) -> int:
         return len(self.letters)
 

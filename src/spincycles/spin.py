@@ -16,7 +16,6 @@ to the symplectic group action, and q has 2^(2g-1) + 2^(g-1) admissible
 from __future__ import annotations
 
 from functools import cached_property
-from math import gcd
 from typing import TYPE_CHECKING
 
 from .polygon import (
@@ -24,6 +23,8 @@ from .polygon import (
     LatticePolygon,
     Record,
     RegimeError,
+    _primitive,
+    _sub,
     a_mask,
     check_model_genus,
     classify_regime,
@@ -196,9 +197,7 @@ def verify_q_consistency(p: LatticePolygon) -> dict:
     hull = d.hull_polygon
     hull_dirs = set()
     for u, w in hull.edges():
-        dx, dy = w[0] - u[0], w[1] - u[1]
-        g0 = gcd(abs(dx), abs(dy))
-        dd = (dx // g0, dy // g0)
+        dd = _primitive(_sub(w, u))
         hull_dirs.add(max(dd, (-dd[0], -dd[1])))
 
     m = models[0]

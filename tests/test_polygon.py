@@ -394,37 +394,50 @@ class TestEvenPoints:
 
 class TestSegments:
     def test_bridge_clip_matches_fraction_reference(self):
-        # the integer clip against a Fraction re-derivation, on seeded hulls;
-        # the draws include segments parallel to an edge (slope 0), along an
-        # edge, and from a hull vertex or edge point (touching)
-        rng = random.Random(26)
-        seen = {"meets": 0, "avoids": 0, "parallel": 0, "touching": 0}
-        for _ in range(300):
-            cloud = [(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(rng.randint(3, 9))]
+        # every is_bridge on seeded polygons with 0-, 1- and 2-D interior
+        # hulls against the Fraction clip; the 2-D draws include candidates
+        # that meet or avoid the hull, that touch it at a vertex, and that
+        # run along a hull edge direction
+        rng = random.Random(39)
+        dims = {0: 0, 1: 0, 2: 0}
+        seen = {"meets": 0, "avoids": 0, "vertex": 0, "edge_direction": 0}
+        while sum(dims.values()) < 240:
+            width, height = rng.randint(2, 7), rng.randint(2, 7)
+            cloud = [(rng.randint(0, width), rng.randint(0, height))
+                     for _ in range(rng.randint(3, 9))]
             corners = polygon._hull_ccw(cloud)
             if len(corners) < 3:
                 continue
-            hull = LatticePolygon(tuple(corners))
-            edges = hull.edges()
-            for _ in range(30):
-                u, w = rng.choice(edges)
-                step = rng.randint(-3, 3)
-                a = rng.choice([(rng.randint(-8, 8), rng.randint(-8, 8)), u, w])
-                kind = rng.randrange(3)
-                if kind == 0:
-                    b = (rng.randint(-8, 8), rng.randint(-8, 8))
-                elif kind == 1:  # parallel to the edge (u, w)
-                    b = (a[0] + step * (w[0] - u[0]), a[1] + step * (w[1] - u[1]))
-                else:  # ends at a point of the edge (u, w)
-                    b = (u[0] + (w[0] - u[0]) * abs(step) // 3,
-                         u[1] + (w[1] - u[1]) * abs(step) // 3)
-                if a == b:
+            p = LatticePolygon(tuple(corners))
+            try:
+                d = interior_data(p)
+            except GenusZeroError:
+                continue
+            dims[d.dimension] += 1
+            interior = set(d.interior_points)
+            hull = d.hull_polygon if d.dimension == 2 else None
+            dirs = set()
+            for s, t in hull.edges() if hull else ():
+                e = polygon._primitive(polygon._sub(t, s))
+                dirs |= {e, (-e[0], -e[1])}
+            for seg in enumerate_segments(p):
+                a, b = seg.endpoints
+                if (a in interior) == (b in interior):
+                    assert not seg.is_bridge, (corners, a, b)
                     continue
-                got = polygon._open_segment_meets_interior(hull, a, b)
-                assert got == open_segment_meets_interior_reference(hull, a, b), (corners, a, b)
-                seen["meets" if got else "avoids"] += 1
-                seen["parallel"] += kind == 1
-                seen["touching"] += hull.on_boundary(a) or hull.on_boundary(b)
+                u, w = (b, a) if a in interior else (a, b)
+                if hull is None:
+                    assert seg.is_bridge, (corners, u, w)
+                    continue
+                if not hull.on_boundary(w):
+                    assert not seg.is_bridge, (corners, u, w)
+                    continue
+                meets = open_segment_meets_interior_reference(hull, u, w)
+                assert seg.is_bridge is not meets, (corners, u, w)
+                seen["meets" if meets else "avoids"] += 1
+                seen["vertex"] += w in hull.vertices
+                seen["edge_direction"] += polygon._sub(u, w) in dirs
+        assert min(dims.values()) >= 10, dims
         assert min(seen.values()) > 100, seen
 
     def test_d5_examples(self, d5):

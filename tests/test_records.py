@@ -148,8 +148,8 @@ class TestValidation:
         assert not hasattr(s, "__dict__")  # slotted: built once per point pair
 
     def test_enumerated_segments_equal_checked_construction(self):
-        # enumerate_segments skips the constructor's check; its segments must
-        # be exactly what the checking constructor builds from them
+        # enumerate_segments' segments are exactly what the constructor
+        # builds from them in either endpoint order
         p = polygon_from([(-3, -2), (4, -2), (-3, 5)])
         segs = enumerate_segments(p)
         assert segs and any(s.is_bridge for s in segs)
