@@ -9,12 +9,15 @@ Subcommands::
                       [--json] [--out FILE]
 
 Suites: generation, hyperelliptic-word, chain-relation, chrel2,
-q-consistency, all.  Exit codes: 0 pass, 1 verification failure, 2 input
-error, 3 suite/operation inapplicable, 4 resource cap exhausted
-(``generation`` above genus ``MAX_CHAIN_GENUS`` = 6, or an input over a
-``polygon`` budget: box points, segment pairs, or model or ``--genus``
-genus).  Output is human-readable by default; ``--json`` switches to
-the JSON schemas, and ``--out`` always writes the JSON transcript.
+q-consistency, all.  Exit codes: 0 pass, 1 verification failure (a
+failing suite, or a verdict's failed certificate, printed as one
+``verification failed:`` line), 2 input error, 3 suite/operation
+inapplicable, 4 resource cap exhausted (``generation`` above genus
+``MAX_CHAIN_GENUS`` = 6, or an input over a ``polygon`` budget: box
+points, segment pairs, or model or ``--genus`` genus), 5 standard output
+closed by its reader before the output was written.  Output is
+human-readable by default; ``--json`` switches to the JSON schemas, and
+``--out`` always writes the JSON transcript.
 Transcript text is the stdlib's ``json.dumps(report, indent=2)``, built
 member by member; segment rows, built as they are written, are the one
 stream with their own template.  A command
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 from itertools import islice
@@ -39,6 +43,7 @@ from .polygon import (
     PolygonError,
     PolygonTooLargeError,
     RegimeError,
+    VerificationError,
     classify_onedim,
     classify_regime,
     enumerate_segments,
@@ -52,6 +57,7 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_INAPPLICABLE = 3
 EXIT_CAP = 4
+EXIT_OUTPUT_CLOSED = 5
 
 SUITES = (
     "generation",
@@ -251,15 +257,15 @@ def _emit(report: dict, as_json: bool, out: str | None) -> None:
                 sink.write(batch)
         for sink in sinks:
             sink.write("\n")
-    if as_json:
-        return
-    for key, value in report.items():
-        if isinstance(value, _SegmentRows):  # json.dumps(list(value)), row by row
-            print(f"{key}: [{', '.join(map(json.dumps, value))}]")
-        elif isinstance(value, (dict, list)):
-            print(f"{key}: {json.dumps(value)}")
-        else:
-            print(f"{key}: {value}")
+    if not as_json:
+        for key, value in report.items():
+            if isinstance(value, _SegmentRows):  # json.dumps(list(value)), row by row
+                print(f"{key}: [{', '.join(map(json.dumps, value))}]")
+            elif isinstance(value, (dict, list)):
+                print(f"{key}: {json.dumps(value)}")
+            else:
+                print(f"{key}: {value}")
+    sys.stdout.flush()  # a closed stdout fails here, inside main, not at exit
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -317,6 +323,14 @@ def main(argv: list[str] | None = None) -> int:
             transcript, code = run_verify(args)
             _emit(transcript, args.json, args.out)
             return code
+    except BrokenPipeError:
+        # Python's SIGPIPE recipe: fd 1 goes to devnull so the exit flush stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("output closed: the reader of standard output closed it", file=sys.stderr)
+        return EXIT_OUTPUT_CLOSED
+    except VerificationError as exc:  # not RuntimeError: RecursionError is one
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION_FAILED
     except (PolygonError, json.JSONDecodeError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

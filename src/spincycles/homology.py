@@ -15,9 +15,9 @@ reproducible.  Conventions:
 * the intersection form is <a_i, b_i> = +1 over Z, the standard mod-2
   symplectic pairing over F2.
 
-Mod-2 classes are bit vectors packed into a Python int (bit 2i is the
-a_{i+1}-coordinate, bit 2i+1 the b_{i+1}-coordinate).  Integral classes
-keep a plain coordinate tuple.
+A mod-2 class is a bit vector packed into a Python int (bit 2i is the
+a_{i+1}-coordinate, bit 2i+1 the b_{i+1}-coordinate); an integral class is
+the tuple of its 2g coordinates in the same interleaved order.
 """
 
 from __future__ import annotations
@@ -41,117 +41,6 @@ from .polygon import (
 _set = object.__setattr__
 
 
-def _pair_index(i: int, which: str) -> int:
-    return 2 * i + (0 if which == "a" else 1)
-
-
-class CycleClassF2(Record):
-    """Element of H1 over F2, packed as a bit mask of length 2g."""
-
-    genus: int
-    bits: int
-    _fields = ("genus", "bits")
-
-    def __init__(self, genus: int, bits: int):
-        if genus < 1:
-            raise ValueError("genus must be positive")
-        if not 0 <= bits < 1 << (2 * genus):
-            raise ValueError("bit mask out of range for this genus")
-        _set(self, "genus", genus)
-        _set(self, "bits", bits)
-
-    @classmethod
-    def zero(cls, genus: int) -> "CycleClassF2":
-        return cls(genus, 0)
-
-    @classmethod
-    def basis_a(cls, genus: int, i: int) -> "CycleClassF2":
-        """a_i, 1-based index."""
-        return cls(genus, 1 << _pair_index(i - 1, "a"))
-
-    @classmethod
-    def basis_b(cls, genus: int, i: int) -> "CycleClassF2":
-        return cls(genus, 1 << _pair_index(i - 1, "b"))
-
-    @classmethod
-    def from_coords(cls, coords) -> "CycleClassF2":
-        coords = list(coords)
-        if len(coords) % 2 != 0 or not coords:
-            raise ValueError("coordinate vector must have even positive length")
-        bits = 0
-        for k, c in enumerate(coords):
-            if c % 2:
-                bits |= 1 << k
-        return cls(len(coords) // 2, bits)
-
-    @property
-    def coords(self) -> tuple[int, ...]:
-        return tuple((self.bits >> k) & 1 for k in range(2 * self.genus))
-
-    def __add__(self, other: "CycleClassF2") -> "CycleClassF2":
-        if self.genus != other.genus:
-            raise ValueError("genus mismatch")
-        return CycleClassF2(self.genus, self.bits ^ other.bits)
-
-    __xor__ = __add__
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
-class CycleClassZ(Record):
-    """Element of H1 over Z in the same interleaved basis order."""
-
-    genus: int
-    coords: tuple[int, ...]
-    _fields = ("genus", "coords")
-
-    def __init__(self, genus: int, coords: Sequence[int]):
-        coords = tuple(map(int, coords))
-        if len(coords) != 2 * genus:
-            raise ValueError("coordinate vector must have length 2g")
-        _set(self, "genus", genus)
-        _set(self, "coords", coords)
-
-    @classmethod
-    def zero(cls, genus: int) -> "CycleClassZ":
-        return cls(genus, (0,) * (2 * genus))
-
-    @classmethod
-    def basis_a(cls, genus: int, i: int) -> "CycleClassZ":
-        c = [0] * (2 * genus)
-        c[_pair_index(i - 1, "a")] = 1
-        return cls(genus, tuple(c))
-
-    @classmethod
-    def basis_b(cls, genus: int, i: int) -> "CycleClassZ":
-        c = [0] * (2 * genus)
-        c[_pair_index(i - 1, "b")] = 1
-        return cls(genus, tuple(c))
-
-    def __add__(self, other: "CycleClassZ") -> "CycleClassZ":
-        if self.genus != other.genus:
-            raise ValueError("genus mismatch")
-        return CycleClassZ(
-            self.genus, tuple(x + y for x, y in zip(self.coords, other.coords))
-        )
-
-    def __sub__(self, other: "CycleClassZ") -> "CycleClassZ":
-        return self + (-other)
-
-    def __neg__(self) -> "CycleClassZ":
-        return CycleClassZ(self.genus, tuple(-x for x in self.coords))
-
-    def mod2(self) -> CycleClassF2:
-        return CycleClassF2.from_coords(self.coords)
-
-
-def pairing_f2(x: CycleClassF2, y: CycleClassF2) -> int:
-    """Standard symplectic pairing sum(x_ai*y_bi + x_bi*y_ai) mod 2."""
-    if x.genus != y.genus:
-        raise ValueError("genus mismatch")
-    return pairing_f2_bits(x.bits, y.bits)
-
-
 def swap_pairs(bits: int) -> int:
     """Exchange the two bits of every (a_i, b_i) pair of a packed mask."""
     ma = a_mask((bits.bit_length() + 1) // 2)
@@ -159,7 +48,7 @@ def swap_pairs(bits: int) -> int:
 
 
 def pairing_f2_bits(x: int, y: int) -> int:
-    """Pairing of two packed bit masks (lengths need not be checked)."""
+    """sum(x_ai*y_bi + x_bi*y_ai) mod 2 of two packed classes (of any lengths)."""
     return (swap_pairs(x) & y).bit_count() & 1
 
 
@@ -175,17 +64,6 @@ def is_symplectic_bits(vectors: Sequence[int]) -> bool:
             if pairing_f2_bits(vectors[k], vectors[l]) != expected:
                 return False
     return True
-
-
-def pairing_z(x: CycleClassZ, y: CycleClassZ) -> int:
-    """Integral symplectic form with <a_i, b_i> = +1; antisymmetric."""
-    if x.genus != y.genus:
-        raise ValueError("genus mismatch")
-    total = 0
-    for i in range(x.genus):
-        total += x.coords[2 * i] * y.coords[2 * i + 1]
-        total -= x.coords[2 * i + 1] * y.coords[2 * i]
-    return total
 
 
 PathSeg = tuple[Point, Point]
@@ -215,13 +93,10 @@ class SurfaceModel(Record):
             raise ValueError(f"{v} is not an interior lattice point")
         return self.index[v] + 1
 
-    def a_class(self, v: Point) -> CycleClassF2:
-        return CycleClassF2.basis_a(self.genus, self.rank(v))
+    def b_class(self, v: Point) -> int:
+        return 1 << (2 * self.rank(v) - 1)
 
-    def b_class(self, v: Point) -> CycleClassF2:
-        return CycleClassF2.basis_b(self.genus, self.rank(v))
-
-    def segment_class(self, s: Segment | PathSeg) -> CycleClassF2:
+    def segment_class(self, s: Segment | PathSeg) -> int:
         """beta(u) + beta(w): boundary endpoints contribute zero."""
         u, w = s.endpoints if isinstance(s, Segment) else s
         if integer_length(u, w) != 1:
@@ -229,16 +104,16 @@ class SurfaceModel(Record):
         bits = 0
         for x in (u, w):
             if x in self.index:
-                bits ^= 1 << _pair_index(self.index[x], "b")
+                bits ^= 2 << (2 * self.index[x])
             elif not self.polygon.contains(x):
                 raise ValueError(f"{x} is not a lattice point of the polygon")
-        return CycleClassF2(self.genus, bits)
+        return bits
 
-    def path_class_sum(self, v: Point) -> CycleClassF2:
+    def path_class_sum(self, v: Point) -> int:
         """Sum of segment classes along the forest path of v."""
-        total = CycleClassF2.zero(self.genus)
+        total = 0
         for seg in self.forest[v]:
-            total = total + self.segment_class(seg)
+            total ^= self.segment_class(seg)
         return total
 
 
@@ -388,7 +263,7 @@ def build_model(p: LatticePolygon, forest: Forest | None = None) -> SurfaceModel
     return SurfaceModel(p, d.genus, points, index, forest)
 
 
-def hyperelliptic_chain(p: LatticePolygon) -> list[CycleClassZ]:
+def hyperelliptic_chain(p: LatticePolygon) -> list[tuple[int, ...]]:
     """Integral classes of the 2g+1 chain cycles of a width-2 strip.
 
     For interior points v_1..v_g ordered along their common line, the
@@ -415,5 +290,5 @@ def hyperelliptic_chain(p: LatticePolygon) -> list[CycleClassZ]:
             coords[m - 1] = 1
         if m % 2 == 0 and m < 2 * g:
             coords[m + 1] = -1
-        chain.append(CycleClassZ(g, coords))
+        chain.append(tuple(coords))
     return chain

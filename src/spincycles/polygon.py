@@ -104,6 +104,10 @@ class PolygonTooLargeError(RuntimeError):
     """An input over a work budget."""
 
 
+class VerificationError(RuntimeError):
+    """A verdict's own certificate failed: the program, not the input, is at fault."""
+
+
 _set = object.__setattr__
 
 
@@ -222,17 +226,6 @@ class LatticePolygon(Record):
             a = b
         return True
 
-    def strictly_contains(self, p: Point) -> bool:
-        a = self.vertices[-1]
-        for b in self.vertices:
-            if _cross(a, b, p) <= 0:
-                return False
-            a = b
-        return True
-
-    def on_boundary(self, p: Point) -> bool:
-        return self.contains(p) and not self.strictly_contains(p)
-
     def _scan_box(self) -> tuple[int, int, int, int]:
         """Bounding box (x0, x1, y0, y1), refused above ``MAX_BOX_POINTS``."""
         xs = [v[0] for v in self.vertices]
@@ -279,9 +272,6 @@ class LatticePolygon(Record):
     def interior_lattice_points(self) -> list[Point]:
         """Lattice points of the open polygon, lexicographic order."""
         return self._scan(True)
-
-    def to_json_dict(self) -> dict:
-        return {"vertices": [list(v) for v in self.vertices]}
 
 
 def _convex_cycle(cycle: list[Point] | tuple[Point, ...]) -> tuple[Point, ...]:

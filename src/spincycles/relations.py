@@ -29,7 +29,7 @@ transcript, and one loop undoes them in reverse order.
 
 from __future__ import annotations
 
-from .homology import CycleClassZ, hyperelliptic_chain
+from .homology import hyperelliptic_chain
 from .polygon import (
     REGIME_HYPERELLIPTIC,
     LatticePolygon,
@@ -48,7 +48,7 @@ class CurveSystem(Record):
 
     curves: tuple[str, ...]
     intersections: dict[frozenset, int]
-    classes: dict[str, CycleClassZ] | None
+    classes: dict[str, tuple[int, ...]] | None
     _fields = ("curves", "intersections", "classes")
 
     def __init__(self, curves, intersections, classes=None):
@@ -66,7 +66,7 @@ class CurveSystem(Record):
         cls,
         curves: list[str],
         pairs: dict[tuple[str, str], int],
-        classes: dict[str, CycleClassZ] | None = None,
+        classes: dict[str, tuple[int, ...]] | None = None,
     ) -> "CurveSystem":
         table = {frozenset(k): v for k, v in pairs.items()}
         return cls(tuple(curves), table, classes)
@@ -185,7 +185,7 @@ def _identity(n: int) -> Matrix:
 
 def evaluate_word_z(
     word: TwistWord,
-    classes: dict[str, CycleClassZ],
+    classes: dict[str, tuple[int, ...]],
     sign: int = 1,
 ) -> Matrix:
     """Ordered product of integral transvections; leftmost letter acts last.
@@ -195,9 +195,9 @@ def evaluate_word_z(
     The product is kept by columns: w = out c sums the columns in supp(c),
     and column j gains e*sign*(Jc)_j*w for each j in supp(Jc), where
     (Jc)_{2i} = c_{2i+1} and (Jc)_{2i+1} = -c_{2i}.  Entries are Python
-    ints, so the product is exact; it is returned as a list of rows.  The
-    genus is that of the classes, so an empty ``classes`` raises
-    ``ValueError``.
+    ints, so the product is exact; it is returned as a list of rows.  Its
+    size is the length n = 2g that the coordinate tuples share, so an empty
+    ``classes`` raises ``ValueError``.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -206,10 +206,12 @@ def evaluate_word_z(
             raise ValueError(f"no homology class assigned to curve {name!r}")
     if not classes:
         raise ValueError("cannot infer genus from an empty word and no classes")
-    n = 2 * next(iter(classes.values())).genus
+    n = len(next(iter(classes.values())))
+    if n % 2 or any(len(c) != n for c in classes.values()):
+        raise ValueError("coordinate vectors must share one length 2g")
     cols = _identity(n)  # the identity is its own transpose
     for name, exp in word.letters:
-        support = [(k, x) for k, x in enumerate(classes[name].coords) if x]
+        support = [(k, x) for k, x in enumerate(classes[name]) if x]
         if not support:  # the twist along the zero class is the identity
             continue
         # columns are replaced, never changed in place, so w may share one
@@ -228,7 +230,7 @@ def evaluate_word_z(
 # the three-chain instance used by the relation checks
 
 
-def chain_instance(genus_ambient: int) -> dict[str, CycleClassZ]:
+def chain_instance(genus_ambient: int) -> dict[str, tuple[int, ...]]:
     """Integral classes of a three-chain with boundary classes a1 + a2.
 
     a = a_1, b = b_1 - b_2 and c = a_2 pair as a chain (1, 1, 0); the two
@@ -237,11 +239,8 @@ def chain_instance(genus_ambient: int) -> dict[str, CycleClassZ]:
     """
     if genus_ambient < 2:
         raise ValueError("need ambient genus >= 2")
-    g = genus_ambient
-    a = CycleClassZ.basis_a(g, 1)
-    b = CycleClassZ.basis_b(g, 1) - CycleClassZ.basis_b(g, 2)
-    c = CycleClassZ.basis_a(g, 2)
-    d = CycleClassZ.basis_a(g, 1) + CycleClassZ.basis_a(g, 2)
+    pad = (0,) * (2 * genus_ambient - 4)
+    a, b, c, d = (1, 0, 0, 0) + pad, (0, 1, 0, -1) + pad, (0, 0, 1, 0) + pad, (1, 0, 1, 0) + pad
     return {"a": a, "b": b, "c": c, "alpha": d, "beta": d}
 
 
@@ -291,7 +290,7 @@ def verify_chain_relation_homology(genus_ambient: int = 2) -> dict:
     report = {
         "suite": "chain-relation",
         "genus_ambient": genus_ambient,
-        "classes": {k: list(v.coords) for k, v in cls.items()},
+        "classes": {k: list(v) for k, v in cls.items()},
         "identity_holds": holds,
         "mod2_consistent": mod2_ok,
         "flip_invariant": results[-1][2],
@@ -469,16 +468,9 @@ def verify_hyperelliptic_word(p: LatticePolygon) -> dict:
         raise RegimeError(f"expected the hyperelliptic regime, got {regime!r}")
     check_model_genus(p.pick_counts()[0])
     chain = hyperelliptic_chain(p)
-    g = chain[0].genus
-    names = []
-    classes = {}
-    for k, cz in enumerate(chain):
-        if k % 2 == 0:
-            name = f"s{k // 2}"
-        else:
-            name = f"v{(k + 1) // 2}"
-        names.append(name)
-        classes[name] = cz
+    g = len(chain) // 2
+    names = [f"v{(k + 1) // 2}" if k % 2 else f"s{k // 2}" for k in range(len(chain))]
+    classes = dict(zip(names, chain))
     word = TwistWord.from_names(names + names[::-1])
     minus_i = [[-x for x in row] for row in _identity(2 * g)]
     ok, ok_flip = (evaluate_word_z(word, classes, sign) == minus_i for sign in (1, -1))

@@ -16,7 +16,6 @@ to the symplectic group action, and q has 2^(2g-1) + 2^(g-1) admissible
 from __future__ import annotations
 
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 from .polygon import (
     SPIN_REGIMES,
@@ -32,10 +31,6 @@ from .polygon import (
     interior_data,
     segment_on_boundary,
 )
-
-if TYPE_CHECKING:
-    from .homology import CycleClassF2
-
 
 _set = object.__setattr__
 
@@ -67,12 +62,6 @@ class QuadraticForm(Record):
             mask |= self.q_a[i] << (2 * i)
             mask |= self.q_b[i] << (2 * i + 1)
         return mask
-
-    def eval(self, x: CycleClassF2) -> int:
-        """q(x) in the closed polarization form of :meth:`eval_bits`."""
-        if x.genus != self.genus:
-            raise ValueError("genus mismatch")
-        return self.eval_bits(x.bits)
 
     def eval_bits(self, bits: int) -> int:
         """q(x) = |x & qmask| + #{i : both bits of pair i set}  (mod 2).
@@ -184,7 +173,7 @@ def verify_q_consistency(p: LatticePolygon) -> dict:
 
     forest_independent = True
     for seg in segments:
-        values = {q.eval(m.segment_class(seg)) for m in models}
+        values = {q.eval_bits(m.segment_class(seg)) for m in models}
         if len(values) != 1:
             forest_independent = False
             break
@@ -213,7 +202,7 @@ def verify_q_consistency(p: LatticePolygon) -> dict:
             continue
         parity_checked += 1
         expected = d.is_even(a) != d.is_even(b)
-        if q.eval(m.segment_class(seg)) != (1 if expected else 0):
+        if q.eval_bits(m.segment_class(seg)) != (1 if expected else 0):
             parity_rule = False
     hull_vertices = set(hull.vertices)
     bridges_ok = True
@@ -225,7 +214,7 @@ def verify_q_consistency(p: LatticePolygon) -> dict:
         if a not in hull_vertices and b not in hull_vertices:
             continue
         bridges_checked += 1
-        if q.eval(m.segment_class(seg)) != 1:
+        if q.eval_bits(m.segment_class(seg)) != 1:
             bridges_ok = False
     ok = forest_independent and telescoping and parity_rule and bridges_ok
     return {

@@ -19,10 +19,10 @@ sifted; there the pair swap (e_0, e_1) <-> (e_2, e_3), in O(q0), is
 adjoined and must reach |O(q0)|.  The strong generators of the chain that
 reaches |O(q0)| label each class by its O(q0)-orbit.  A chain short of its
 formula, or a generator outside the group the formula counts, raises
-``RuntimeError``.  Chains serve genus <= ``MAX_CHAIN_GENUS``, the one budget
-of the verdicts: the largest chain there, at genus 6, stores 8,184 points
-(sum |orbit_i|).  On a 2-core Xeon a cold base takes about 0.3 s at genus
-6, its two chains 1.5 s at genus 7.
+``VerificationError``.  Chains serve genus <= ``MAX_CHAIN_GENUS``, the
+one budget of the verdicts: the largest chain there, at genus 6, stores
+8,184 points (sum |orbit_i|).  On a 2-core Xeon a cold base takes about
+0.3 s at genus 6, its two chains 1.5 s at genus 7.
 
 Every form q of an Arf (the standard form too, v = 0) is q0 + <v, .> =
 q0 o T_v (Johnson 1980).  A verdict certifies the matrix T_v on the 2g
@@ -51,8 +51,8 @@ from collections.abc import Callable, Iterable
 from itertools import islice
 from typing import TYPE_CHECKING, NamedTuple
 
-from .homology import CycleClassF2, is_symplectic_bits, swap_pairs
-from .polygon import PolygonTooLargeError, Record
+from .homology import is_symplectic_bits, swap_pairs
+from .polygon import PolygonTooLargeError, Record, VerificationError
 from .spin import QuadraticForm, standard_form
 
 if TYPE_CHECKING:
@@ -119,11 +119,6 @@ class MatF2(Record):
             x &= x - 1
         return out
 
-    def apply(self, x: CycleClassF2) -> CycleClassF2:
-        if 2 * x.genus != self.n:
-            raise ValueError("genus mismatch")
-        return CycleClassF2(x.genus, self.apply_bits(x.bits))
-
     def __matmul__(self, other: "MatF2") -> "MatF2":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
@@ -149,14 +144,13 @@ class MatF2(Record):
         return MatF2(self.n, tuple(swap_pairs(rows[j ^ 1]) for j in range(self.n)))
 
 
-def transvection_f2(c: CycleClassF2) -> MatF2:
-    """x -> x + <c, x> c over F2; an involution, identity iff c = 0."""
-    n = 2 * c.genus
-    pairing_row = swap_pairs(c.bits)  # bit j = <c, e_j>
-    cols = tuple(
-        (1 << j) ^ (c.bits if (pairing_row >> j) & 1 else 0) for j in range(n)
-    )
-    return MatF2(n, cols)
+def transvection_f2(genus: int, c: int) -> MatF2:
+    """x -> x + <c, x> c over F2 for a packed class c; an involution, identity iff c = 0."""
+    if not 0 <= c < 1 << (2 * genus):
+        raise ValueError("bit mask out of range for this genus")
+    pairing_row = swap_pairs(c)  # bit j = <c, e_j>
+    cols = tuple((1 << j) ^ (c if (pairing_row >> j) & 1 else 0) for j in range(2 * genus))
+    return MatF2(2 * genus, cols)
 
 
 def _basis_values(m: MatF2, q: QuadraticForm) -> int:
@@ -368,10 +362,7 @@ def membership(m: MatF2, group: GroupClosure) -> bool:
 
 def all_transvections(genus: int) -> list[MatF2]:
     """Transvections along every nonzero mod-2 class."""
-    return [
-        transvection_f2(CycleClassF2(genus, bits))
-        for bits in range(1, 1 << (2 * genus))
-    ]
+    return [transvection_f2(genus, bits) for bits in range(1, 1 << (2 * genus))]
 
 
 def chain_transvections(genus: int) -> list[MatF2]:
@@ -382,7 +373,7 @@ def chain_transvections(genus: int) -> list[MatF2]:
     """
     classes = [1 << k for k in range(2 * genus)]
     classes += [(1 << 2 * i) | (1 << (2 * i + 2)) for i in range(genus - 1)]
-    return [transvection_f2(CycleClassF2(genus, bits)) for bits in classes]
+    return [transvection_f2(genus, bits) for bits in classes]
 
 
 def sp_order(genus: int) -> int:
@@ -400,11 +391,7 @@ def o_order(genus: int, arf: int) -> int:
 
 def admissible_transvections(q: QuadraticForm) -> list[MatF2]:
     """Transvections along every class with q = 1."""
-    out = []
-    for bits in range(1, 1 << (2 * q.genus)):
-        if q.eval_bits(bits) == 1:
-            out.append(transvection_f2(CycleClassF2(q.genus, bits)))
-    return out
+    return [transvection_f2(q.genus, c) for c in range(1, 1 << (2 * q.genus)) if q.eval_bits(c)]
 
 
 def _pair_transversals(
@@ -493,10 +480,10 @@ def q_stabilizer_bruteforce(q: QuadraticForm, cap: int = DEFAULT_CAP) -> GroupCl
 
 
 def _certify(what: str, q: QuadraticForm, checks: dict[str, bool]) -> None:
-    """Raise ``RuntimeError`` naming every failed check of ``what`` for q."""
+    """Raise ``VerificationError`` naming every failed check of ``what`` for q."""
     failed = ", not ".join(name for name, ok in checks.items() if not ok)
     if failed:
-        raise RuntimeError(f"{what} of qmask {q.qmask:#x} is not {failed}")
+        raise VerificationError(f"{what} of qmask {q.qmask:#x} is not {failed}")
 
 
 def _schreier_sims(
@@ -626,13 +613,13 @@ def _base(q: QuadraticForm) -> _Base:
 
 def _transport(q: QuadraticForm, q0: QuadraticForm) -> MatF2:
     """T_v for v = swap_pairs(q.qmask ^ q0.qmask)."""
-    return transvection_f2(CycleClassF2(q.genus, swap_pairs(q.qmask ^ q0.qmask)))
+    return transvection_f2(q.genus, swap_pairs(q.qmask ^ q0.qmask))
 
 
 def _certified_transport(q: QuadraticForm) -> MatF2:
     """T_v, which carries the base of q's Arf to q, certified.
 
-    With q0 the standard form of q's Arf, ``RuntimeError`` names every
+    With q0 the standard form of q's Arf, ``VerificationError`` names every
     failed check: T_v is symplectic, an involution, and q-transporting,
     q(T_v e_k) = q0(e_k) on the basis, so q o T_v = q0 by polarization.
     """
@@ -667,18 +654,17 @@ def verify_transvection_generation(q: QuadraticForm) -> dict:
     }
 
 
-def orbit(x: CycleClassF2, generators: list[MatF2]) -> set[CycleClassF2]:
-    """BFS orbit of a class under the group generated by ``generators``."""
+def orbit(genus: int, x: int, generators: list[MatF2]) -> set[int]:
+    """BFS orbit of a packed class under the group generated by ``generators``."""
     import numpy as np
 
-    if x.genus > MAX_ORBIT_GENUS:
+    if genus > MAX_ORBIT_GENUS:
         raise ValueError(f"orbit computations support genus <= {MAX_ORBIT_GENUS}")
-    if any(g.genus != x.genus for g in generators):
+    if any(g.genus != genus for g in generators):
         raise ValueError("genus mismatch")
     tables = [_vector_table(g.cols) for g in generators]
-    start = np.array([x.bits], dtype=np.uint64)
-    packed, _ = _bfs(start, lambda front: (t[front] for t in tables))
-    return {CycleClassF2(x.genus, int(v)) for v in packed}
+    packed, _ = _bfs(np.array([x], dtype=np.uint64), lambda front: (t[front] for t in tables))
+    return {int(v) for v in packed}
 
 
 # ---------------------------------------------------------------------------

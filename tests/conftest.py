@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from spincycles import corpus
-from spincycles.homology import CycleClassF2, CycleClassZ, is_symplectic_bits
+from spincycles.homology import is_symplectic_bits
 from spincycles.polygon import LatticePolygon, parse_polygon
 from spincycles.symplectic import MatF2
 
@@ -111,18 +111,18 @@ def symplectic_form_z(genus: int) -> np.ndarray:
     return j
 
 
-def transvection_z(c: CycleClassZ, sign: int = 1) -> np.ndarray:
-    """Integral transvection x -> x + sign * <x, c> c."""
+def transvection_z(c: tuple[int, ...], sign: int = 1) -> np.ndarray:
+    """Integral transvection x -> x + sign * <x, c> c of a coordinate tuple c."""
     return transvection_z_power(c, 1, sign)
 
 
-def transvection_z_power(c: CycleClassZ, exponent: int, sign: int = 1) -> np.ndarray:
+def transvection_z_power(c: tuple[int, ...], exponent: int, sign: int = 1) -> np.ndarray:
     """transvection_z(c, sign) ** exponent = I + exponent * sign * outer(c, Jc)."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    v = np.array(c.coords, dtype=np.int64)
-    jc = symplectic_form_z(c.genus) @ v
-    return np.eye(2 * c.genus, dtype=np.int64) + (exponent * sign) * np.outer(v, jc)
+    v = np.array(c, dtype=np.int64)
+    jc = symplectic_form_z(len(c) // 2) @ v
+    return np.eye(len(c), dtype=np.int64) + (exponent * sign) * np.outer(v, jc)
 
 
 def is_symplectic_z(m: np.ndarray) -> bool:
@@ -211,25 +211,20 @@ def brute_q(q_bits_a, q_bits_b, x_bits: int) -> int:
 # pairs of a diagonalized basis, never through QuadraticForm.arf.
 
 
-def standard_basis(genus: int) -> list[CycleClassF2]:
-    out = []
-    for i in range(1, genus + 1):
-        out.append(CycleClassF2.basis_a(genus, i))
-        out.append(CycleClassF2.basis_b(genus, i))
-    return out
+def standard_basis(genus: int) -> list[int]:
+    """a_1, b_1, ..., a_g, b_g as packed classes."""
+    return [1 << k for k in range(2 * genus)]
 
 
-def is_symplectic_basis(basis: list[CycleClassF2]) -> bool:
-    """Pairs (basis[2i], basis[2i+1]) pair to 1; all other pairings vanish."""
-    if not basis:
+def is_symplectic_basis(basis: list[int]) -> bool:
+    """2g packed classes of genus g; pairs (basis[2i], basis[2i+1]) pair to 1
+    and all other pairings vanish."""
+    if not basis or len(basis) % 2 or any(not 0 <= b < 1 << len(basis) for b in basis):
         return False
-    g = basis[0].genus
-    if len(basis) != 2 * g or any(b.genus != g for b in basis):
-        return False
-    return is_symplectic_bits([b.bits for b in basis])
+    return is_symplectic_bits(basis)
 
 
-def basis_types(q, basis: list[CycleClassF2]) -> tuple[int, ...]:
+def basis_types(q, basis: list[int]) -> tuple[int, ...]:
     """Per-pair types of a q-symplectic basis.
 
     Pair i has type 1 when (q(a_i), q(b_i)) = (1, 1) and type 0 when
@@ -237,7 +232,7 @@ def basis_types(q, basis: list[CycleClassF2]) -> tuple[int, ...]:
     """
     types = []
     for i in range(q.genus):
-        va, vb = q.eval(basis[2 * i]), q.eval(basis[2 * i + 1])
+        va, vb = q.eval_bits(basis[2 * i]), q.eval_bits(basis[2 * i + 1])
         if (va, vb) == (1, 1):
             types.append(1)
         elif (va, vb) == (0, 1):
@@ -248,8 +243,8 @@ def basis_types(q, basis: list[CycleClassF2]) -> tuple[int, ...]:
 
 
 def q_symplectic_basis(
-    q, basis: list[CycleClassF2] | None = None
-) -> tuple[list[CycleClassF2], tuple[int, ...]]:
+    q, basis: list[int] | None = None
+) -> tuple[list[int], tuple[int, ...]]:
     """Adjust a symplectic basis pair by pair into q-symplectic form.
 
     Within each pair: swap a and b when (1,0), replace b by a+b when
@@ -262,11 +257,11 @@ def q_symplectic_basis(
     out = list(basis)
     for i in range(q.genus):
         a, b = out[2 * i], out[2 * i + 1]
-        va, vb = q.eval(a), q.eval(b)
+        va, vb = q.eval_bits(a), q.eval_bits(b)
         if (va, vb) == (1, 0):
             a, b = b, a
         elif (va, vb) == (0, 0):
-            b = a + b
+            b = a ^ b
         out[2 * i], out[2 * i + 1] = a, b
     return out, basis_types(q, out)
 

@@ -13,7 +13,7 @@ import time
 from functools import partial
 
 from spincycles import corpus, symplectic
-from spincycles.homology import CycleClassF2, build_model
+from spincycles.homology import build_model
 from spincycles.polygon import (
     classify_onedim,
     classify_regime,
@@ -113,7 +113,7 @@ def test_criterion_4_admissibility_criterion():
         for arf in (0, 1):
             q = standard_form(g, arf)
             for bits in range(1 << (2 * g)):
-                t = transvection_f2(CycleClassF2(g, bits))
+                t = transvection_f2(g, bits)
                 expected = bits == 0 or q.eval_bits(bits) == 1
                 assert preserves_q(t, q) is expected
                 checked += 1

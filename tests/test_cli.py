@@ -57,6 +57,25 @@ class TestClassify:
         path.write_text("{not json")
         assert main(["classify", str(path)]) == 2
 
+    @pytest.mark.parametrize("mode", [["--json"], []])
+    def test_closed_stdout_exit_5(self, tmp_path, mode):
+        # a reader that stops early (| head -c 100) closes stdout: that is
+        # neither bad input nor a traceback.  The degree-21 triangle writes
+        # 3.1 MB of JSON, far past the pipe buffer
+        path = tmp_path / "triangle_21.json"
+        path.write_text(json.dumps({"vertices": [[0, 0], [21, 0], [0, 21]]}))
+        env = {**os.environ, "PYTHONPATH": str(Path(spincycles.__file__).parents[1])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "spincycles.cli", "segments", str(path), *mode],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 5
+        assert err.splitlines() == ["output closed: the reader of standard output closed it"]
+
     def test_deeply_nested_json_exit_2(self, tmp_path):
         # json.loads raises RecursionError, not JSONDecodeError, on this
         path = tmp_path / "nested.json"
@@ -196,6 +215,43 @@ class TestVerify:
         genus = str(MAX_CHAIN_GENUS + 1)
         assert main(["verify", "generation", "--genus", genus, "--arf", "0"]) == 4
         assert f"MAX_CHAIN_GENUS = {MAX_CHAIN_GENUS}" in capsys.readouterr().err
+
+    def test_failed_certificate_exit_1_without_traceback(self):
+        # T_v composed with the a_1 <-> a_2 column swap fails the transport
+        # certificate; the run ends in one stderr line, not a traceback
+        script = (
+            "import sys\n"
+            "from spincycles import cli, symplectic\n"
+            "transport = symplectic._transport\n"
+            "def swapped(q, q0):\n"
+            "    cols = list(transport(q, q0).cols)\n"
+            "    cols[0], cols[2] = cols[2], cols[0]\n"
+            "    return symplectic.MatF2(len(cols), tuple(cols))\n"
+            "symplectic._transport = swapped\n"
+            "sys.exit(cli.main(['verify', 'generation', '--genus', '3', '--arf', '1']))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(spincycles.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "verification failed: transport of qmask 0x2b is not symplectic, not q-transporting"
+        ]
+
+    def test_chain_short_of_its_order_exit_1(self, capsys, monkeypatch):
+        # genus 2, Arf 0 without the pair swap: the stabilizer chain stops at 36 of 72
+        from spincycles import symplectic
+
+        monkeypatch.setattr(symplectic, "_BASES", {})
+        monkeypatch.setattr(symplectic, "_pair_swap", symplectic.MatF2.identity)
+        assert main(["verify", "all", "--genus", "2", "--arf", "0", "--json"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "verification failed: stabilizer chain of qmask 0xa is not of order 72"
+        ]
 
     def test_largest_generation_genus_fast(self):
         # a cold genus-6 verdict took 0.6 s end to end on a 2-core Xeon

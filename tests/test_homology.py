@@ -2,91 +2,92 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from spincycles.homology import (
-    CycleClassF2,
-    CycleClassZ,
     build_model,
     default_forest,
     hyperelliptic_chain,
-    pairing_f2,
-    pairing_z,
+    pairing_f2_bits,
     validate_forest,
     vertex_forest,
 )
 from spincycles.polygon import (
     GenusZeroError,
     RegimeError,
+    a_mask,
     enumerate_segments,
 )
 
-from conftest import polygon_from
+from spincycles.symplectic import transvection_f2
+
+from conftest import polygon_from, symplectic_form_z
 
 
 class TestClasses:
-    def test_basis_vectors(self):
-        a1 = CycleClassF2.basis_a(6, 1)
-        assert a1.coords == (1,) + (0,) * 11
-        b6 = CycleClassF2.basis_b(6, 6)
-        assert b6.coords[-1] == 1 and sum(b6.coords) == 1
-
-    def test_addition_is_xor(self):
-        x = CycleClassF2.basis_a(2, 1) + CycleClassF2.basis_b(2, 2)
-        assert (x + x).bits == 0
-
-    def test_from_coords_round_trip(self):
-        coords = (1, 0, 1, 1, 0, 0)
-        assert CycleClassF2.from_coords(coords).coords == coords
-
-    def test_z_arithmetic(self):
-        a = CycleClassZ.basis_a(2, 1)
-        b = CycleClassZ.basis_b(2, 2)
-        assert (a + b - a).coords == b.coords
-        assert (-a).coords[0] == -1
-        assert (a + a).mod2().bits == 0
+    def test_basis_vectors(self, d5):
+        # bit 2i is a_{i+1}, bit 2i+1 is b_{i+1}: b_1 is bit 1, b_6 bit 11
+        m = build_model(d5)
+        assert a_mask(6) == 0b010101010101
+        assert m.b_class(m.points[0]) == 1 << 1
+        assert m.b_class(m.points[-1]) == 1 << 11
 
     def test_genus_mismatch(self):
-        with pytest.raises(ValueError):
-            CycleClassF2.basis_a(2, 1) + CycleClassF2.basis_a(3, 1)
+        # a class meets its genus in transvection_f2: a_3 is refused at genus 2
+        with pytest.raises(ValueError, match="out of range for this genus"):
+            transvection_f2(2, 1 << 4)
+
+    def test_addition_is_xor(self, d5):
+        # a segment class is the sum, XOR of packed ints, of its endpoints' b
+        m = build_model(d5)
+        s = m.segment_class(((1, 1), (2, 1)))
+        assert s == m.b_class((1, 1)) ^ m.b_class((2, 1))
+        assert s ^ s == 0
 
 
 class TestPairing:
+    # integral classes are coordinate tuples paired by x^T J y (conftest's
+    # symplectic_form_z); mod-2 classes are packed ints
+
     def test_symplectic_pairs(self):
         g = 3
-        for i in range(1, g + 1):
-            for j in range(1, g + 1):
-                ai, bj = CycleClassF2.basis_a(g, i), CycleClassF2.basis_b(g, j)
-                assert pairing_f2(ai, bj) == (1 if i == j else 0)
-                assert pairing_f2(ai, CycleClassF2.basis_a(g, j)) == 0
+        for i in range(g):
+            for j in range(g):
+                ai, aj, bj = 1 << (2 * i), 1 << (2 * j), 1 << (2 * j + 1)
+                assert pairing_f2_bits(ai, bj) == (1 if i == j else 0)
+                assert pairing_f2_bits(ai, aj) == 0
 
     def test_z_conventions(self):
-        a1, b1 = CycleClassZ.basis_a(2, 1), CycleClassZ.basis_b(2, 1)
-        assert pairing_z(a1, b1) == 1
-        assert pairing_z(b1, a1) == -1
+        j = symplectic_form_z(2)
+        a1, b1 = np.array((1, 0, 0, 0)), np.array((0, 1, 0, 0))
+        assert a1 @ j @ b1 == 1
+        assert b1 @ j @ a1 == -1
 
     def test_z_bilinearity_example(self):
-        g = 2
-        x = CycleClassZ.basis_a(g, 1) + CycleClassZ.basis_b(g, 2)
-        y = CycleClassZ.basis_b(g, 1) + CycleClassZ.basis_a(g, 2)
-        assert pairing_z(x, y) == 0
+        x = np.array((1, 0, 0, 1))  # a_1 + b_2
+        y = np.array((0, 1, 1, 0))  # b_1 + a_2
+        assert x @ symplectic_form_z(2) @ y == 0
 
     def test_f2_reduces_z(self):
         rng = random.Random(5)
         g = 4
+        j = symplectic_form_z(g)
+        weights = 1 << np.arange(2 * g)
         for _ in range(300):
-            xc = tuple(rng.randint(-4, 4) for _ in range(2 * g))
-            yc = tuple(rng.randint(-4, 4) for _ in range(2 * g))
-            x, y = CycleClassZ(g, xc), CycleClassZ(g, yc)
-            assert pairing_z(x, y) % 2 == pairing_f2(x.mod2(), y.mod2())
+            x = np.array([rng.randint(-4, 4) for _ in range(2 * g)])
+            y = np.array([rng.randint(-4, 4) for _ in range(2 * g)])
+            xb, yb = int(weights @ (x & 1)), int(weights @ (y & 1))
+            assert (x @ j @ y) % 2 == pairing_f2_bits(xb, yb)
 
     def test_antisymmetry_random(self):
         rng = random.Random(6)
         g = 5
+        j = symplectic_form_z(g)
         for _ in range(200):
-            x = CycleClassZ(g, tuple(rng.randint(-3, 3) for _ in range(2 * g)))
-            y = CycleClassZ(g, tuple(rng.randint(-3, 3) for _ in range(2 * g)))
-            assert pairing_z(x, y) == -pairing_z(y, x)
+            x = np.array([rng.randint(-3, 3) for _ in range(2 * g)])
+            y = np.array([rng.randint(-3, 3) for _ in range(2 * g)])
+            assert x @ j @ y == -(y @ j @ x)
 
 
 class TestModel:
@@ -122,22 +123,22 @@ class TestModel:
             build_model(polygon_from([(0, 0), (1, 0), (1, 1), (0, 1)]))
 
     def test_a_b_classes(self, d5):
+        # a_i and b_i of the i-th interior point are bits 2i - 2 and 2i - 1
         m = build_model(d5)
-        assert m.a_class((1, 1)) == CycleClassF2.basis_a(6, 1)
-        assert m.a_class((3, 1)) == CycleClassF2.basis_a(6, 6)
-        assert m.b_class((2, 2)) == CycleClassF2.basis_b(6, 5)
+        assert m.rank((1, 1)) == 1 and m.rank((3, 1)) == 6
+        assert m.b_class((2, 2)) == 1 << 9
         with pytest.raises(ValueError):
-            m.a_class((0, 0))
+            m.rank((0, 0))
         with pytest.raises(ValueError):
             m.b_class((4, 4))
 
     def test_segment_class_examples(self, d5):
         m = build_model(d5)
         s = m.segment_class(((1, 1), (2, 1)))
-        assert s == CycleClassF2.basis_b(6, 1) + CycleClassF2.basis_b(6, 4)
+        assert s == (1 << 1) | (1 << 7)  # b_1 + b_4
         bridge = m.segment_class(((0, 1), (1, 1)))
-        assert bridge == CycleClassF2.basis_b(6, 1)
-        assert m.segment_class(((0, 0), (0, 1))).bits == 0
+        assert bridge == 1 << 1
+        assert m.segment_class(((0, 0), (0, 1))) == 0
 
     def test_segment_class_requires_primitive(self, d5):
         m = build_model(d5)
@@ -156,7 +157,8 @@ class TestModel:
                 cls = m.segment_class(seg)
                 for v in m.points:
                     expected = 1 if v in seg.endpoints else 0
-                    assert pairing_f2(cls, m.a_class(v)) == expected
+                    a_v = 1 << (2 * m.rank(v) - 2)
+                    assert pairing_f2_bits(cls, a_v) == expected
 
     def test_segment_classes_never_pair(self, d5):
         # pure-b classes pair to zero, segment against segment
@@ -164,7 +166,7 @@ class TestModel:
         segs = [m.segment_class(s) for s in enumerate_segments(d5)]
         for i, x in enumerate(segs):
             for y in segs[i:]:
-                assert pairing_f2(x, y) == 0
+                assert pairing_f2_bits(x, y) == 0
 
 
 class TestForests:
@@ -201,7 +203,7 @@ class TestForests:
                     classes = [m.segment_class(s) for s in forest[v]]
                     for i, x in enumerate(classes):
                         for y in classes[i + 1 :]:
-                            assert pairing_f2(x, y) == 0
+                            assert pairing_f2_bits(x, y) == 0
 
     def test_validate_rejects_broken_paths(self, d5):
         good = default_forest(d5)
@@ -232,10 +234,8 @@ class TestForests:
 
 class TestHyperellipticChain:
     def chain_matrix(self, chain):
-        n = len(chain)
-        return [
-            [pairing_z(chain[i], chain[j]) for j in range(n)] for i in range(n)
-        ]
+        c = np.array(chain)
+        return (c @ symplectic_form_z(c.shape[1] // 2) @ c.T).tolist()
 
     def test_chain_pattern(self, rect_4x2, trapezoid_g2, trapezoid_g2_cut):
         for p in (rect_4x2, trapezoid_g2, trapezoid_g2_cut):
@@ -255,11 +255,13 @@ class TestHyperellipticChain:
 
     def test_spec_example_pairings(self, rect_4x2):
         chain = hyperelliptic_chain(rect_4x2)
-        sigma0, v1, sigma1 = chain[0], chain[1], chain[2]
-        v2 = chain[3]
-        assert pairing_z(sigma0, v1) == 1
-        assert pairing_z(sigma0, sigma1) == 0
-        assert pairing_z(v1, v2) == 0
+        assert chain[:4] == [(0, -1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0),
+                             (0, 1, 0, -1, 0, 0), (0, 0, 1, 0, 0, 0)]
+        sigma0, v1, sigma1, v2 = map(np.array, chain[:4])
+        j = symplectic_form_z(3)
+        assert sigma0 @ j @ v1 == 1
+        assert sigma0 @ j @ sigma1 == 0
+        assert v1 @ j @ v2 == 0
 
     def test_wrong_regime(self, d5):
         with pytest.raises(RegimeError):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from spincycles.homology import CycleClassF2, CycleClassZ, SurfaceModel
+from spincycles.homology import SurfaceModel
 from spincycles.polygon import (
     HirzebruchClassification,
     InteriorData,
@@ -20,9 +20,9 @@ from spincycles.polygon import (
     Segment,
     enumerate_segments,
 )
-from spincycles.relations import CurveSystem, TwistWord
+from spincycles.relations import CurveSystem, TwistWord, evaluate_word_z
 from spincycles.spin import QuadraticForm
-from spincycles.symplectic import GroupClosure, MatF2, closure
+from spincycles.symplectic import GroupClosure, MatF2, closure, transvection_f2
 
 from conftest import polygon_from
 
@@ -47,10 +47,6 @@ SAMPLES = {
         HirzebruchClassification(1, 2, "isomorphism"),
         HirzebruchClassification(1, 2, "isomorphism"),
         HirzebruchClassification(2, 1, "isomorphism"),
-    ],
-    CycleClassF2: lambda: [CycleClassF2(2, 5), CycleClassF2(2, 5), CycleClassF2(3, 5)],
-    CycleClassZ: lambda: [
-        CycleClassZ(1, (1, -2)), CycleClassZ(1, [1.0, -2]), CycleClassZ(1, (1, 2)),
     ],
     SurfaceModel: lambda: [
         SurfaceModel(LatticePolygon(TRIANGLE), 1, ((1, 1),), {(1, 1): 0}, {}),
@@ -128,7 +124,8 @@ class TestRecordSemantics:
 
 
 class TestValidation:
-    """The constructors' checks and normalizations, messages included."""
+    """The constructors' checks and normalizations, and the checks on bare
+    classes, messages included."""
 
     def test_lattice_polygon(self):
         with pytest.raises(PolygonError, match="start at the lexicographically smallest"):
@@ -159,18 +156,20 @@ class TestValidation:
             assert Segment((b, a), s.is_bridge) == s
 
     def test_cycle_class_f2(self):
-        with pytest.raises(ValueError, match="genus must be positive"):
-            CycleClassF2(0, 0)
+        # a mod-2 class is a packed int; the transvection along it checks it
+        with pytest.raises(ValueError, match="dimension must be even and >= 2"):
+            transvection_f2(0, 0)
         with pytest.raises(ValueError, match="bit mask out of range"):
-            CycleClassF2(1, 4)
+            transvection_f2(1, 4)
         with pytest.raises(ValueError, match="bit mask out of range"):
-            CycleClassF2(1, -1)
+            transvection_f2(1, -1)
 
     def test_cycle_class_z(self):
-        with pytest.raises(ValueError, match="length 2g"):
-            CycleClassZ(2, (1, 0, 0))
-        z = CycleClassZ(1, [True, -2.0])
-        assert z.coords == (1, -2) and all(type(c) is int for c in z.coords)
+        # an integral class is a coordinate tuple; a word's classes share one length 2g
+        word = TwistWord.from_names(["a"])
+        for classes in ({"a": (1, 0, 0)}, {"a": (1, 0), "b": (1, 0, 0, 0)}):
+            with pytest.raises(ValueError, match="share one length 2g"):
+                evaluate_word_z(word, classes)
 
     def test_quadratic_form(self):
         with pytest.raises(ValueError, match="equal positive length"):

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from spincycles.homology import CycleClassF2, build_model, pairing_f2
+from spincycles.homology import build_model, pairing_f2_bits
 from spincycles.polygon import RegimeError, enumerate_segments, interior_data
 from spincycles.spin import (
     QuadraticForm,
@@ -39,19 +39,19 @@ class TestCanonicalQ:
 class TestEval:
     def test_zero(self):
         q = standard_form(3, 1)
-        assert q.eval(CycleClassF2.zero(3)) == 0
+        assert q.eval_bits(0) == 0
 
     def test_polarization_example(self, d5):
         q = canonical_q(d5)
         m = build_model(d5)
-        x = m.a_class((1, 1)) + m.b_class((1, 1))
-        assert q.eval(x) == 1  # 1 + 1 + <a1,b1>
+        x = 0b01 | m.b_class((1, 1))  # a_1 + b_1
+        assert q.eval_bits(x) == 1  # 1 + 1 + <a1,b1>
 
     def test_segment_parity_example(self, d5):
         m = build_model(d5)
         q = canonical_q(d5)
         s = m.segment_class(((1, 1), (2, 1)))
-        assert q.eval(s) == 1
+        assert q.eval_bits(s) == 1
         d = interior_data(d5)
         assert d.is_even((1, 1)) and not d.is_even((2, 1))
 
@@ -103,13 +103,8 @@ class TestEval:
             x = rng.randrange(1 << 12)
             y = rng.randrange(1 << 12)
             lhs = q.eval_bits(x ^ y)
-            pair = pairing_f2(CycleClassF2(6, x), CycleClassF2(6, y))
+            pair = pairing_f2_bits(x, y)
             assert lhs == (q.eval_bits(x) ^ q.eval_bits(y) ^ pair)
-
-    def test_genus_mismatch(self, d5):
-        q = canonical_q(d5)
-        with pytest.raises(ValueError):
-            q.eval(CycleClassF2.zero(3))
 
 
 class TestArf:
@@ -194,15 +189,15 @@ class TestQSymplecticBasis:
                 basis, types = q_symplectic_basis(q)
                 assert is_symplectic_basis(basis)
                 for i, t in enumerate(types):
-                    va, vb = q.eval(basis[2 * i]), q.eval(basis[2 * i + 1])
+                    va, vb = q.eval_bits(basis[2 * i]), q.eval_bits(basis[2 * i + 1])
                     assert (va, vb) == ((1, 1) if t else (0, 1))
 
     def test_rejects_empty_and_malformed(self):
         assert not is_symplectic_basis([])
-        a1, b1 = CycleClassF2.basis_a(1, 1), CycleClassF2.basis_b(1, 1)
+        a1, b1 = 0b01, 0b10
         assert not is_symplectic_basis([a1])  # too short
         assert not is_symplectic_basis([b1, b1])  # does not pair to 1
-        assert not is_symplectic_basis([a1, CycleClassF2.basis_b(2, 1)])  # mixed genera
+        assert not is_symplectic_basis([a1, 0b1000])  # b_2 is out of range at genus 1
 
 
 class TestQConsistency:
@@ -218,7 +213,7 @@ class TestQConsistency:
         models = [build_model(d5, f) for f in consistency_forests(d5)]
         q = canonical_q(d5)
         for seg in enumerate_segments(d5):
-            vals = {q.eval(m.segment_class(seg)) for m in models}
+            vals = {q.eval_bits(m.segment_class(seg)) for m in models}
             assert len(vals) == 1
 
     def test_wrong_regime(self, square_3x3):

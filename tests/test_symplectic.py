@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from spincycles import symplectic
-from spincycles.homology import CycleClassF2, CycleClassZ, pairing_z, swap_pairs
+from spincycles.homology import swap_pairs
 from spincycles.spin import QuadraticForm, standard_form
 from spincycles.cli import main
 from spincycles.symplectic import (
@@ -46,49 +46,45 @@ from conftest import (
 )
 
 
-def rand_class_f2(rng, g):
-    return CycleClassF2(g, rng.randrange(1 << (2 * g)))
-
-
 def rand_class_z(rng, g, bound=3):
-    return CycleClassZ(g, tuple(rng.randint(-bound, bound) for _ in range(2 * g)))
+    return tuple(rng.randint(-bound, bound) for _ in range(2 * g))
 
 
 class TestTransvectionF2:
     def test_zero_is_identity(self):
-        assert transvection_f2(CycleClassF2.zero(2)) == MatF2.identity(2)
+        assert transvection_f2(2, 0) == MatF2.identity(2)
 
     def test_g1_formula(self):
-        t = transvection_f2(CycleClassF2.basis_a(1, 1))
-        a1, b1 = CycleClassF2.basis_a(1, 1), CycleClassF2.basis_b(1, 1)
-        assert t.apply(b1) == b1 + a1
-        assert t.apply(a1) == a1
+        a1, b1 = 0b01, 0b10
+        t = transvection_f2(1, a1)
+        assert t.apply_bits(b1) == b1 ^ a1
+        assert t.apply_bits(a1) == a1
 
     def test_involution(self):
         rng = random.Random(2)
         for g in (1, 2, 3, 4):
             for _ in range(20):
-                t = transvection_f2(rand_class_f2(rng, g))
+                t = transvection_f2(g, rng.randrange(1 << (2 * g)))
                 assert t @ t == MatF2.identity(g)
 
     def test_always_symplectic_exhaustive(self):
         for g in (1, 2, 3):
             for bits in range(1 << (2 * g)):
-                assert transvection_f2(CycleClassF2(g, bits)).is_symplectic()
+                assert transvection_f2(g, bits).is_symplectic()
 
     def test_always_symplectic_sampled_g5(self):
         rng = random.Random(8)
         for _ in range(200):
-            assert transvection_f2(rand_class_f2(rng, 5)).is_symplectic()
+            assert transvection_f2(5, rng.randrange(1 << 10)).is_symplectic()
 
 
 class TestTransvectionZ:
     def test_zero_is_identity(self):
-        t = transvection_z(CycleClassZ.zero(2))
+        t = transvection_z((0, 0, 0, 0))
         assert np.array_equal(t, np.eye(4, dtype=np.int64))
 
     def test_g1_sign_convention(self):
-        t = transvection_z(CycleClassZ.basis_a(1, 1))
+        t = transvection_z((1, 0))
         # b1 -> b1 - a1 under the right-handed convention
         assert list(t @ np.array([0, 1])) == [-1, 1]
 
@@ -104,20 +100,20 @@ class TestTransvectionZ:
     def test_pairing_preserved_explicitly(self):
         rng = random.Random(4)
         g = 3
+        j = symplectic_form_z(g)
         for _ in range(100):
             c = rand_class_z(rng, g)
             t = transvection_z(c)
-            x, y = rand_class_z(rng, g), rand_class_z(rng, g)
-            tx = CycleClassZ(g, tuple(t @ np.array(x.coords)))
-            ty = CycleClassZ(g, tuple(t @ np.array(y.coords)))
-            assert pairing_z(tx, ty) == pairing_z(x, y)
+            x, y = np.array(rand_class_z(rng, g)), np.array(rand_class_z(rng, g))
+            assert (t @ x) @ j @ (t @ y) == x @ j @ y
 
     def test_mod2_reduction_square(self):
         rng = random.Random(5)
         for g in (1, 2, 3):
             for _ in range(60):
                 c = rand_class_z(rng, g)
-                assert mat_f2_from_z(transvection_z(c)) == transvection_f2(c.mod2())
+                c2 = sum((x & 1) << k for k, x in enumerate(c))
+                assert mat_f2_from_z(transvection_z(c)) == transvection_f2(g, c2)
 
     def test_powers_and_inverse(self):
         rng = random.Random(6)
@@ -132,7 +128,7 @@ class TestTransvectionZ:
 
     def test_power_rejects_bad_sign(self):
         with pytest.raises(ValueError):
-            transvection_z_power(CycleClassZ.basis_a(1, 1), 2, sign=2)
+            transvection_z_power((1, 0), 2, sign=2)
 
 
 class TestPreservesQ:
@@ -145,7 +141,7 @@ class TestPreservesQ:
             for arf in (0, 1):
                 q = standard_form(g, arf)
                 for bits in range(1 << (2 * g)):
-                    t = transvection_f2(CycleClassF2(g, bits))
+                    t = transvection_f2(g, bits)
                     expected = bits == 0 or q.eval_bits(bits) == 1
                     assert preserves_q(t, q) is expected
 
@@ -162,7 +158,7 @@ class TestPreservesQ:
 
 # transvections along a_4, b_4 and a_3 + a_4: packed keys reach bit 63
 GENUS4_TOP_LANE = [
-    transvection_f2(CycleClassF2(4, bits)) for bits in (1 << 6, 1 << 7, (1 << 4) | (1 << 6))
+    transvection_f2(4, bits) for bits in (1 << 6, 1 << 7, (1 << 4) | (1 << 6))
 ]
 
 
@@ -173,8 +169,8 @@ class TestClosure:
 
     def test_sp2(self):
         gens = [
-            transvection_f2(CycleClassF2.basis_a(1, 1)),
-            transvection_f2(CycleClassF2.basis_b(1, 1)),
+            transvection_f2(1, 0b01),
+            transvection_f2(1, 0b10),
         ]
         c = closure(gens)
         assert c.order == sp_order(1) == 6
@@ -215,7 +211,7 @@ class TestClosure:
         assert int(c.packed[-1]) >> 63 == 1
         assert all(membership(t, c) for t in GENUS4_TOP_LANE)
         assert membership(MatF2.identity(4), c)
-        assert not membership(transvection_f2(CycleClassF2.basis_a(4, 1)), c)
+        assert not membership(transvection_f2(4, 1), c)
         capped = closure(chain_transvections(4), cap=1000)
         assert not capped.completed
 
@@ -235,8 +231,8 @@ class TestClosure:
 
     def test_completed_closure_is_closed(self):
         gens = [
-            transvection_f2(CycleClassF2.basis_a(1, 1)),
-            transvection_f2(CycleClassF2.basis_b(1, 1)),
+            transvection_f2(1, 0b01),
+            transvection_f2(1, 0b10),
         ]
         c = closure(gens)
         assert c.completed
@@ -247,8 +243,8 @@ class TestClosure:
     def test_rejects_genus_above_key_width(self, monkeypatch):
         # 2g = 10 does not fit a 64-bit key: refused before any table
         gens = [
-            transvection_f2(CycleClassF2.basis_a(5, 1)),
-            transvection_f2(CycleClassF2.basis_b(5, 1)),
+            transvection_f2(5, 0b01),
+            transvection_f2(5, 0b10),
         ]
 
         def no_tables(m):
@@ -294,7 +290,7 @@ class TestFullGroup:
         # without b_g every generator fixes a_g: a proper subgroup
         def without_b_g(genus):
             gens = chain_transvections(genus)
-            b_g = transvection_f2(CycleClassF2.basis_b(genus, genus))
+            b_g = transvection_f2(genus, 1 << (2 * genus - 1))
             return [t for t in gens if t != b_g]
 
         assert len(without_b_g(g)) == 3 * g - 2
@@ -467,7 +463,7 @@ def generation_oracle(q, adm, stab):
 
 def conjugate(packed, v, n):
     """Sorted T_v M T_v for every packed matrix M, by table products."""
-    t_v = transvection_f2(CycleClassF2(n // 2, v))
+    t_v = transvection_f2(n // 2, v)
     out = symplectic._apply_table_mats(packed, symplectic._vector_table(t_v.cols), n)
     # (A T_v) e_j = A e_j + <v, e_j> A v: XOR A v into column j where <v, e_j> = 1
     mask = np.uint64((1 << n) - 1)
@@ -495,7 +491,7 @@ def conjugated_references(q, q0, stab0, adm0):
     n, v = 2 * q.genus, swap_pairs(q.qmask ^ q0.qmask)
     stab, adm = conjugate(stab0, v, n), conjugate(adm0, v, n)
     # the table products against MatF2 products, on a sample
-    t_v = transvection_f2(CycleClassF2(q.genus, v))
+    t_v = transvection_f2(q.genus, v)
     sample = stab0[:: max(1, stab0.size // 5)]
     assert holds(stab, [(t_v @ MatF2.from_packed(n, int(k)) @ t_v).packed() for k in sample])
     # |O(q0)| = |O(q)| distinct q-preserving matrices are O(q), and the
@@ -631,19 +627,19 @@ class TestStabilizer:
         assert q.arf() == q0.arf() and v == 0b1
         verify_transvection_generation(q0)
         entry = no_bases[3, 0]
-        t_v = transvection_f2(CycleClassF2(3, v))
+        t_v = transvection_f2(3, v)
         if mutation == "wrong_v":
             # q(b_1) = 0, so q o T_b1 = q + <b_1, .>, which is not q0 = q + <a_1, .>
-            m = transvection_f2(CycleClassF2(3, 0b10))
+            m = transvection_f2(3, 0b10)
         elif mutation == "not_involution":
             # T_b1 lies in O(q0), so T_v T_b1 carries q to q0, but <v, b_1> = 1:
             # the two transvections do not commute and the product has order 3
-            m = t_v @ transvection_f2(CycleClassF2(3, 0b10))
+            m = t_v @ transvection_f2(3, 0b10)
             assert m @ m != MatF2.identity(3)
         elif mutation == "not_transporting":
             # c = a_2 has q0(c) = 0 and <v, c> = 0: T_v T_c is a symplectic
             # involution, but q(T_v T_c x) = q0(x) + <x, c>
-            m = t_v @ transvection_f2(CycleClassF2(3, 0b100))
+            m = t_v @ transvection_f2(3, 0b100)
         else:
             # T_v composed with the swap a_2 <-> a_3 is an involution with
             # q(m e_k) = q0(e_k) on the basis (q0(a_2) = q0(a_3) = 0), but it
@@ -767,7 +763,7 @@ class TestChain:
             for _ in range(10):
                 m = MatF2.identity(g)
                 for _ in range(6):
-                    m = transvection_f2(rand_class_f2(rng, g)) @ m
+                    m = transvection_f2(g, rng.randrange(1 << (2 * g))) @ m
                 assert m @ m.inverse() == m.inverse() @ m == MatF2.identity(g)
 
     def test_o_order_formula(self):
@@ -787,7 +783,7 @@ class TestChain:
         cases = [GENUS4_TOP_LANE, chain_transvections(3)[:-1]]
         for g, count in ((1, 1), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)):
             for _ in range(4):
-                cases.append([transvection_f2(rand_class_f2(rng, g)) for _ in range(count)])
+                cases.append([transvection_f2(g, rng.randrange(1 << (2 * g))) for _ in range(count)])
         for gens in cases:
             order, points, strong = chain(gens)
             ref = closure(gens).packed
@@ -800,7 +796,7 @@ class TestChain:
         real = admissible_transvections
         q0 = standard_form(3, 1)
         assert q0.eval_bits(0b100) == 0
-        bad = transvection_f2(CycleClassF2(3, 0b100))
+        bad = transvection_f2(3, 0b100)
         monkeypatch.setattr(symplectic, "admissible_transvections", lambda q: real(q) + [bad])
         with pytest.raises(
             RuntimeError,
@@ -812,7 +808,7 @@ class TestChain:
     def test_rejects_chain_one_point_short(self, no_bases, monkeypatch):
         # t_a t_b has order 3 in Sp(2, 2) of order 6: its chain has orbits
         # of sizes 3 and 1 where Sp(2, 2) has 3 and 2
-        t_ab = transvection_f2(CycleClassF2(1, 0b01)) @ transvection_f2(CycleClassF2(1, 0b10))
+        t_ab = transvection_f2(1, 0b01) @ transvection_f2(1, 0b10)
         assert chain([t_ab])[:2] == (3, 4) and chain(chain_transvections(1))[:2] == (6, 5)
         monkeypatch.setattr(symplectic, "chain_transvections", lambda g: [t_ab])
         q0 = standard_form(1, 1)
@@ -840,7 +836,7 @@ class TestChain:
         placed, sizes = set(), []
         for x in range(16):
             if x not in placed:
-                members = {c.bits for c in orbit(CycleClassF2(2, x), gens)}
+                members = orbit(2, x, gens)
                 placed |= members
                 sizes.append(len(members))
         assert sizes == [1, 9, 3, 3]
@@ -934,8 +930,8 @@ class TestGeneration:
 class TestMembership:
     def test_identity_and_generators(self):
         gens = [
-            transvection_f2(CycleClassF2.basis_a(1, 1)),
-            transvection_f2(CycleClassF2.basis_b(1, 1)),
+            transvection_f2(1, 0b01),
+            transvection_f2(1, 0b10),
         ]
         c = closure(gens)
         assert membership(MatF2.identity(1), c)
@@ -946,17 +942,16 @@ class TestMembership:
         q = standard_form(2, 1)
         c = closure(admissible_transvections(q))
         # q(a_2) = 0: its transvection moves q, so it cannot appear
-        d = CycleClassF2.basis_a(2, 2)
-        assert q.eval(d) == 0
-        assert not membership(transvection_f2(d), c)
+        d = 0b100  # a_2
+        assert q.eval_bits(d) == 0
+        assert not membership(transvection_f2(2, d), c)
 
     def test_non_admissible_not_in_g3_closure(self):
         q = standard_form(3, 0)
         c = closure(admissible_transvections(q))
         for bits in range(1, 1 << 6):
             if q.eval_bits(bits) == 0:
-                d = CycleClassF2(3, bits)
-                assert not membership(transvection_f2(d), c)
+                assert not membership(transvection_f2(3, bits), c)
                 break
 
     def test_incomplete_closure_rejected(self):
@@ -968,7 +963,7 @@ class TestMembership:
 class TestOrbit:
     def test_zero_fixed(self):
         gens = all_transvections(2)
-        assert orbit(CycleClassF2.zero(2), gens) == {CycleClassF2.zero(2)}
+        assert orbit(2, 0, gens) == {0}
 
     def test_admissible_orbits_when_generation_holds(self):
         # when the admissible closure is the whole stabilizer, its orbits on
@@ -977,12 +972,10 @@ class TestOrbit:
         assert verify_transvection_generation(q)["verdict"] == "equal"
         gens = admissible_transvections(q)
         table = q_values_table(q)
-        ones = {CycleClassF2(2, b) for b in range(1, 16) if table[b] == 1}
-        zeros = {CycleClassF2(2, b) for b in range(1, 16) if table[b] == 0}
-        x1 = min(ones, key=lambda c: c.bits)
-        assert orbit(x1, gens) == ones
-        x0 = min(zeros, key=lambda c: c.bits)
-        assert orbit(x0, gens) == zeros
+        ones = {b for b in range(1, 16) if table[b] == 1}
+        zeros = {b for b in range(1, 16) if table[b] == 0}
+        assert orbit(2, min(ones), gens) == ones
+        assert orbit(2, min(zeros), gens) == zeros
 
     def test_admissible_closure_can_be_proper_at_g2(self):
         # genus 2, Arf 0: the admissible transvections generate an index-2
@@ -993,9 +986,8 @@ class TestOrbit:
 
     def test_genus_above_table_budget_rejected(self):
         # raised before any 2^(2g) table is built
-        x = CycleClassF2.basis_a(7, 1)
         with pytest.raises(ValueError):
-            orbit(x, [transvection_f2(x)])
+            orbit(7, 1, [transvection_f2(7, 1)])
 
     def test_orbit_partition_reports(self):
         for g in (1, 2):
