@@ -15,7 +15,8 @@ failing suite, or a verdict's failed certificate, printed as one
 inapplicable, 4 resource cap exhausted (``generation`` above genus
 ``MAX_CHAIN_GENUS`` = 6, or an input over a ``polygon`` budget: box
 points, segment pairs, or model or ``--genus`` genus), 5 standard output
-closed by its reader before the output was written.  Output is
+closed by its reader before the output was written (an ``--out`` file is
+still written in full).  Output is
 human-readable by default; ``--json`` switches to the JSON schemas, and
 ``--out`` always writes the JSON transcript.
 Transcript text is the stdlib's ``json.dumps(report, indent=2)``, built
@@ -120,26 +121,24 @@ class _SegmentRows:
         return len(self.segs)
 
     def __iter__(self):
-        for s in self.segs:
-            a, b = s.endpoints
-            yield {"endpoints": [list(a), list(b)], "is_bridge": s.is_bridge}
+        for a, b, is_bridge in self.segs:
+            yield {"endpoints": [list(a), list(b)], "is_bridge": is_bridge}
 
     def texts(self):
         """Each row as ``json.dumps(report, indent=2)`` writes a top-level
         member's item, from one template: the one JSON value the encoder does not write."""
-        for s in self.segs:
-            (ax, ay), (bx, by) = s.endpoints
+        for (ax, ay), (bx, by), is_bridge in self.segs:
             yield (
                 f'{{\n      "endpoints": [\n        [\n          {ax},\n          {ay}'
                 f'\n        ],\n        [\n          {bx},\n          {by}\n        ]'
-                f'\n      ],\n      "is_bridge": {"true" if s.is_bridge else "false"}\n    }}'
+                f'\n      ],\n      "is_bridge": {"true" if is_bridge else "false"}\n    }}'
             )
 
 
 def build_segments_report(p: LatticePolygon, bridges_only: bool) -> dict:
     segs = enumerate_segments(p)
     if bridges_only:
-        segs = [s for s in segs if s.is_bridge]
+        segs = [row for row in segs if row[2]]
     return {
         "polygon": [list(v) for v in p.vertices],
         "count": len(segs),
@@ -247,6 +246,7 @@ def _chunks(report: dict):
 
 
 def _emit(report: dict, as_json: bool, out: str | None) -> None:
+    closed = None
     with open(out, "w", encoding="utf-8") if out else nullcontext() as fh:
         sinks = ([fh] if out else []) + ([sys.stdout] if as_json else [])
         # written once and streamed to every sink in batches of chunks, so
@@ -254,9 +254,17 @@ def _emit(report: dict, as_json: bool, out: str | None) -> None:
         chunks = _chunks(report)
         while sinks and (batch := "".join(islice(chunks, 4096))):
             for sink in sinks:
-                sink.write(batch)
+                try:
+                    sink.write(batch)
+                except BrokenPipeError as exc:
+                    if sink is not sys.stdout:
+                        raise
+                    sinks.remove(sink)  # the last sink; the file still gets every batch
+                    closed = exc
         for sink in sinks:
             sink.write("\n")
+    if closed:
+        raise closed
     if not as_json:
         for key, value in report.items():
             if isinstance(value, _SegmentRows):  # json.dumps(list(value)), row by row

@@ -30,15 +30,11 @@ from .polygon import (
     Point,
     Record,
     RegimeError,
-    Segment,
     a_mask,
     check_model_genus,
     integer_length,
     interior_data,
 )
-
-
-_set = object.__setattr__
 
 
 def swap_pairs(bits: int) -> int:
@@ -80,13 +76,6 @@ class SurfaceModel(Record):
     forest: Forest
     _fields = ("polygon", "genus", "points", "index", "forest")
 
-    def __init__(self, polygon, genus, points, index, forest):
-        _set(self, "polygon", polygon)
-        _set(self, "genus", genus)
-        _set(self, "points", points)
-        _set(self, "index", index)
-        _set(self, "forest", forest)
-
     def rank(self, v: Point) -> int:
         """1-based index of an interior point."""
         if v not in self.index:
@@ -96,9 +85,10 @@ class SurfaceModel(Record):
     def b_class(self, v: Point) -> int:
         return 1 << (2 * self.rank(v) - 1)
 
-    def segment_class(self, s: Segment | PathSeg) -> int:
-        """beta(u) + beta(w): boundary endpoints contribute zero."""
-        u, w = s.endpoints if isinstance(s, Segment) else s
+    def segment_class(self, s: PathSeg) -> int:
+        """beta(u) + beta(w) of the pair ``s = (u, w)``: boundary endpoints add zero;
+        a non-primitive pair, or an endpoint off the polygon, raises ``ValueError``."""
+        u, w = s
         if integer_length(u, w) != 1:
             raise ValueError(f"segment {u}-{w} is not primitive")
         bits = 0

@@ -16,10 +16,11 @@ form from the vertices: no lattice map, rebuilt polygon or row scan.
 
 The package's value types (here and in ``homology``, ``spin``,
 ``relations`` and ``symplectic``) are immutable :class:`Record`
-subclasses: each has an explicit constructor that checks its arguments,
-and the base gives equality and hash over the field tuple, a repr, and
-assignment that raises ``AttributeError``.  A record costs no generated
-code at import, which a cold CLI start would otherwise pay first.
+subclasses: the base constructor stores its arguments in ``_fields``
+order, and a record that checks or normalizes them has its own.  The base
+gives equality and hash over the field tuple, a repr, and assignment that
+raises ``AttributeError``.  A record costs no generated code at import,
+which a cold CLI start would otherwise pay first.
 
 Terminology used throughout the package:
 
@@ -114,14 +115,21 @@ _set = object.__setattr__
 class Record:
     """Immutable record over the field names in ``_fields``.
 
-    A subclass's ``__init__`` checks its arguments and stores each field
-    with ``object.__setattr__``; a subclass built in hot loops may declare
-    ``__slots__``.  Records of one class compare and hash as their field
-    tuples.
+    ``Record(*values)`` stores one value per field, in ``_fields`` order.  A
+    subclass that checks or normalizes its arguments defines its own
+    ``__init__`` and stores each field with ``object.__setattr__``; a
+    subclass built in hot loops may declare ``__slots__``.  Records of one
+    class compare and hash as their field tuples.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__qualname__} takes {len(self._fields)} fields, got {len(values)}")
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
 
     def _key(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])
@@ -390,13 +398,6 @@ class InteriorData(Record):
     root_order: int | None  # None when dimension < 2
     _fields = ("interior_points", "hull_vertices", "dimension", "genus", "root_order")
 
-    def __init__(self, interior_points, hull_vertices, dimension, genus, root_order):
-        _set(self, "interior_points", interior_points)
-        _set(self, "hull_vertices", hull_vertices)
-        _set(self, "dimension", dimension)
-        _set(self, "genus", genus)
-        _set(self, "root_order", root_order)
-
     @property
     def hull_polygon(self) -> LatticePolygon:
         if self.dimension != 2:
@@ -451,21 +452,6 @@ def even_points(p: LatticePolygon) -> dict[Point, bool]:
     return {pt: d.is_even(pt) for pt in d.interior_points}
 
 
-class Segment(Record):
-    """Primitive integer segment of the polygon; endpoints in lex order."""
-
-    endpoints: tuple[Point, Point]
-    is_bridge: bool
-    __slots__ = _fields = ("endpoints", "is_bridge")
-
-    def __init__(self, endpoints: tuple[Point, Point], is_bridge: bool):
-        a, b = endpoints
-        if integer_length(a, b) != 1:
-            raise ValueError(f"segment {a}-{b} is not primitive")
-        _set(self, "endpoints", (b, a) if a > b else endpoints)
-        _set(self, "is_bridge", is_bridge)
-
-
 def segment_on_boundary(p: LatticePolygon, a: Point, b: Point) -> bool:
     """Is the whole segment [a, b] contained in the polygon boundary?"""
     if not (p.contains(a) and p.contains(b)):
@@ -473,8 +459,11 @@ def segment_on_boundary(p: LatticePolygon, a: Point, b: Point) -> bool:
     return any(_cross(u, w, a) == 0 and _cross(u, w, b) == 0 for u, w in p.edges())
 
 
-def enumerate_segments(p: LatticePolygon) -> list[Segment]:
+def enumerate_segments(p: LatticePolygon) -> list[tuple[Point, Point, bool]]:
     """All primitive integer segments of the polygon, bridges flagged.
+
+    Returns one row ``(a, b, is_bridge)`` per segment, ``a < b`` in
+    lexicographic order, sorted by ``(a, b)``: each pair once.
 
     A bridge joins a boundary lattice point u of the polygon to a boundary
     lattice point w of the interior hull and avoids the hull's open interior
@@ -515,7 +504,7 @@ def enumerate_segments(p: LatticePolygon) -> list[Segment]:
                     edges = through[w]
                     bridge = not (edges and all(_cross(s, t, u) > 0 for s, t in edges))
                     break
-            out.append(Segment((a, b), bridge))
+            out.append((a, b, bridge))
     return out
 
 
@@ -564,11 +553,6 @@ class HirzebruchClassification(Record):
     n: int
     case: str
     _fields = ("alpha", "n", "case")
-
-    def __init__(self, alpha: int, n: int, case: str):
-        _set(self, "alpha", alpha)
-        _set(self, "n", n)
-        _set(self, "case", case)
 
 
 def classify_onedim(p: LatticePolygon) -> HirzebruchClassification:

@@ -44,7 +44,8 @@ Matrix = list[list[int]]
 
 
 class CurveSystem(Record):
-    """Named abstract curves with a symmetric 0/1 intersection table."""
+    """Named abstract curves with a symmetric 0/1 intersection table; the
+    constructor stores the names as a tuple and each name-pair key as a frozenset."""
 
     curves: tuple[str, ...]
     intersections: dict[frozenset, int]
@@ -52,6 +53,8 @@ class CurveSystem(Record):
     _fields = ("curves", "intersections", "classes")
 
     def __init__(self, curves, intersections, classes=None):
+        curves = tuple(curves)
+        intersections = {frozenset(k): v for k, v in intersections.items()}
         for key, value in intersections.items():
             if len(key) != 2 or not key <= set(curves):
                 raise ValueError(f"bad intersection key {set(key)}")
@@ -60,16 +63,6 @@ class CurveSystem(Record):
         _set(self, "curves", curves)
         _set(self, "intersections", intersections)
         _set(self, "classes", classes)
-
-    @classmethod
-    def build(
-        cls,
-        curves: list[str],
-        pairs: dict[tuple[str, str], int],
-        classes: dict[str, tuple[int, ...]] | None = None,
-    ) -> "CurveSystem":
-        table = {frozenset(k): v for k, v in pairs.items()}
-        return cls(tuple(curves), table, classes)
 
     def i(self, x: str, y: str) -> int:
         """Geometric intersection number; a curve is disjoint from itself."""
@@ -255,7 +248,7 @@ def chrel2_system() -> CurveSystem:
         ("b", "beta"): 0,
         ("alpha", "beta"): 0,
     }
-    return CurveSystem.build(["a", "b", "c", "alpha", "beta"], pairs, classes)
+    return CurveSystem(["a", "b", "c", "alpha", "beta"], pairs, classes)
 
 
 def verify_chain_relation_homology(genus_ambient: int = 2) -> dict:

@@ -171,12 +171,9 @@ def verify_q_consistency(p: LatticePolygon) -> dict:
     q = canonical_q(p)
     segments = enumerate_segments(p)
 
-    forest_independent = True
-    for seg in segments:
-        values = {q.eval_bits(m.segment_class(seg)) for m in models}
-        if len(values) != 1:
-            forest_independent = False
-            break
+    forest_independent = all(
+        len({q.eval_bits(m.segment_class((a, b))) for m in models}) == 1 for a, b, _ in segments
+    )
     # the per-point path sums must also telescope to b_i in every forest
     telescoping = all(
         m.path_class_sum(v) == m.b_class(v) for m in models for v in m.points
@@ -188,34 +185,24 @@ def verify_q_consistency(p: LatticePolygon) -> dict:
     for u, w in hull.edges():
         dd = _primitive(_sub(w, u))
         hull_dirs.add(max(dd, (-dd[0], -dd[1])))
+    hull_vertices = set(hull.vertices)
 
     m = models[0]
-    parity_rule = True
-    parity_checked = 0
-    for seg in segments:
-        a, b = seg.endpoints
+    parity_rule = bridges_ok = True
+    parity_checked = bridges_checked = 0
+    for a, b, is_bridge in segments:
         dd = (b[0] - a[0], b[1] - a[1])
-        dd = max(dd, (-dd[0], -dd[1]))
-        if dd not in hull_dirs:
+        parity = max(dd, (-dd[0], -dd[1])) in hull_dirs and not segment_on_boundary(p, a, b)
+        vertex_bridge = is_bridge and (a in hull_vertices or b in hull_vertices)
+        if not (parity or vertex_bridge):
             continue
-        if segment_on_boundary(p, a, b):
-            continue
-        parity_checked += 1
-        expected = d.is_even(a) != d.is_even(b)
-        if q.eval_bits(m.segment_class(seg)) != (1 if expected else 0):
-            parity_rule = False
-    hull_vertices = set(hull.vertices)
-    bridges_ok = True
-    bridges_checked = 0
-    for seg in segments:
-        if not seg.is_bridge:
-            continue
-        a, b = seg.endpoints
-        if a not in hull_vertices and b not in hull_vertices:
-            continue
-        bridges_checked += 1
-        if q.eval_bits(m.segment_class(seg)) != 1:
-            bridges_ok = False
+        value = q.eval_bits(m.segment_class((a, b)))
+        if parity:
+            parity_checked += 1
+            parity_rule &= value == (d.is_even(a) != d.is_even(b))
+        if vertex_bridge:
+            bridges_checked += 1
+            bridges_ok &= value == 1
     ok = forest_independent and telescoping and parity_rule and bridges_ok
     return {
         "suite": "q-consistency",

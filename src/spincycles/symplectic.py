@@ -298,10 +298,6 @@ class GroupClosure(Record):
     cap: int
     _fields = ("genus", "packed", "generators", "completed", "cap")
 
-    def __init__(self, genus, packed, generators, completed, cap):
-        for name, value in zip(self._fields, (genus, packed, generators, completed, cap)):
-            _set(self, name, value)
-
     def _key(self) -> tuple:  # packed by value; the generator list stays unhashable
         return (self.genus, self.packed.tobytes(), self.generators, self.completed, self.cap)
 

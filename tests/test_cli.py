@@ -16,7 +16,6 @@ import pytest
 import spincycles
 from spincycles import cli, corpus
 from spincycles.cli import main
-from spincycles.polygon import Segment
 from spincycles.symplectic import MAX_CHAIN_GENUS
 
 QUINTIC = corpus.read_text("quintic")
@@ -75,6 +74,30 @@ class TestClassify:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 5
         assert err.splitlines() == ["output closed: the reader of standard output closed it"]
+
+    def test_closed_stdout_still_completes_out(self, tmp_path):
+        # the reader of stdout is gone before the first write; the --out
+        # file still equals an uninterrupted run's, byte for byte
+        path = tmp_path / "triangle_21.json"
+        path.write_text(json.dumps({"vertices": [[0, 0], [21, 0], [0, 21]]}))
+        env = {**os.environ, "PYTHONPATH": str(Path(spincycles.__file__).parents[1])}
+        argv = [sys.executable, "-m", "spincycles.cli", "segments", str(path), "--json", "--out"]
+        whole, cut = tmp_path / "whole.json", tmp_path / "cut.json"
+        subprocess.run([*argv, str(whole)], stdout=subprocess.DEVNULL, env=env, check=True)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [*argv, str(cut)], stdout=write_end, stderr=subprocess.PIPE, env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 5
+        assert proc.stderr.decode().splitlines() == [
+            "output closed: the reader of standard output closed it"
+        ]
+        assert cut.read_bytes() == whole.read_bytes()
 
     def test_deeply_nested_json_exit_2(self, tmp_path):
         # json.loads raises RecursionError, not JSONDecodeError, on this
@@ -672,7 +695,7 @@ class TestWriter:
                 if math.gcd(dx, dy) == 1:
                     break
             a = (rng.randrange(-99, 100), rng.randrange(-99, 100))
-            return Segment((a, (a[0] + dx, a[1] + dy)), rng.random() < 0.5)
+            return (*sorted((a, (a[0] + dx, a[1] + dy))), rng.random() < 0.5)
 
         empty = 0
         for _ in range(200):

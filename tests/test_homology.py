@@ -153,17 +153,17 @@ class TestModel:
         for p in (d5, d7, square_3x3, rect_4x2, trapezoid_g2,
                   trapezoid_g2_cut, triangle_d3):
             m = build_model(p)
-            for seg in enumerate_segments(p):
-                cls = m.segment_class(seg)
+            for a, b, _ in enumerate_segments(p):
+                cls = m.segment_class((a, b))
                 for v in m.points:
-                    expected = 1 if v in seg.endpoints else 0
+                    expected = 1 if v in (a, b) else 0
                     a_v = 1 << (2 * m.rank(v) - 2)
                     assert pairing_f2_bits(cls, a_v) == expected
 
     def test_segment_classes_never_pair(self, d5):
         # pure-b classes pair to zero, segment against segment
         m = build_model(d5)
-        segs = [m.segment_class(s) for s in enumerate_segments(d5)]
+        segs = [m.segment_class((a, b)) for a, b, _ in enumerate_segments(d5)]
         for i, x in enumerate(segs):
             for y in segs[i:]:
                 assert pairing_f2_bits(x, y) == 0

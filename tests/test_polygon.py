@@ -418,20 +418,19 @@ class TestSegments:
             for s, t in hull.edges() if hull else ():
                 e = polygon._primitive(polygon._sub(t, s))
                 dirs |= {e, (-e[0], -e[1])}
-            for seg in enumerate_segments(p):
-                a, b = seg.endpoints
+            for a, b, is_bridge in enumerate_segments(p):
                 if (a in interior) == (b in interior):
-                    assert not seg.is_bridge, (corners, a, b)
+                    assert not is_bridge, (corners, a, b)
                     continue
                 u, w = (b, a) if a in interior else (a, b)
                 if hull is None:
-                    assert seg.is_bridge, (corners, u, w)
+                    assert is_bridge, (corners, u, w)
                     continue
                 if min(polygon._cross(s, t, w) for s, t in hull.edges()) > 0:
-                    assert not seg.is_bridge, (corners, u, w)
+                    assert not is_bridge, (corners, u, w)
                     continue
                 meets = open_segment_meets_interior_reference(hull, u, w)
-                assert seg.is_bridge is not meets, (corners, u, w)
+                assert is_bridge is not meets, (corners, u, w)
                 seen["meets" if meets else "avoids"] += 1
                 seen["vertex"] += w in hull.vertices
                 seen["edge_direction"] += polygon._sub(u, w) in dirs
@@ -439,7 +438,7 @@ class TestSegments:
         assert min(seen.values()) > 100, seen
 
     def test_d5_examples(self, d5):
-        segs = {s.endpoints: s.is_bridge for s in enumerate_segments(d5)}
+        segs = {(a, b): bridge for a, b, bridge in enumerate_segments(d5)}
         assert segs[((0, 1), (1, 1))] is True
         assert segs[((1, 1), (2, 1))] is False
         assert segs[((0, 0), (1, 1))] is True
@@ -447,16 +446,15 @@ class TestSegments:
     def test_all_primitive(self, d5):
         from spincycles.polygon import integer_length
 
-        for s in enumerate_segments(d5):
-            assert integer_length(*s.endpoints) == 1
+        for a, b, _ in enumerate_segments(d5):
+            assert integer_length(a, b) == 1
 
     def test_bridge_endpoints(self, d5):
         d = interior_data(d5)
         hull = d.hull_polygon
         interior = set(d.interior_points)
-        for s in enumerate_segments(d5):
-            if s.is_bridge:
-                a, b = s.endpoints
+        for a, b, is_bridge in enumerate_segments(d5):
+            if is_bridge:
                 sides = {a in interior, b in interior}
                 assert sides == {True, False}
                 inner = a if a in interior else b
@@ -464,7 +462,7 @@ class TestSegments:
 
     def test_bridge_avoids_hull_interior(self, d7):
         # (1,0)-(2,1) touches the hull only at the vertex-adjacent edge side
-        segs = {s.endpoints: s.is_bridge for s in enumerate_segments(d7)}
+        segs = {(a, b): bridge for a, b, bridge in enumerate_segments(d7)}
         # crossing segment: (0,3)-(1,3)? (1,3) is interior non-boundary of hull?
         d = interior_data(d7)
         hull = d.hull_polygon
@@ -481,7 +479,7 @@ class TestSegments:
     def test_segment_hull_bridges(self, rect_4x2):
         # every point of a segment hull counts as its boundary, and the
         # open 2-dimensional interior is empty
-        segs = {s.endpoints: s.is_bridge for s in enumerate_segments(rect_4x2)}
+        segs = {(a, b): bridge for a, b, bridge in enumerate_segments(rect_4x2)}
         assert segs[((0, 1), (1, 1))] is True
         assert segs[((1, 0), (1, 1))] is True
         assert segs[((3, 1), (4, 1))] is True
@@ -489,7 +487,7 @@ class TestSegments:
         assert segs[((0, 0), (1, 0))] is False
 
     def test_point_hull_bridges(self, triangle_d3):
-        segs = {s.endpoints: s.is_bridge for s in enumerate_segments(triangle_d3)}
+        segs = {(a, b): bridge for a, b, bridge in enumerate_segments(triangle_d3)}
         assert segs[((0, 1), (1, 1))] is True
         assert segs[((0, 0), (1, 0))] is False
 

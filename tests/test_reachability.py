@@ -36,7 +36,6 @@ ALLOWED = {
     "symplectic._unique_sorted": _REFERENCE,
     "symplectic._setdiff_sorted": _REFERENCE,
     "symplectic._bfs": _REFERENCE,
-    "symplectic.GroupClosure.__init__": _REFERENCE,
     "symplectic.GroupClosure._key": _REFERENCE,
     "symplectic.GroupClosure.order": _REFERENCE,
     "symplectic.GroupClosure.contains_packed": _REFERENCE,

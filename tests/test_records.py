@@ -1,9 +1,11 @@
 """The value types are immutable records (``polygon.Record``).
 
 For every record class: equality and hash are those of the field tuple,
-assigning or deleting a field raises ``AttributeError``, and the
-constructor's checks and normalizations are those of the frozen
-dataclasses the records replaced.
+and assigning or deleting a field raises ``AttributeError``.  A record
+without checks is built by ``Record.__init__``, which takes exactly its
+fields, positionally; the others keep the checks and normalizations of the
+frozen dataclasses the records replaced.  A primitive segment is no record
+but a plain ``(a, b, is_bridge)`` row of ``enumerate_segments``.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from spincycles.polygon import (
     LatticePolygon,
     PolygonError,
     Record,
-    Segment,
     enumerate_segments,
+    integer_length,
 )
 from spincycles.relations import CurveSystem, TwistWord, evaluate_word_z
 from spincycles.spin import QuadraticForm
@@ -38,10 +40,6 @@ SAMPLES = {
         InteriorData(((1, 1),), ((1, 1),), 0, 1, None),
         InteriorData(((1, 1),), ((1, 1),), 0, 1, None),
         InteriorData(((1, 1), (2, 1)), ((1, 1), (2, 1)), 1, 2, None),
-    ],
-    Segment: lambda: [
-        Segment(((0, 0), (1, 0)), True), Segment(((1, 0), (0, 0)), True),
-        Segment(((0, 0), (1, 0)), False),
     ],
     HirzebruchClassification: lambda: [
         HirzebruchClassification(1, 2, "isomorphism"),
@@ -134,26 +132,19 @@ class TestValidation:
             LatticePolygon(((0, 0), (3, 0), (0, 3.0)))
         assert LatticePolygon([[0, 0], [3, 0], [0, 3]]).vertices == TRIANGLE
 
-    def test_segment(self):
-        with pytest.raises(ValueError, match=r"segment \(0, 0\)-\(2, 0\) is not primitive"):
-            Segment(((0, 0), (2, 0)), False)
-        with pytest.raises(ValueError, match="not primitive"):
-            Segment(((2, 2), (0, 0)), True)
-        s = Segment(((1, 1), (0, 0)), True)
-        assert s.endpoints == ((0, 0), (1, 1)) and s.is_bridge is True
-        assert Segment(endpoints=((0, 0), (0, 1)), is_bridge=False).endpoints == ((0, 0), (0, 1))
-        assert not hasattr(s, "__dict__")  # slotted: built once per point pair
-
-    def test_enumerated_segments_equal_checked_construction(self):
-        # enumerate_segments' segments are exactly what the constructor
-        # builds from them in either endpoint order
+    def test_enumerated_segment_rows(self):
+        # each row is (a, b, is_bridge): primitive, a < b, each pair once,
+        # in (a, b) order
         p = polygon_from([(-3, -2), (4, -2), (-3, 5)])
-        segs = enumerate_segments(p)
-        assert segs and any(s.is_bridge for s in segs)
-        for s in segs:
-            a, b = s.endpoints
-            assert a < b
-            assert Segment((b, a), s.is_bridge) == s
+        rows = enumerate_segments(p)
+        assert {bridge for _, _, bridge in rows} == {True, False}
+        pairs = [(a, b) for a, b, _ in rows]
+        assert pairs == sorted(set(pairs))
+        lattice = set(p.lattice_points())
+        for a, b, bridge in rows:
+            assert type(bridge) is bool
+            assert a < b and {a, b} <= lattice
+            assert integer_length(a, b) == 1
 
     def test_cycle_class_f2(self):
         # a mod-2 class is a packed int; the transvection along it checks it
@@ -199,6 +190,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="nonnegative"):
             CurveSystem(("a", "b"), {frozenset("ab"): -1})
         assert CurveSystem(("a", "b"), {}).classes is None
+        # names in any sequence, keys as name pairs
+        normalized = CurveSystem(["a", "b"], {("b", "a"): 1})
+        assert normalized == CurveSystem(("a", "b"), {frozenset("ab"): 1})
+        assert type(normalized.curves) is tuple
 
     def test_mat_f2(self):
         with pytest.raises(ValueError, match="dimension must be even and >= 2"):
@@ -220,6 +215,21 @@ class TestValidation:
         assert (d.interior_points, d.hull_vertices, d.dimension, d.genus, d.root_order) == (
             pts, pts, 1, 2, None,
         )
-        h = HirzebruchClassification(alpha=0, n=3, case="one_blowup")
+        h = HirzebruchClassification(0, 3, "one_blowup")
         assert (h.alpha, h.n, h.case) == (0, 3, "one_blowup")
+
+    @pytest.mark.parametrize(
+        "cls", [InteriorData, HirzebruchClassification, SurfaceModel, GroupClosure],
+        ids=lambda c: c.__name__,
+    )
+    def test_store_only_constructor_takes_exactly_the_fields(self, cls):
+        # Record.__init__: one positional value per field, no more, no fewer
+        assert cls.__init__ is Record.__init__
+        n = len(cls._fields)
+        for count in (0, n - 1, n + 1):
+            with pytest.raises(TypeError, match=f"{cls.__name__} takes {n} fields, got {count}"):
+                cls(*range(count))
+        with pytest.raises(TypeError):
+            cls(*range(n - 1), **{cls._fields[-1]: 0})
+        assert fields(cls(*range(n))) == tuple(range(n))
 

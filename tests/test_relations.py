@@ -32,7 +32,7 @@ from conftest import (
 
 
 def simple_system():
-    return CurveSystem.build(
+    return CurveSystem(
         ["a", "b", "c"],
         {("a", "b"): 1, ("b", "c"): 1, ("a", "c"): 0},
     )

@@ -212,8 +212,8 @@ class TestQConsistency:
     def test_forest_values_agree_segment_by_segment(self, d5):
         models = [build_model(d5, f) for f in consistency_forests(d5)]
         q = canonical_q(d5)
-        for seg in enumerate_segments(d5):
-            vals = {q.eval_bits(m.segment_class(seg)) for m in models}
+        for a, b, _ in enumerate_segments(d5):
+            vals = {q.eval_bits(m.segment_class((a, b))) for m in models}
             assert len(vals) == 1
 
     def test_wrong_regime(self, square_3x3):
