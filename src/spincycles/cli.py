@@ -151,6 +151,8 @@ def _generation_transcript(genus: int, arf: int) -> dict:
     from .spin import standard_form
     from .symplectic import MAX_CHAIN_GENUS, verify_transvection_generation
 
+    if genus < 1:
+        raise ValueError("generation needs --genus >= 1")
     if genus > MAX_CHAIN_GENUS:  # refused before the form's tuples are built
         raise PolygonTooLargeError(
             f"generation suite builds stabilizer chains only for genus <= "

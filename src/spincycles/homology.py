@@ -38,14 +38,12 @@ from .polygon import (
 
 
 def swap_pairs(bits: int) -> int:
-    """Exchange the two bits of every (a_i, b_i) pair of a packed mask."""
+    """Exchange the two bits of every (a_i, b_i) pair of a packed mask.
+
+    So <x, y> = |swap_pairs(x) & y| mod 2 for packed classes x and y.
+    """
     ma = a_mask((bits.bit_length() + 1) // 2)
     return ((bits & ma) << 1) | ((bits >> 1) & ma)
-
-
-def pairing_f2_bits(x: int, y: int) -> int:
-    """sum(x_ai*y_bi + x_bi*y_ai) mod 2 of two packed classes (of any lengths)."""
-    return (swap_pairs(x) & y).bit_count() & 1
 
 
 def is_symplectic_bits(vectors: Sequence[int]) -> bool:
@@ -53,11 +51,11 @@ def is_symplectic_bits(vectors: Sequence[int]) -> bool:
 
     <v_2i, v_2i+1> = 1 for every pair and all other pairings vanish.
     """
-    n = len(vectors)
-    for k in range(n):
-        for l in range(k + 1, n):
+    for k, v in enumerate(vectors):
+        row = swap_pairs(v)  # bit l is <v, e_l>
+        for l in range(k + 1, len(vectors)):
             expected = 1 if (k % 2 == 0 and l == k + 1) else 0
-            if pairing_f2_bits(vectors[k], vectors[l]) != expected:
+            if (row & vectors[l]).bit_count() & 1 != expected:
                 return False
     return True
 

@@ -35,7 +35,10 @@ and verdict, and the O(q)-orbit of x is labelled by that of T_v x.
 
 The verdicts run on Python ints and lists: the table of a matrix on the
 2^(2g) classes (``_table``) and one BFS over ints (``_orbit``), which
-labels the O(q0)-orbits and the orbits of Sp(2g, F2) on forms.  The
+labels the O(q0)-orbits and the orbits of Sp(2g, F2) on forms.  The form
+orbits move by the 3g - 1 chain transvections alone, on the premise that
+they generate Sp(2g, F2): the full-group chain of every base must reach
+|Sp(2g, 2)|, and the tests close ``chain_transvections`` at genus <= 3.  The
 brute-force references for the tests share none of that code and load
 numpy on first use: the BFS closures and orbits (``_bfs``, one sequential,
 level-synchronous BFS over sorted numpy uint64 keys; closure keys are
@@ -197,8 +200,18 @@ def _orbit(start: int, moves: Callable[[int], Iterable[int]]) -> list[int]:
 
 
 def q_values_table(q: QuadraticForm) -> list[int]:
-    """q over all 2^(2g) packed classes, by :meth:`QuadraticForm.eval_bits`."""
-    return [q.eval_bits(x) for x in range(1 << (2 * q.genus))]
+    """q over all 2^(2g) packed classes, doubled like ``_table``.
+
+    q(x + e_k) = q(x) + q(e_k) + <x, e_k>, and for x < 2^k only bit k ^ 1
+    of x can pair with e_k.  So for x < 4^i, pairing with neither a_i nor
+    b_i, x + a_i, x + b_i and x + a_i + b_i take q(x) plus q(a_i), q(b_i)
+    and q(a_i) + q(b_i) + 1: each pair doubles the table twice.
+    """
+    table = [0]
+    for qa, qb in zip(q.q_a, q.q_b):
+        flip = [v ^ 1 for v in table]
+        table += (flip if qa else table) + (flip if qb else table) + (table if qa ^ qb else flip)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -361,15 +374,16 @@ def all_transvections(genus: int) -> list[MatF2]:
     return [transvection_f2(genus, bits) for bits in range(1, 1 << (2 * genus))]
 
 
-def chain_transvections(genus: int) -> list[MatF2]:
-    """Transvections along a_i, b_i and a_i + a_{i+1}: 3g - 1 generators.
+def chain_classes(genus: int) -> list[int]:
+    """a_i, b_i, then a_i + a_{i+1}: the 3g - 1 packed mod-2 classes of a
+    Humphries-type chain of twist curves, whose twists generate the mapping
+    class group and so map onto Sp(2g, F2)."""
+    return [1 << k for k in range(2 * genus)] + [0b101 << 2 * i for i in range(genus - 1)]
 
-    These are the mod-2 classes of a Humphries-type chain of twist curves,
-    which generate the mapping class group and so map onto Sp(2g, F2).
-    """
-    classes = [1 << k for k in range(2 * genus)]
-    classes += [(1 << 2 * i) | (1 << (2 * i + 2)) for i in range(genus - 1)]
-    return [transvection_f2(genus, bits) for bits in classes]
+
+def chain_transvections(genus: int) -> list[MatF2]:
+    """Transvections along the :func:`chain_classes`: 3g - 1 generators."""
+    return [transvection_f2(genus, bits) for bits in chain_classes(genus)]
 
 
 def sp_order(genus: int) -> int:
@@ -623,7 +637,7 @@ def _certified_transport(q: QuadraticForm) -> MatF2:
     m = _transport(q, q0)
     _certify("transport", q, {
         "symplectic": m.is_symplectic(),
-        "an involution": m @ m == MatF2.identity(q.genus),
+        "an involution": all(m.apply_bits(c) == 1 << j for j, c in enumerate(m.cols)),
         "q-transporting": _basis_values(m, q) == q0.qmask,
     })
     return m
@@ -673,17 +687,22 @@ def verify_arf_classification(genus: int) -> dict:
     A form is encoded by its 2g basis values.  A transvection along c
     fixes a form q when q(c) = 1 and otherwise flips the values on the
     basis vectors pairing with c, which follows from polarization.  The
-    transcript records the orbit sizes, that they partition the form
-    count, and that the Arf invariant is constant on each orbit.
+    moves are the transvections along the 3g - 1 :func:`chain_classes`,
+    whose orbits are the group's: they generate Sp(2g, F2), as the
+    full-group chain of ``_base`` and the test closures of
+    ``chain_transvections`` at genus <= 3 check.  The transcript records
+    the orbit sizes, that they partition the form count, and that the Arf
+    invariant is constant on each orbit.
     """
     if not 1 <= genus <= MAX_FULL_GROUP_GENUS:
         raise ValueError(f"supported for 1 <= genus <= {MAX_FULL_GROUP_GENUS}, got {genus}")
     total = 1 << (2 * genus)
     # q_0, the form zero on the basis, gives the part of q(c) = |c & qmask| +
     # q_0(c) that every form shares, and on the basis values of a form,
-    # sum_i q(a_i) q(b_i), its Arf invariant
-    q_0 = QuadraticForm((0,) * genus, (0,) * genus).eval_bits
-    moves = [(c, q_0(c), swap_pairs(c)) for c in range(1, total)]
+    # sum_i q(a_i) q(b_i), its Arf invariant; tabulated, as forms and classes
+    # share the range 0 .. 4^g - 1
+    q_0 = q_values_table(QuadraticForm((0,) * genus, (0,) * genus))
+    moves = [(c, q_0[c], swap_pairs(c)) for c in chain_classes(genus)]
 
     def step(form: int) -> list[int]:  # the moves of the transvections with q(c) = 0
         return [form ^ flip for c, q0_c, flip in moves if not ((form & c).bit_count() + q0_c) & 1]
@@ -694,9 +713,9 @@ def verify_arf_classification(genus: int) -> dict:
         if placed[start]:
             continue
         visited = _orbit(start, step)
-        arfs = {q_0(form) for form in visited}
+        arfs = {q_0[form] for form in visited}
         # start is the smallest member of its orbit
-        orbits.append({"arf": q_0(start), "size": len(visited), "arf_constant": len(arfs) == 1})
+        orbits.append({"arf": q_0[start], "size": len(visited), "arf_constant": len(arfs) == 1})
         for form in visited:
             placed[form] = True
     orbits.sort(key=lambda o: o["arf"])

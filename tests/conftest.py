@@ -4,7 +4,8 @@ The oracles here deliberately avoid the library's own code paths:
 genus is recounted with Pick's theorem, symplectic group orders come from
 the classical order formula, quadratic-form values are recomputed from
 the defining identity, closures are re-enumerated by a set BFS over
-``MatF2`` products instead of the numpy engine, twist words are
+``MatF2`` products instead of the numpy engine, form orbits are re-run
+over every transvection instead of the chain generators, twist words are
 multiplied out as dense integral matrices, and bridge clips are redone in
 ``Fraction`` arithmetic.
 """
@@ -189,6 +190,15 @@ def open_segment_meets_interior_reference(hull: LatticePolygon, a, b) -> bool:
     return lo < hi
 
 
+def pairing_f2(x: int, y: int) -> int:
+    """<x, y> mod 2 of two packed classes, pair by pair: x_ai y_bi + x_bi y_ai."""
+    total = 0
+    while x or y:
+        total += (x & 1) * ((y >> 1) & 1) + ((x >> 1) & 1) * (y & 1)
+        x, y = x >> 2, y >> 2
+    return total & 1
+
+
 def brute_q(q_bits_a, q_bits_b, x_bits: int) -> int:
     """q(x) recomputed from the defining identity, bit by bit.
 
@@ -205,6 +215,57 @@ def brute_q(q_bits_a, q_bits_b, x_bits: int) -> int:
             if l == k + 1 and k % 2 == 0:
                 total += 1
     return total & 1
+
+
+def arf_classification_reference(genus: int) -> dict:
+    """The transcript of ``verify_arf_classification``, by a plain BFS over
+    all 4^g - 1 transvections.
+
+    A form is the int of its basis values, bit k = q(e_k).  T_c acts on
+    forms by q -> q o T_c, whose basis values q(e_k + <c, e_k> c) are
+    recomputed by ``brute_q``; the Arf invariant is sum_i q(a_i) q(b_i).
+    Orbits come in order of their smallest member, then stably by Arf.
+    """
+    n = 2 * genus
+
+    def values(form):  # (q(a_i)), (q(b_i))
+        return [(form >> k) & 1 for k in range(0, n, 2)], [(form >> k) & 1 for k in range(1, n, 2)]
+
+    def act(form, c):
+        q_a, q_b = values(form)
+        out = 0
+        for k in range(n):
+            paired = (c >> (k ^ 1)) & 1  # <c, e_k>
+            out |= brute_q(q_a, q_b, (1 << k) ^ (c if paired else 0)) << k
+        return out
+
+    def arf(form):
+        q_a, q_b = values(form)
+        return sum(a * b for a, b in zip(q_a, q_b)) % 2
+
+    orbits, seen = [], set()
+    for start in range(1 << n):
+        if start in seen:
+            continue
+        members, todo = {start}, [start]
+        for x in todo:
+            for c in range(1, 1 << n):
+                y = act(x, c)
+                if y not in members:
+                    members.add(y)
+                    todo.append(y)
+        seen |= members
+        arfs = {arf(f) for f in members}
+        orbits.append({"arf": arf(start), "size": len(members), "arf_constant": len(arfs) == 1})
+    orbits.sort(key=lambda o: o["arf"])
+    return {
+        "genus": genus,
+        "form_count": 1 << n,
+        "orbits": orbits,
+        "partition_ok": sum(o["size"] for o in orbits) == 1 << n,
+        "two_orbits": len(orbits) == 2,
+        "arf_constant_on_orbits": all(o["arf_constant"] for o in orbits),
+    }
 
 
 # q-symplectic bases: the Arf invariant recounted as the number of type-1

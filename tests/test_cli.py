@@ -239,6 +239,13 @@ class TestVerify:
         assert main(["verify", "generation", "--genus", genus, "--arf", "0"]) == 4
         assert f"MAX_CHAIN_GENUS = {MAX_CHAIN_GENUS}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("genus", ["0", "-1", "-5"])
+    def test_generation_genus_below_one(self, capsys, genus):
+        # used to name the record fields: "q_a and q_b must have equal
+        # positive length g"
+        assert main(["verify", "generation", "--genus", genus, "--arf", "1"]) == 2
+        assert capsys.readouterr().err == "input error: generation needs --genus >= 1\n"
+
     def test_failed_certificate_exit_1_without_traceback(self):
         # T_v composed with the a_1 <-> a_2 column swap fails the transport
         # certificate; the run ends in one stderr line, not a traceback

@@ -9,7 +9,7 @@ from spincycles.homology import (
     build_model,
     default_forest,
     hyperelliptic_chain,
-    pairing_f2_bits,
+    swap_pairs,
     validate_forest,
     vertex_forest,
 )
@@ -22,7 +22,7 @@ from spincycles.polygon import (
 
 from spincycles.symplectic import transvection_f2
 
-from conftest import polygon_from, symplectic_form_z
+from conftest import pairing_f2, polygon_from, symplectic_form_z
 
 
 class TestClasses:
@@ -55,8 +55,8 @@ class TestPairing:
         for i in range(g):
             for j in range(g):
                 ai, aj, bj = 1 << (2 * i), 1 << (2 * j), 1 << (2 * j + 1)
-                assert pairing_f2_bits(ai, bj) == (1 if i == j else 0)
-                assert pairing_f2_bits(ai, aj) == 0
+                assert pairing_f2(ai, bj) == (1 if i == j else 0)
+                assert pairing_f2(ai, aj) == 0
 
     def test_z_conventions(self):
         j = symplectic_form_z(2)
@@ -78,7 +78,8 @@ class TestPairing:
             x = np.array([rng.randint(-4, 4) for _ in range(2 * g)])
             y = np.array([rng.randint(-4, 4) for _ in range(2 * g)])
             xb, yb = int(weights @ (x & 1)), int(weights @ (y & 1))
-            assert (x @ j @ y) % 2 == pairing_f2_bits(xb, yb)
+            # the library pairs through swap_pairs
+            assert (x @ j @ y) % 2 == pairing_f2(xb, yb) == (swap_pairs(xb) & yb).bit_count() & 1
 
     def test_antisymmetry_random(self):
         rng = random.Random(6)
@@ -158,7 +159,7 @@ class TestModel:
                 for v in m.points:
                     expected = 1 if v in (a, b) else 0
                     a_v = 1 << (2 * m.rank(v) - 2)
-                    assert pairing_f2_bits(cls, a_v) == expected
+                    assert pairing_f2(cls, a_v) == expected
 
     def test_segment_classes_never_pair(self, d5):
         # pure-b classes pair to zero, segment against segment
@@ -166,7 +167,7 @@ class TestModel:
         segs = [m.segment_class((a, b)) for a, b, _ in enumerate_segments(d5)]
         for i, x in enumerate(segs):
             for y in segs[i:]:
-                assert pairing_f2_bits(x, y) == 0
+                assert pairing_f2(x, y) == 0
 
 
 class TestForests:
@@ -203,7 +204,7 @@ class TestForests:
                     classes = [m.segment_class(s) for s in forest[v]]
                     for i, x in enumerate(classes):
                         for y in classes[i + 1 :]:
-                            assert pairing_f2_bits(x, y) == 0
+                            assert pairing_f2(x, y) == 0
 
     def test_validate_rejects_broken_paths(self, d5):
         good = default_forest(d5)

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from spincycles.homology import build_model, pairing_f2_bits
+from spincycles.homology import build_model
 from spincycles.polygon import RegimeError, enumerate_segments, interior_data
 from spincycles.spin import (
     QuadraticForm,
@@ -16,7 +16,7 @@ from spincycles.spin import (
 )
 from spincycles.symplectic import q_values_table
 
-from conftest import brute_q, is_symplectic_basis, q_symplectic_basis
+from conftest import brute_q, is_symplectic_basis, pairing_f2, q_symplectic_basis
 
 
 class TestCanonicalQ:
@@ -103,7 +103,7 @@ class TestEval:
             x = rng.randrange(1 << 12)
             y = rng.randrange(1 << 12)
             lhs = q.eval_bits(x ^ y)
-            pair = pairing_f2_bits(x, y)
+            pair = pairing_f2(x, y)
             assert lhs == (q.eval_bits(x) ^ q.eval_bits(y) ^ pair)
 
 

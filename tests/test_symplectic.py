@@ -20,6 +20,7 @@ from spincycles.symplectic import (
     _filter_preserves_q,
     admissible_transvections,
     all_transvections,
+    chain_classes,
     chain_transvections,
     closure,
     full_symplectic_closure,
@@ -35,6 +36,8 @@ from spincycles.symplectic import (
 )
 
 from conftest import (
+    arf_classification_reference,
+    brute_q,
     closure_reference,
     is_symplectic_z,
     mat_f2_from_z,
@@ -257,9 +260,12 @@ class TestClosure:
 
 class TestFullGroup:
     def test_chain_set(self):
+        a1, b1, a2, b2, a3, b3 = (1 << k for k in range(6))
+        assert chain_classes(3) == [a1, b1, a2, b2, a3, b3, a1 | a2, a2 | a3]
         for g in (1, 2, 3):
             gens = chain_transvections(g)
             assert len(gens) == 3 * g - 1
+            assert gens == [transvection_f2(g, c) for c in chain_classes(g)]
             assert all(t.is_symplectic() for t in gens)
 
     def test_chain_closure_equals_all_transvections(self):
@@ -1015,3 +1021,34 @@ class TestArfClassification:
             sizes = {o["arf"]: o["size"] for o in r["orbits"]}
             assert sizes[0] == (1 << (g - 1)) * ((1 << g) + 1)
             assert sizes[1] == (1 << (g - 1)) * ((1 << g) - 1)
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_chain_moves_match_all_transvection_reference(self, g):
+        r = verify_arf_classification(g)
+        assert r == arf_classification_reference(g)
+        sizes = [(o["arf"], o["size"]) for o in r["orbits"]]
+        assert sizes == [(0, (1 << (g - 1)) * ((1 << g) + 1)), (1, (1 << (g - 1)) * ((1 << g) - 1))]
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_short_chain_splits_the_orbits(self, monkeypatch, g):
+        # without a_{g-1} + a_g the moves generate Sp(2g-2, 2) x Sp(2, 2),
+        # whose orbits split the Arf classes: the generating set carries
+        # the verdict
+        real = symplectic.chain_classes
+        monkeypatch.setattr(symplectic, "chain_classes", lambda genus: real(genus)[:-1])
+        r = verify_arf_classification(g)
+        assert not r["two_orbits"] and len(r["orbits"]) > 2
+        assert r["partition_ok"] and r["arf_constant_on_orbits"]
+
+
+class TestQValuesTable:
+    @pytest.mark.parametrize("g", range(1, 8))
+    def test_table_matches_brute_force(self, g):
+        rng = random.Random(4500 + g)
+        for arf in (0, 1):
+            q = sample_forms(rng, g, arf, 1)[0]
+            table = q_values_table(q)
+            assert len(table) == 1 << (2 * g)
+            # q_orbit_partition prints sorted({table[x]}): a bool would print true
+            assert all(type(v) is int and v in (0, 1) for v in table)
+            assert table == [brute_q(q.q_a, q.q_b, x) for x in range(1 << (2 * g))]
