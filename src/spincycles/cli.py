@@ -183,6 +183,8 @@ def run_suite(
 
         return verify_hyperelliptic_word(p)
     if suite == "chain-relation":
+        if genus is not None and genus < 2:
+            raise ValueError("chain-relation needs --genus >= 2")
         from .relations import verify_chain_relation_homology
 
         return verify_chain_relation_homology(2 if genus is None else genus)
@@ -278,7 +280,8 @@ def _emit(report: dict, as_json: bool, out: str | None) -> None:
     sys.stdout.flush()  # a closed stdout fails here, inside main, not at exit
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The top-level parser and its ``verify`` subparser."""
     ap = argparse.ArgumentParser(
         prog="spincycles",
         description=(
@@ -311,28 +314,25 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--genus", type=int, help="abstract genus for group suites")
     sp.add_argument("--arf", type=int, choices=(0, 1), help="Arf invariant")
     common(sp)
-    return ap
+    return ap, sp
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    top, verify = _parser()
+    if argv and argv[0] == "verify":  # intermixed, so options may precede the polygon file
+        args = verify.parse_intermixed_args(argv[1:], argparse.Namespace(command="verify"))
+    else:
+        args = top.parse_args(argv)
     try:
-        if args.command == "classify":
-            report = build_classify_report(_load_polygon(args.file))
-            _emit(report, args.json, args.out)
-            return EXIT_OK
-        if args.command == "qtable":
-            report = build_qtable_report(_load_polygon(args.file))
-            _emit(report, args.json, args.out)
-            return EXIT_OK
-        if args.command == "segments":
-            report = build_segments_report(_load_polygon(args.file), args.bridges)
-            _emit(report, args.json, args.out)
-            return EXIT_OK
         if args.command == "verify":
-            transcript, code = run_verify(args)
-            _emit(transcript, args.json, args.out)
-            return code
+            report, code = run_verify(args)
+        else:  # read from the module now, so a builder rebound after import is the one run
+            build = globals()[f"build_{args.command}_report"]
+            extra = (args.bridges,) if args.command == "segments" else ()
+            report, code = build(_load_polygon(args.file), *extra), EXIT_OK
+        _emit(report, args.json, args.out)
+        return code
     except BrokenPipeError:
         # Python's SIGPIPE recipe: fd 1 goes to devnull so the exit flush stays silent
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -353,7 +353,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -18,12 +18,14 @@ reproducible.  Conventions:
 A mod-2 class is a bit vector packed into a Python int (bit 2i is the
 a_{i+1}-coordinate, bit 2i+1 the b_{i+1}-coordinate); an integral class is
 the tuple of its 2g coordinates in the same interleaved order.
+
+The spanning forests are parent maps of :func:`breadth_first`, the one
+search of the package: the symplectic verdicts label orbits with it too.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Sequence
+from collections.abc import Callable, Hashable, Iterable, Sequence
 
 from .polygon import (
     LatticePolygon,
@@ -108,30 +110,30 @@ class SurfaceModel(Record):
 _AXIS_STEPS: tuple[Point, ...] = ((-1, 0), (0, -1), (1, 0), (0, 1))
 
 
-def _axis_bfs(
-    sources: list[Point], allowed: set[Point], step_order: tuple[Point, ...]
-) -> dict[Point, Point]:
-    """Parent map of a multi-source BFS over axis steps inside ``allowed``."""
-    parent: dict[Point, Point] = {}
-    queue = deque(sources)
-    seen = set(queue)
-    while queue:
-        cur = queue.popleft()
-        for dx, dy in step_order:
-            nxt = (cur[0] + dx, cur[1] + dy)
-            if nxt in allowed and nxt not in seen:
+def breadth_first(sources: Iterable[Hashable], moves: Callable) -> dict:
+    """Multi-source BFS: each point reached maps to the point it was first
+    reached from, each source to ``None``; the keys are in BFS order."""
+    parent = dict.fromkeys(sources)
+    todo = list(parent)
+    for cur in todo:
+        for nxt in moves(cur):
+            if nxt not in parent:
                 parent[nxt] = cur
-                seen.add(nxt)
-                queue.append(nxt)
+                todo.append(nxt)
     return parent
 
 
-def _path(parent: dict[Point, Point], v: Point) -> tuple[PathSeg, ...]:
+def _axis_moves(allowed: set[Point], step_order: tuple[Point, ...] = _AXIS_STEPS) -> Callable:
+    """The unit axis steps from a point that stay inside ``allowed``."""
+    return lambda c: [n for dx, dy in step_order if (n := (c[0] + dx, c[1] + dy)) in allowed]
+
+
+def _path(parent: dict[Point, Point | None], v: Point) -> tuple[PathSeg, ...]:
     """Segments of the parent walk from ``v`` up to its root."""
     path: list[PathSeg] = []
-    while v in parent:
-        path.append((v, parent[v]))
-        v = parent[v]
+    while (u := parent[v]) is not None:
+        path.append((v, u))
+        v = u
     return tuple(path)
 
 
@@ -153,7 +155,8 @@ def default_forest(
     inside = p.lattice_points()
     interior = set(d.interior_points)
     boundary = [q for q in inside if q not in interior]
-    parent = _axis_bfs(sorted(boundary, reverse=source_reverse), set(inside), step_order)
+    moves = _axis_moves(set(inside), step_order)
+    parent = breadth_first(sorted(boundary, reverse=source_reverse), moves)
     # exotic shapes where axis steps do not reach: fall back to a
     # subdivided straight segment to the nearest boundary point
     for v in sorted(interior - parent.keys()):
@@ -197,12 +200,9 @@ def vertex_forest(p: LatticePolygon) -> Forest:
         # routing through kappa could repeat segments, so keep the default
         return default_forest(p)
     tail: tuple[PathSeg, ...] = ((kappa, exits[0]),)
-    parent = _axis_bfs([kappa], interior, _AXIS_STEPS)
-    fallback = default_forest(p) if len(parent) + 1 < len(interior) else {}
-    return {
-        v: _path(parent, v) + tail if v == kappa or v in parent else fallback[v]
-        for v in d.interior_points
-    }
+    parent = breadth_first([kappa], _axis_moves(interior))
+    fallback = default_forest(p) if len(parent) < len(interior) else {}
+    return {v: _path(parent, v) + tail if v in parent else fallback[v] for v in d.interior_points}
 
 
 def validate_forest(p: LatticePolygon, forest: Forest) -> None:

@@ -64,13 +64,13 @@ SPIN_REGIMES = (REGIME_SPIN, REGIME_ALGEBRAIC_EVEN)
 MAX_BOX_POINTS = 250_000
 
 #: lattice-point pairs enumerate_segments may test, N(N - 1)/2 for N points;
-#: ``spincycles segments --json`` at this size takes 0.5-0.7 s and 35 MB
+#: ``spincycles segments --json`` at this size takes 0.25-0.37 s and 28 MB
 #: (2-core Xeon)
 MAX_SEGMENT_PAIRS = 250_000
 
 #: interior points of a homology model, also the largest abstract genus a
 #: relation check accepts; ``verify hyperelliptic-word`` (quadratic in the
-#: genus) on a genus-300 strip takes 0.3-0.4 s (2-core Xeon)
+#: genus) on a genus-300 strip takes 0.30-0.42 s (2-core Xeon)
 MAX_MODEL_GENUS = 300
 
 

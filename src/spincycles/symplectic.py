@@ -34,8 +34,9 @@ T_v t_c T_v = t_{T_v c}, adm(q0) onto adm(q), so q has the base's orders
 and verdict, and the O(q)-orbit of x is labelled by that of T_v x.
 
 The verdicts run on Python ints and lists: the table of a matrix on the
-2^(2g) classes (``_table``) and one BFS over ints (``_orbit``), which
-labels the O(q0)-orbits and the orbits of Sp(2g, F2) on forms.  The form
+2^(2g) classes (``_table``) and the one breadth-first search that also
+builds the spanning forests (``homology.breadth_first``), which labels the
+O(q0)-orbits and the orbits of Sp(2g, F2) on forms.  The form
 orbits move by the 3g - 1 chain transvections alone, on the premise that
 they generate Sp(2g, F2): the full-group chain of every base must reach
 |Sp(2g, 2)|, and the tests close ``chain_transvections`` at genus <= 3.  The
@@ -54,7 +55,7 @@ from collections.abc import Callable, Iterable
 from itertools import islice
 from typing import TYPE_CHECKING, NamedTuple
 
-from .homology import is_symplectic_bits, swap_pairs
+from .homology import breadth_first, is_symplectic_bits, swap_pairs
 from .polygon import PolygonTooLargeError, Record, VerificationError
 from .spin import QuadraticForm, standard_form
 
@@ -185,18 +186,6 @@ def _table(cols) -> list[int]:
     for c in cols:
         table += [x ^ c for x in table]
     return table
-
-
-def _orbit(start: int, moves: Callable[[int], Iterable[int]]) -> list[int]:
-    """The points reached from ``start`` by ``moves``, in BFS order."""
-    seen = {start}
-    todo = [start]
-    for x in todo:
-        for y in moves(x):
-            if y not in seen:
-                seen.add(y)
-                todo.append(y)
-    return todo
 
 
 def q_values_table(q: QuadraticForm) -> list[int]:
@@ -614,7 +603,7 @@ def _base(q: QuadraticForm) -> _Base:
         labels = [-1] * (1 << (2 * genus))
         for x in range(len(labels)):
             if labels[x] < 0:  # x is the smallest member of its orbit
-                for y in _orbit(x, lambda p: [t[p] for t in tables]):
+                for y in breadth_first([x], lambda p: [t[p] for t in tables]):
                     labels[y] = x
         points = tuple((what, chain[1]) for what, chain in chains.items())
         _BASES[genus, arf] = _Base(chains["admissible"][0], tuple(labels), points)
@@ -712,7 +701,7 @@ def verify_arf_classification(genus: int) -> dict:
     for start in range(total):
         if placed[start]:
             continue
-        visited = _orbit(start, step)
+        visited = breadth_first([start], step)
         arfs = {q_0[form] for form in visited}
         # start is the smallest member of its orbit
         orbits.append({"arf": q_0[start], "size": len(visited), "arf_constant": len(arfs) == 1})

@@ -156,6 +156,28 @@ class TestClassify:
         assert "regime: spin" in out
         assert "genus: 6" in out
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["classify"], 2),
+            (["qtable"], 2),
+            (["segments"], 0),
+            (["verify", "q-consistency"], 2),
+            (["verify", "hyperelliptic-word"], 2),
+            (["verify", "all"], 2),
+        ],
+    )
+    def test_non_smooth_polygon(self, tmp_path, capsys, argv, code):
+        # (0,0),(3,0),(0,2) is not smooth: only segments reads no regime
+        path = tmp_path / "non_smooth.json"
+        path.write_text('{"vertices": [[0, 0], [3, 0], [0, 2]]}')
+        assert main(argv + [str(path)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == "input error: regime classification requires a smooth polygon\n"
+        else:
+            assert err == ""
+
 
 class TestQtable:
     def test_quintic(self, tmp_path, capsys):
@@ -318,9 +340,11 @@ class TestVerify:
 
     @pytest.mark.parametrize("suite", ["chain-relation", "all"])
     def test_chain_relation_genus_0_exit_2(self, capsys, suite):
-        # genus 0 is an input error like genus 1, not the default genus 2
-        assert main(["verify", suite, "--genus", "0"]) == 2
-        assert "need ambient genus >= 2" in capsys.readouterr().err
+        # genus 0 is an input error like genus 1, not the default genus 2,
+        # and the message names the flag
+        for genus in ("0", "1", "-1"):
+            assert main(["verify", suite, "--genus", genus]) == 2, genus
+            assert capsys.readouterr().err == "input error: chain-relation needs --genus >= 2\n"
 
     def test_chain_relation_genus_over_budget_exit_4(self, capsys):
         # a 60,000 x 60,000 int64 matrix would not fit in memory
@@ -373,6 +397,24 @@ class TestVerify:
     def test_suite_needs_polygon_file_exit_3(self, capsys, suite):
         assert main(["verify", suite]) == 3
         assert f"{suite} needs a polygon file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "suite, name, flags",
+        [
+            ("q-consistency", "quintic", ["--json"]),
+            ("hyperelliptic-word", "rect_4x2", ["--out", "OUT"]),
+            ("all", "quintic", ["--genus", "3", "--arf", "1"]),
+        ],
+    )
+    def test_options_before_or_after_the_file(self, tmp_path, capsys, suite, name, flags):
+        # argparse alone left the optional file empty when options came first
+        path = corpus_file(tmp_path, name)
+        flags = [str(tmp_path / "out.json") if f == "OUT" else f for f in flags]
+        outputs = []
+        for argv in ([suite, path] + flags, [suite] + flags + [path]):
+            assert main(["verify"] + argv) == 0, argv
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] and outputs[0].out
 
     def test_all_on_polygon(self, tmp_path, capsys):
         code = main(["verify", "all", corpus_file(tmp_path, "quintic"), "--json"])

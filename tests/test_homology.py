@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from spincycles import corpus
 from spincycles.homology import (
     build_model,
     default_forest,
@@ -20,6 +23,7 @@ from spincycles.polygon import (
     enumerate_segments,
 )
 
+from spincycles.spin import consistency_forests
 from spincycles.symplectic import transvection_f2
 
 from conftest import pairing_f2, polygon_from, symplectic_form_z
@@ -170,6 +174,28 @@ class TestModel:
                 assert pairing_f2(x, y) == 0
 
 
+FORESTS = Path(__file__).parent / "golden" / "forests.json"
+
+#: a lattice image of the quintic whose default paths are mostly the
+#: straight-segment fallback
+SHEARED_QUINTIC = ((-14, 14), (-9, 9), (11, -6))
+
+
+def forests_golden_text() -> str:
+    """The rows of ``tests/golden/forests.json``: one per forest of
+    :func:`consistency_forests` on every valid corpus polygon and the
+    sheared quintic, as (polygon, forest index, [point, path] pairs in
+    the forest's point order)."""
+    polygons = [(n, corpus.load(n)) for n in corpus.VALID]
+    polygons.append(("sheared_quintic", polygon_from(SHEARED_QUINTIC)))
+    rows = [
+        json.dumps([name, k, list(forest.items())], separators=(",", ":"))
+        for name, p in polygons
+        for k, forest in enumerate(consistency_forests(p))
+    ]
+    return '{"fields":["polygon","forest","paths"],"rows":[\n' + ",\n".join(rows) + "\n]}\n"
+
+
 class TestForests:
     def all_forests(self, p):
         return [
@@ -220,7 +246,7 @@ class TestForests:
     def test_straight_segment_fallback(self):
         # a lattice image of the quintic where axis steps reach only (-8, 9):
         # the other five paths are the straight-segment fallback
-        p = polygon_from([(-14, 14), (-9, 9), (11, -6)])
+        p = polygon_from(SHEARED_QUINTIC)
         forest = default_forest(p)
         straight = {
             v for v, path in forest.items()
@@ -231,6 +257,11 @@ class TestForests:
         m = build_model(p, forest)
         for v in m.points:
             assert m.path_class_sum(v) == m.b_class(v)
+
+    def test_forests_match_golden(self):
+        # every forest builder, byte for byte, on the corpus and the
+        # straight-segment fallback
+        assert forests_golden_text().encode() == FORESTS.read_bytes()
 
 
 class TestHyperellipticChain:
