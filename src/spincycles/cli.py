@@ -20,8 +20,10 @@ still written in full).  Output is
 human-readable by default; ``--json`` switches to the JSON schemas, and
 ``--out`` always writes the JSON transcript.
 Transcript text is the stdlib's ``json.dumps(report, indent=2)``, built
-member by member; segment rows, built as they are written, are the one
-stream with their own template.  A command
+member by member; segment rows are the one value with their own text,
+joined from fragments built once per lattice point.  Output is written
+chunk by chunk, segment rows 256 to a chunk (about 40 KB) in both output
+modes, so memory stays flat in the row count.  A command
 imports only the layers it reads: ``spin`` loads in the branches that read
 a spin form, so ``segments``, non-spin ``classify`` and
 ``hyperelliptic-word`` start without it, and spin ``classify`` and
@@ -35,7 +37,7 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from itertools import islice
+from itertools import chain, islice
 
 from .polygon import (
     SPIN_REGIMES,
@@ -44,6 +46,7 @@ from .polygon import (
     PolygonError,
     PolygonTooLargeError,
     RegimeError,
+    SegmentRows,
     VerificationError,
     classify_onedim,
     classify_regime,
@@ -59,6 +62,9 @@ EXIT_INPUT_ERROR = 2
 EXIT_INAPPLICABLE = 3
 EXIT_CAP = 4
 EXIT_OUTPUT_CLOSED = 5
+
+#: segment rows joined into one chunk of output, about 40 KB of transcript
+_ROWS_PER_CHUNK = 256
 
 SUITES = (
     "generation",
@@ -112,52 +118,65 @@ def build_qtable_report(p: LatticePolygon) -> dict:
 
 
 class _SegmentRows:
-    """Re-iterable rows of a segment list, each built as it is read."""
+    """A report's segment rows over packed :class:`SegmentRows`: each row
+    ``{"endpoints": [a, b], "is_bridge": ...}`` or its text, built as it is read."""
 
-    def __init__(self, segs):
-        self.segs = segs
+    def __init__(self, rows: SegmentRows):
+        self.rows = rows
 
     def __len__(self) -> int:
-        return len(self.segs)
+        return len(self.rows)
 
     def __iter__(self):
-        for a, b, is_bridge in self.segs:
+        for a, b, is_bridge in self.rows:
             yield {"endpoints": [list(a), list(b)], "is_bridge": is_bridge}
 
     def texts(self):
         """Each row as ``json.dumps(report, indent=2)`` writes a top-level
-        member's item, from one template: the one JSON value the encoder does not write."""
-        for (ax, ay), (bx, by), is_bridge in self.segs:
-            yield (
-                f'{{\n      "endpoints": [\n        [\n          {ax},\n          {ay}'
-                f'\n        ],\n        [\n          {bx},\n          {by}\n        ]'
-                f'\n      ],\n      "is_bridge": {"true" if is_bridge else "false"}\n    }}'
-            )
+        member's item (the one JSON value the encoder does not write), joined
+        from fragments built once per lattice point."""
+        return self.rows.join(
+            lambda a: f'{{\n      "endpoints": [\n        [\n          {a[0]},\n          {a[1]}'
+            f'\n        ],\n        [\n          ',
+            lambda b, is_bridge: f'{b[0]},\n          {b[1]}\n        ]\n      ],'
+            f'\n      "is_bridge": {"true" if is_bridge else "false"}\n    }}',
+        )
 
 
 def build_segments_report(p: LatticePolygon, bridges_only: bool) -> dict:
-    segs = enumerate_segments(p)
+    rows = enumerate_segments(p)
     if bridges_only:
-        segs = [row for row in segs if row[2]]
+        rows = rows.bridges()
     return {
         "polygon": [list(v) for v in p.vertices],
-        "count": len(segs),
+        "count": len(rows),
         "bridges_only": bridges_only,
-        "segments": _SegmentRows(segs),
+        "segments": _SegmentRows(rows),
     }
+
+
+def _check_flags(suite: str, genus: int | None, arf: int | None) -> None:
+    """Refuse a group suite's ``--genus`` and ``--arf`` before any suite runs."""
+    if suite == "generation":
+        if genus is None or arf is None:
+            raise RegimeError("generation needs --genus and --arf")
+        if genus < 1:
+            raise ValueError("generation needs --genus >= 1")
+        from .symplectic import MAX_CHAIN_GENUS
+
+        if genus > MAX_CHAIN_GENUS:  # refused before the form's tuples are built
+            raise PolygonTooLargeError(
+                f"generation suite builds stabilizer chains only for genus <= "
+                f"MAX_CHAIN_GENUS = {MAX_CHAIN_GENUS}"
+            )
+    elif suite == "chain-relation" and genus is not None and genus < 2:
+        raise ValueError("chain-relation needs --genus >= 2")
 
 
 def _generation_transcript(genus: int, arf: int) -> dict:
     from .spin import standard_form
-    from .symplectic import MAX_CHAIN_GENUS, verify_transvection_generation
+    from .symplectic import verify_transvection_generation
 
-    if genus < 1:
-        raise ValueError("generation needs --genus >= 1")
-    if genus > MAX_CHAIN_GENUS:  # refused before the form's tuples are built
-        raise PolygonTooLargeError(
-            f"generation suite builds stabilizer chains only for genus <= "
-            f"MAX_CHAIN_GENUS = {MAX_CHAIN_GENUS}"
-        )
     q = standard_form(genus, arf)
     result = verify_transvection_generation(q)
     # equality is asserted only where full-group generation is expected
@@ -172,9 +191,8 @@ def _generation_transcript(genus: int, arf: int) -> dict:
 def run_suite(
     suite: str, p: LatticePolygon | None, genus: int | None, arf: int | None
 ) -> dict:
+    _check_flags(suite, genus, arf)
     if suite == "generation":
-        if genus is None or arf is None:
-            raise RegimeError("generation needs --genus and --arf")
         return _generation_transcript(genus, arf)
     if suite == "hyperelliptic-word":
         if p is None:
@@ -183,8 +201,6 @@ def run_suite(
 
         return verify_hyperelliptic_word(p)
     if suite == "chain-relation":
-        if genus is not None and genus < 2:
-            raise ValueError("chain-relation needs --genus >= 2")
         from .relations import verify_chain_relation_homology
 
         return verify_chain_relation_homology(2 if genus is None else genus)
@@ -207,17 +223,19 @@ def run_verify(args) -> tuple[dict, int]:
         transcript = run_suite(args.suite, p, args.genus, args.arf)
         code = EXIT_OK if transcript.get("pass", True) else EXIT_VERIFICATION_FAILED
         return transcript, code
-    results = []
+    plan = []
     if p is not None:
         regime = classify_regime(p)
         if regime == REGIME_HYPERELLIPTIC:
-            results.append(run_suite("hyperelliptic-word", p, None, None))
+            plan.append(("hyperelliptic-word", p, None, None))
         if regime in SPIN_REGIMES:
-            results.append(run_suite("q-consistency", p, None, None))
+            plan.append(("q-consistency", p, None, None))
     if args.genus is not None and args.arf is not None:
-        results.append(run_suite("generation", None, args.genus, args.arf))
-    results.append(run_suite("chain-relation", None, args.genus, None))
-    results.append(run_suite("chrel2", None, None, None))
+        plan.append(("generation", None, args.genus, args.arf))
+    plan += [("chain-relation", None, args.genus, None), ("chrel2", None, None, None)]
+    for suite, _, genus, arf in plan:  # every refusal before the first suite runs
+        _check_flags(suite, genus, arf)
+    results = [run_suite(*step) for step in plan]
     transcript = {
         "suite": "all",
         "results": results,
@@ -230,7 +248,7 @@ def run_verify(args) -> tuple[dict, int]:
 def _chunks(report: dict):
     """The text of ``json.dumps(report, indent=2)``, member by member: the
     stdlib's text of each value one level in (it escapes every newline in a
-    string), but segment rows one chunk per row, from their template."""
+    string), but segment rows ``_ROWS_PER_CHUNK`` to a chunk."""
     if not report:
         yield "{}"
         return
@@ -241,42 +259,59 @@ def _chunks(report: dict):
         if not isinstance(value, _SegmentRows):
             yield json.dumps(value, indent=2).replace("\n", "\n  ")
             continue
-        row_sep = "[\n    "
-        for row in value.texts():
-            yield row_sep + row
+        texts, row_sep = value.texts(), "[\n    "
+        while batch := ",\n    ".join(islice(texts, _ROWS_PER_CHUNK)):
+            yield row_sep + batch
             row_sep = ",\n    "
         yield "\n  ]" if value else "[]"
     yield "\n}"
 
 
-def _emit(report: dict, as_json: bool, out: str | None) -> None:
+def _lines(report: dict):
+    """The human-readable text, one ``key: value`` line per member; a
+    segment list is ``json.dumps(list(rows))``, ``_ROWS_PER_CHUNK`` rows to
+    a chunk (the encoder joins list items with ``", "``)."""
+    for key, value in report.items():
+        if isinstance(value, _SegmentRows):
+            yield f"{key}: ["
+            rows, row_sep = iter(value), ""
+            while batch := list(islice(rows, _ROWS_PER_CHUNK)):
+                yield row_sep + json.dumps(batch)[1:-1]
+                row_sep = ", "
+            yield "]\n"
+        elif isinstance(value, (dict, list)):
+            yield f"{key}: {json.dumps(value)}\n"
+        else:
+            yield f"{key}: {value}\n"
+
+
+def _write(chunks, sinks: list) -> BrokenPipeError | None:
+    """Write each chunk to every sink, so no text longer than a chunk is
+    held.  A closed stdout leaves the sinks, and a file still gets every
+    chunk; its error is returned, to be raised once the file is complete."""
     closed = None
+    for chunk in chunks:
+        if not sinks:
+            break
+        for sink in sinks:
+            try:
+                sink.write(chunk)
+            except BrokenPipeError as exc:
+                if sink is not sys.stdout:
+                    raise
+                sinks.remove(sink)  # the last sink
+                closed = exc
+    return closed
+
+
+def _emit(report: dict, as_json: bool, out: str | None) -> None:
     with open(out, "w", encoding="utf-8") if out else nullcontext() as fh:
         sinks = ([fh] if out else []) + ([sys.stdout] if as_json else [])
-        # written once and streamed to every sink in batches of chunks, so
-        # neither the whole text nor every row is ever held
-        chunks = _chunks(report)
-        while sinks and (batch := "".join(islice(chunks, 4096))):
-            for sink in sinks:
-                try:
-                    sink.write(batch)
-                except BrokenPipeError as exc:
-                    if sink is not sys.stdout:
-                        raise
-                    sinks.remove(sink)  # the last sink; the file still gets every batch
-                    closed = exc
-        for sink in sinks:
-            sink.write("\n")
+        closed = _write(chain(_chunks(report), ("\n",)), sinks)
+    if not as_json:
+        closed = _write(_lines(report), [sys.stdout])
     if closed:
         raise closed
-    if not as_json:
-        for key, value in report.items():
-            if isinstance(value, _SegmentRows):  # json.dumps(list(value)), row by row
-                print(f"{key}: [{', '.join(map(json.dumps, value))}]")
-            elif isinstance(value, (dict, list)):
-                print(f"{key}: {json.dumps(value)}")
-            else:
-                print(f"{key}: {value}")
     sys.stdout.flush()  # a closed stdout fails here, inside main, not at exit
 
 

@@ -158,13 +158,13 @@ def verify_q_consistency(p: LatticePolygon) -> dict:
     the count says nothing about q (a lattice image of a polygon can make
     two of the forests coincide).
     """
-    from .homology import build_model
-
     regime = classify_regime(p)
     if regime not in SPIN_REGIMES:
         raise RegimeError(
             f"q-consistency applies to spin/algebraic_even polygons, got {regime!r}"
         )
+    from .homology import build_model  # after the refusal, which needs no model
+
     forests = consistency_forests(p)
     models = [build_model(p, f) for f in forests]
     distinct_forests = len({tuple(sorted(f.items())) for f in forests})

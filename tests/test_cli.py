@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ import pytest
 import spincycles
 from spincycles import cli, corpus
 from spincycles.cli import main
+from spincycles.polygon import SegmentRows
 from spincycles.symplectic import MAX_CHAIN_GENUS
 
 QUINTIC = corpus.read_text("quintic")
@@ -245,6 +247,24 @@ class TestSegments:
         assert json.loads(out.read_text())["count"] == 19551
         assert peak < 8 << 20, peak
 
+    @pytest.mark.parametrize("mode", [["--json"], []])
+    def test_largest_input_in_bounded_memory(self, tmp_path, mode):
+        # 150,492 rows of the degree-36 triangle, the largest admitted
+        # input: 1.2 MB packed; as row tuples the peak passes 12 MB, and
+        # with the whole human-readable line 34 MB
+        path = tmp_path / "tri36.json"
+        path.write_text('{"vertices": [[0, 0], [36, 0], [0, 36]]}')
+        out = tmp_path / "segments.json"
+        tracemalloc.start()
+        try:
+            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                assert main(["segments", str(path), *mode, "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert json.loads(out.read_text())["count"] == 150492
+        assert peak < 4 << 20, peak
+
 
 class TestVerify:
     def test_generation_g2(self, capsys):
@@ -345,6 +365,26 @@ class TestVerify:
         for genus in ("0", "1", "-1"):
             assert main(["verify", suite, "--genus", genus]) == 2, genus
             assert capsys.readouterr().err == "input error: chain-relation needs --genus >= 2\n"
+
+    @pytest.mark.parametrize(
+        "genus, code, err",
+        [
+            ("1", 2, "input error: chain-relation needs --genus >= 2\n"),
+            ("0", 2, "input error: generation needs --genus >= 1\n"),
+            (str(MAX_CHAIN_GENUS + 1), 4, f"MAX_CHAIN_GENUS = {MAX_CHAIN_GENUS}"),
+        ],
+    )
+    def test_all_refuses_flags_before_any_suite(self, tmp_path, capsys, monkeypatch, genus, code, err):
+        from spincycles import spin, symplectic
+
+        def ran(*args):
+            raise AssertionError("a suite ran before the flags were checked")
+
+        monkeypatch.setattr(spin, "verify_q_consistency", ran)
+        monkeypatch.setattr(symplectic, "verify_transvection_generation", ran)
+        quintic = corpus_file(tmp_path, "quintic")
+        assert main(["verify", "all", "--genus", genus, "--arf", "1", quintic]) == code
+        assert err in capsys.readouterr().err
 
     def test_chain_relation_genus_over_budget_exit_4(self, capsys):
         # a 60,000 x 60,000 int64 matrix would not fit in memory
@@ -563,6 +603,23 @@ class TestNumpyBoundary:
             )
             assert proc.returncode == 0, proc.stderr
 
+    def test_q_consistency_refuses_before_loading_homology(self, tmp_path):
+        # a polygon outside the spin regimes is refused before the model loads
+        rect = corpus_file(tmp_path, "rect_4x2")
+        script = (
+            "import sys\n"
+            "import spincycles.cli\n"
+            f"assert spincycles.cli.main(['verify', 'q-consistency', {rect!r}]) == 3\n"
+            "assert 'spincycles.homology' not in sys.modules, 'homology loaded'\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(spincycles.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.startswith("inapplicable: q-consistency applies to")
+
     def test_symplectic_starts_no_thread_pool(self):
         # the BFS runs on one thread: no executor module is imported
         script = (
@@ -746,11 +803,24 @@ class TestWriter:
             a = (rng.randrange(-99, 100), rng.randrange(-99, 100))
             return (*sorted((a, (a[0] + dx, a[1] + dy))), rng.random() < 0.5)
 
+        def packed(segments):
+            # the rows type's packing over the sorted endpoints, n of them:
+            # ((i * n + j) << 1) | is_bridge for the row of points i and j
+            points = sorted({pt for a, b, _ in segments for pt in (a, b)})
+            index = {pt: i for i, pt in enumerate(points)}
+            n = len(points)
+            return SegmentRows(
+                points,
+                array("q", [((index[a] * n + index[b]) << 1) | bridge for a, b, bridge in segments]),
+            )
+
         empty = 0
         for _ in range(200):
             members = [_seeded_value(rng, 3) for _ in range(rng.randrange(5))]
             for _ in range(rng.randrange(1, 3)):
-                rows = cli._SegmentRows([segment() for _ in range(rng.choice((0, 1, 5)))])
+                segments = [segment() for _ in range(rng.choice((0, 1, 5)))]
+                rows = cli._SegmentRows(packed(segments))
+                assert list(rows.rows) == segments
                 empty += not rows
                 members.insert(rng.randrange(len(members) + 1), rows)
             report = {f"k{i}": value for i, value in enumerate(members)}
