@@ -20,10 +20,12 @@ still written in full).  Output is
 human-readable by default; ``--json`` switches to the JSON schemas, and
 ``--out`` always writes the JSON transcript.
 Transcript text is the stdlib's ``json.dumps(report, indent=2)``, built
-member by member; segment rows are the one value with their own text,
-joined from fragments built once per lattice point.  Output is written
-chunk by chunk, segment rows 256 to a chunk (about 40 KB) in both output
-modes, so memory stays flat in the row count.  A command
+member by member, and human-readable text is one ``key: value`` line per
+member.  In both, segment rows are the one value with their own text,
+joined from fragments built once per lattice point and written 256 rows
+to a chunk, so memory stays flat in the row count.  ``verify`` runs a
+plan of suites (one step for a single suite) and checks every step's
+refusals before the first suite runs.  A command
 imports only the layers it reads: ``spin`` loads in the branches that read
 a spin form, so ``segments``, non-spin ``classify`` and
 ``hyperelliptic-word`` start without it, and spin ``classify`` and
@@ -48,6 +50,7 @@ from .polygon import (
     RegimeError,
     SegmentRows,
     VerificationError,
+    check_model_genus,
     classify_onedim,
     classify_regime,
     enumerate_segments,
@@ -117,32 +120,6 @@ def build_qtable_report(p: LatticePolygon) -> dict:
     return report
 
 
-class _SegmentRows:
-    """A report's segment rows over packed :class:`SegmentRows`: each row
-    ``{"endpoints": [a, b], "is_bridge": ...}`` or its text, built as it is read."""
-
-    def __init__(self, rows: SegmentRows):
-        self.rows = rows
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self):
-        for a, b, is_bridge in self.rows:
-            yield {"endpoints": [list(a), list(b)], "is_bridge": is_bridge}
-
-    def texts(self):
-        """Each row as ``json.dumps(report, indent=2)`` writes a top-level
-        member's item (the one JSON value the encoder does not write), joined
-        from fragments built once per lattice point."""
-        return self.rows.join(
-            lambda a: f'{{\n      "endpoints": [\n        [\n          {a[0]},\n          {a[1]}'
-            f'\n        ],\n        [\n          ',
-            lambda b, is_bridge: f'{b[0]},\n          {b[1]}\n        ]\n      ],'
-            f'\n      "is_bridge": {"true" if is_bridge else "false"}\n    }}',
-        )
-
-
 def build_segments_report(p: LatticePolygon, bridges_only: bool) -> dict:
     rows = enumerate_segments(p)
     if bridges_only:
@@ -151,12 +128,15 @@ def build_segments_report(p: LatticePolygon, bridges_only: bool) -> dict:
         "polygon": [list(v) for v in p.vertices],
         "count": len(rows),
         "bridges_only": bridges_only,
-        "segments": _SegmentRows(rows),
+        "segments": rows,
     }
 
 
-def _check_flags(suite: str, genus: int | None, arf: int | None) -> None:
-    """Refuse a group suite's ``--genus`` and ``--arf`` before any suite runs."""
+def _check_flags(suite: str, p: LatticePolygon | None, genus: int | None, arf: int | None) -> None:
+    """Refuse a verify step before any suite runs: a polygon suite without a
+    polygon, or a group suite's ``--genus`` and ``--arf``."""
+    if p is None and suite in ("hyperelliptic-word", "q-consistency"):
+        raise RegimeError(f"{suite} needs a polygon file")
     if suite == "generation":
         if genus is None or arf is None:
             raise RegimeError("generation needs --genus and --arf")
@@ -169,8 +149,10 @@ def _check_flags(suite: str, genus: int | None, arf: int | None) -> None:
                 f"generation suite builds stabilizer chains only for genus <= "
                 f"MAX_CHAIN_GENUS = {MAX_CHAIN_GENUS}"
             )
-    elif suite == "chain-relation" and genus is not None and genus < 2:
-        raise ValueError("chain-relation needs --genus >= 2")
+    elif suite == "chain-relation" and genus is not None:
+        if genus < 2:
+            raise ValueError("chain-relation needs --genus >= 2")
+        check_model_genus(genus)
 
 
 def _generation_transcript(genus: int, arf: int) -> dict:
@@ -191,12 +173,10 @@ def _generation_transcript(genus: int, arf: int) -> dict:
 def run_suite(
     suite: str, p: LatticePolygon | None, genus: int | None, arf: int | None
 ) -> dict:
-    _check_flags(suite, genus, arf)
+    """Run one verify step, its refusals already checked by ``_check_flags``."""
     if suite == "generation":
         return _generation_transcript(genus, arf)
     if suite == "hyperelliptic-word":
-        if p is None:
-            raise RegimeError("hyperelliptic-word needs a polygon file")
         from .relations import verify_hyperelliptic_word
 
         return verify_hyperelliptic_word(p)
@@ -209,8 +189,6 @@ def run_suite(
 
         return verify_chrel2_derivation()
     if suite == "q-consistency":
-        if p is None:
-            raise RegimeError("q-consistency needs a polygon file")
         from .spin import verify_q_consistency
 
         return verify_q_consistency(p)
@@ -218,31 +196,57 @@ def run_suite(
 
 
 def run_verify(args) -> tuple[dict, int]:
+    """Run a plan of ``(suite, p, genus, arf)`` steps, one step for a single
+    suite, checking every step's refusals before the first suite runs."""
     p = _load_polygon(args.file) if args.file else None
     if args.suite != "all":
-        transcript = run_suite(args.suite, p, args.genus, args.arf)
-        code = EXIT_OK if transcript.get("pass", True) else EXIT_VERIFICATION_FAILED
-        return transcript, code
-    plan = []
-    if p is not None:
-        regime = classify_regime(p)
-        if regime == REGIME_HYPERELLIPTIC:
-            plan.append(("hyperelliptic-word", p, None, None))
-        if regime in SPIN_REGIMES:
-            plan.append(("q-consistency", p, None, None))
-    if args.genus is not None and args.arf is not None:
-        plan.append(("generation", None, args.genus, args.arf))
-    plan += [("chain-relation", None, args.genus, None), ("chrel2", None, None, None)]
-    for suite, _, genus, arf in plan:  # every refusal before the first suite runs
-        _check_flags(suite, genus, arf)
+        plan = [(args.suite, p, args.genus, args.arf)]
+    else:
+        plan = []
+        if p is not None:
+            regime = classify_regime(p)
+            if regime == REGIME_HYPERELLIPTIC:
+                plan.append(("hyperelliptic-word", p, None, None))
+            if regime in SPIN_REGIMES:
+                plan.append(("q-consistency", p, None, None))
+        if args.genus is not None and args.arf is not None:
+            plan.append(("generation", None, args.genus, args.arf))
+        plan += [("chain-relation", None, args.genus, None), ("chrel2", None, None, None)]
+    for step in plan:
+        _check_flags(*step)
     results = [run_suite(*step) for step in plan]
-    transcript = {
-        "suite": "all",
-        "results": results,
-        "pass": all(r.get("pass", True) for r in results),
-    }
-    code = EXIT_OK if transcript["pass"] else EXIT_VERIFICATION_FAILED
-    return transcript, code
+    passed = all(r.get("pass", True) for r in results)
+    code = EXIT_OK if passed else EXIT_VERIFICATION_FAILED
+    if args.suite == "all":
+        return {"suite": "all", "results": results, "pass": passed}, code
+    return results[0], code
+
+
+def _row_chunks(rows: SegmentRows, as_json: bool):
+    """The text of the rows' list, ``_ROWS_PER_CHUNK`` rows to a chunk, each
+    row ``{"endpoints": [a, b], "is_bridge": ...}`` joined from fragments
+    built once per lattice point: as ``json.dumps(report, indent=2)`` writes
+    a top-level member's value (``as_json``), or as ``json.dumps`` writes
+    the list on one line."""
+    if as_json:
+        texts = rows.join(
+            lambda a: f'{{\n      "endpoints": [\n        [\n          {a[0]},\n          {a[1]}'
+            f'\n        ],\n        [\n          ',
+            lambda b, is_bridge: f'{b[0]},\n          {b[1]}\n        ]\n      ],'
+            f'\n      "is_bridge": {"true" if is_bridge else "false"}\n    }}',
+        )
+        start, sep, end = "[\n    ", ",\n    ", "\n  ]"
+    else:
+        texts = rows.join(
+            lambda a: f'{{"endpoints": [[{a[0]}, {a[1]}], [',
+            lambda b, is_bridge: f'{b[0]}, {b[1]}]], '
+            f'"is_bridge": {"true" if is_bridge else "false"}}}',
+        )
+        start, sep, end = "[", ", ", "]"
+    while batch := sep.join(islice(texts, _ROWS_PER_CHUNK)):
+        yield start + batch
+        start = sep
+    yield end if rows else "[]"
 
 
 def _chunks(report: dict):
@@ -256,29 +260,21 @@ def _chunks(report: dict):
     for key, value in report.items():
         yield f"{sep}{json.dumps(key)}: "
         sep = ",\n  "
-        if not isinstance(value, _SegmentRows):
+        if isinstance(value, SegmentRows):
+            yield from _row_chunks(value, True)
+        else:
             yield json.dumps(value, indent=2).replace("\n", "\n  ")
-            continue
-        texts, row_sep = value.texts(), "[\n    "
-        while batch := ",\n    ".join(islice(texts, _ROWS_PER_CHUNK)):
-            yield row_sep + batch
-            row_sep = ",\n    "
-        yield "\n  ]" if value else "[]"
     yield "\n}"
 
 
 def _lines(report: dict):
-    """The human-readable text, one ``key: value`` line per member; a
-    segment list is ``json.dumps(list(rows))``, ``_ROWS_PER_CHUNK`` rows to
-    a chunk (the encoder joins list items with ``", "``)."""
+    """The human-readable text, one ``key: value`` line per member, a dict
+    or list (segment rows too, in chunks) as ``json.dumps`` writes it."""
     for key, value in report.items():
-        if isinstance(value, _SegmentRows):
-            yield f"{key}: ["
-            rows, row_sep = iter(value), ""
-            while batch := list(islice(rows, _ROWS_PER_CHUNK)):
-                yield row_sep + json.dumps(batch)[1:-1]
-                row_sep = ", "
-            yield "]\n"
+        if isinstance(value, SegmentRows):
+            yield f"{key}: "
+            yield from _row_chunks(value, False)
+            yield "\n"
         elif isinstance(value, (dict, list)):
             yield f"{key}: {json.dumps(value)}\n"
         else:

@@ -65,8 +65,8 @@ MAX_BOX_POINTS = 250_000
 
 #: lattice-point pairs enumerate_segments may test, N(N - 1)/2 for N points;
 #: its rows are packed at 8 bytes each and written 256 to a chunk, so
-#: ``spincycles segments`` at this size peaks at 16.8 MB in either output
-#: mode and takes 0.13-0.21 s with ``--json`` (2-core Xeon)
+#: ``spincycles segments`` at this size peaks at 16.9 MB and takes
+#: 0.13-0.15 s cold in either output mode (2-core Xeon)
 MAX_SEGMENT_PAIRS = 250_000
 
 #: interior points of a homology model, also the largest abstract genus a

@@ -17,7 +17,7 @@ import pytest
 import spincycles
 from spincycles import cli, corpus
 from spincycles.cli import main
-from spincycles.polygon import SegmentRows
+from spincycles.polygon import MAX_MODEL_GENUS, SegmentRows
 from spincycles.symplectic import MAX_CHAIN_GENUS
 
 QUINTIC = corpus.read_text("quintic")
@@ -366,15 +366,20 @@ class TestVerify:
             assert main(["verify", suite, "--genus", genus]) == 2, genus
             assert capsys.readouterr().err == "input error: chain-relation needs --genus >= 2\n"
 
+    REFUSALS = [
+        ("1", ["--arf", "1"], 2, "input error: chain-relation needs --genus >= 2\n"),
+        ("0", ["--arf", "1"], 2, "input error: generation needs --genus >= 1\n"),
+        (str(MAX_CHAIN_GENUS + 1), ["--arf", "1"], 4, f"MAX_CHAIN_GENUS = {MAX_CHAIN_GENUS}"),
+        # no --arf, so no generation step: chain-relation's model budget refuses
+        (str(MAX_MODEL_GENUS + 100), [], 4, f"MAX_MODEL_GENUS = {MAX_MODEL_GENUS}"),
+    ]
+
     @pytest.mark.parametrize(
-        "genus, code, err",
-        [
-            ("1", 2, "input error: chain-relation needs --genus >= 2\n"),
-            ("0", 2, "input error: generation needs --genus >= 1\n"),
-            (str(MAX_CHAIN_GENUS + 1), 4, f"MAX_CHAIN_GENUS = {MAX_CHAIN_GENUS}"),
-        ],
+        "genus, arf, code, err", REFUSALS, ids=[f"{g}-{c}-{e}" for g, _, c, e in REFUSALS]
     )
-    def test_all_refuses_flags_before_any_suite(self, tmp_path, capsys, monkeypatch, genus, code, err):
+    def test_all_refuses_flags_before_any_suite(
+        self, tmp_path, capsys, monkeypatch, genus, arf, code, err
+    ):
         from spincycles import spin, symplectic
 
         def ran(*args):
@@ -383,7 +388,7 @@ class TestVerify:
         monkeypatch.setattr(spin, "verify_q_consistency", ran)
         monkeypatch.setattr(symplectic, "verify_transvection_generation", ran)
         quintic = corpus_file(tmp_path, "quintic")
-        assert main(["verify", "all", "--genus", genus, "--arf", "1", quintic]) == code
+        assert main(["verify", "all", "--genus", genus, *arf, quintic]) == code
         assert err in capsys.readouterr().err
 
     def test_chain_relation_genus_over_budget_exit_4(self, capsys):
@@ -719,8 +724,27 @@ def _seeded_value(rng: random.Random, depth: int):
     return items if kind == 1 else tuple(items)
 
 
+def row_dicts(rows: SegmentRows) -> list:
+    """The transcript's segment list, built from the rows' tuples."""
+    return [{"endpoints": [list(a), list(b)], "is_bridge": is_bridge} for a, b, is_bridge in rows]
+
+
+def human_lines(report: dict) -> str:
+    """The human-readable text: one ``key: value`` line per member, a dict,
+    a list or segment rows as ``json.dumps`` writes it on one line."""
+    lines = []
+    for key, value in report.items():
+        if isinstance(value, SegmentRows):
+            value = json.dumps(row_dicts(value))
+        elif isinstance(value, (dict, list)):
+            value = json.dumps(value)
+        lines.append(f"{key}: {value}\n")
+    return "".join(lines)
+
+
 class TestWriter:
-    """``_emit`` writes exactly ``json.dumps(report, indent=2) + "\\n"``."""
+    """``_emit`` writes exactly ``json.dumps(report, indent=2) + "\\n"``,
+    and in human-readable mode ``human_lines(report)``."""
 
     ARGV = [
         ["verify", "generation", "--genus", "3", "--arf", "1"],
@@ -768,9 +792,13 @@ class TestWriter:
             if not reports:  # an input error or an inapplicable suite
                 assert stdout == ""
                 continue
-            # the lazy segment rows are not a list; default=list reads them
-            expected = json.dumps(reports[0], indent=2, default=list) + "\n"
+            # the packed segment rows are not a list; row_dicts reads them
+            expected = json.dumps(reports[0], indent=2, default=row_dicts) + "\n"
             assert stdout == expected, argv
+            assert out.read_text() == expected, argv
+            out.unlink()
+            cli._emit(reports[0], False, str(out))
+            assert capsys.readouterr().out == human_lines(reports[0]), argv
             assert out.read_text() == expected, argv
             written += 1
         assert written or name == "bad"
@@ -814,18 +842,22 @@ class TestWriter:
                 array("q", [((index[a] * n + index[b]) << 1) | bridge for a, b, bridge in segments]),
             )
 
-        empty = 0
+        empty, drawn = 0, []
         for _ in range(200):
             members = [_seeded_value(rng, 3) for _ in range(rng.randrange(5))]
             for _ in range(rng.randrange(1, 3)):
                 segments = [segment() for _ in range(rng.choice((0, 1, 5)))]
-                rows = cli._SegmentRows(packed(segments))
-                assert list(rows.rows) == segments
+                rows = packed(segments)
+                assert list(rows) == segments
                 empty += not rows
+                drawn += segments
                 members.insert(rng.randrange(len(members) + 1), rows)
             report = {f"k{i}": value for i, value in enumerate(members)}
-            cli._emit(report, True, str(out))
-            expected = json.dumps(report, indent=2, default=list) + "\n"
-            assert capsys.readouterr().out == expected
-            assert out.read_text() == expected
+            expected = json.dumps(report, indent=2, default=row_dicts) + "\n"
+            for as_json, stdout in ((True, expected), (False, human_lines(report))):
+                cli._emit(report, as_json, str(out))
+                assert capsys.readouterr().out == stdout
+                assert out.read_text() == expected
         assert empty
+        assert {bridge for _, _, bridge in drawn} == {False, True}
+        assert min(x for a, b, _ in drawn for x in (*a, *b)) < 0
